@@ -65,7 +65,6 @@ class ConnectionManager:
     def __init__(self, registration_ttl: float = 3600.0):
         self.registration_ttl = registration_ttl
         self._registrations: dict[str, Registration] = {}
-        self._dead_connections: set[ConnectionId] = set()
 
     def register(self, conn: ConnectionId, msg: SipMessage, now: float) -> Registration:
         """Create or replace the registration for the message's To URI."""
@@ -74,7 +73,6 @@ class ConnectionManager:
         if not msg.contact:
             raise MalformedRegister("REGISTER without Contact header")
         aor = aor_of(msg.to_)
-        self._dead_connections.discard(conn)
         registration = Registration(
             aor=aor,
             connection=conn,
@@ -89,14 +87,10 @@ class ConnectionManager:
         registration = self._registrations.get(aor)
         if registration is None:
             raise NotRegistered(aor)
-        if registration.connection in self._dead_connections:
-            del self._registrations[aor]
-            raise NotRegistered(aor)
         return registration.connection
 
     def on_connection_closed(self, conn: ConnectionId) -> list[str]:
         """Invalidate every registration bound to a closed connection."""
-        self._dead_connections.add(conn)
         removed = [
             aor for aor, reg in self._registrations.items() if reg.connection == conn
         ]

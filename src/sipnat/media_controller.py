@@ -13,6 +13,7 @@ client-visible allocation transaction exists at all.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -67,23 +68,24 @@ class PortPool:
             raise ValueError(f"bad port range: ({lo}, {hi})")
         first_even = lo if lo % 2 == 0 else lo + 1
         self.range = (lo, hi)
-        self._free: list[int] = [p for p in range(first_even, hi, 2)]
+        self._free: list[int] = list(range(first_even, hi, 2))  # a heap: sorted from the start
+        self.pairs = len(self._free)
         self._allocated: dict[int, tuple[str, str, str]] = {}  # port -> (call, leg, kind)
 
     def allocate_pair(self, call_id: str, leg: str) -> tuple[int, int]:
         if not self._free:
             raise PoolExhausted(f"no free port pair in {self.range}")
-        rtp_port = self._free.pop(0)
+        rtp_port = heapq.heappop(self._free)
         self._allocated[rtp_port] = (call_id, leg, RTP)
         self._allocated[rtp_port + 1] = (call_id, leg, RTCP)
         return rtp_port, rtp_port + 1
 
     def release_pair(self, rtp_port: int) -> None:
-        self._allocated.pop(rtp_port, None)
+        """Return an allocated pair to the pool; releasing a free pair does nothing."""
+        if self._allocated.pop(rtp_port, None) is None:
+            return
         self._allocated.pop(rtp_port + 1, None)
-        if rtp_port not in self._free:
-            self._free.append(rtp_port)
-            self._free.sort()
+        heapq.heappush(self._free, rtp_port)
 
     def owner_of(self, port: int) -> tuple[str, str, str] | None:
         return self._allocated.get(port)
@@ -179,6 +181,7 @@ class MediaController:
         self.buffer_cap = buffer_cap
         self.relatch = relatch
         self.sessions: dict[str, MediaSession] = {}
+        # The most recently released sessions, oldest first; at most one per pool pair.
         self.finished: dict[str, MediaSession] = {}
 
     def allocate_session(self, call_id: str) -> MediaSession:
@@ -297,7 +300,10 @@ class MediaController:
             self.pool.release_pair(leg.rtp_port)
             freed += 2
         session.state = SessionState.RELEASED
+        self.finished.pop(call_id, None)
         self.finished[call_id] = session
+        if len(self.finished) > self.pool.pairs:
+            del self.finished[next(iter(self.finished))]
         return freed
 
     def session_for(self, call_id: str) -> MediaSession | None:

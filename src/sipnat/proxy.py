@@ -4,6 +4,11 @@ REGISTER binds the client to the TCP connection it arrived on; INVITE and
 its answer get their session descriptions rewritten to relay ports before
 forwarding; ACK establishes; BYE tears the relay session down.  Request
 failures come back as SIP error responses, never silence.
+
+A call leaves ``SipProxy.calls`` once the final response to its BYE has been
+relayed.  Calls that end any other way (rejected, timed out, undeliverable,
+or a BYE never answered) stay ``TERMINATED`` for ``invite_guard`` seconds,
+so late messages for them are still recognised, and ``tick`` then drops them.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ class CallState:
     invited_at: float
     phase: Phase = Phase.INVITING
     media: MediaSession | None = None
+    ended_at: float | None = None
 
     def peer_conn(self, conn: ConnectionId) -> ConnectionId:
         return self.callee_conn if conn == self.caller_conn else self.caller_conn
@@ -147,7 +153,7 @@ class SipProxy:
                 return self._on_invite(conn, msg, now)
             if msg.method is Method.ACK:
                 return self._on_ack(conn, msg)
-            return self._on_bye(conn, msg)
+            return self._on_bye(conn, msg, now)
         return self._on_response(conn, msg, now)
 
     def _reply(self, conn: ConnectionId, request: SipMessage, code: int, reason: str) -> list[Outbound]:
@@ -210,11 +216,11 @@ class SipProxy:
             self._on_event("call_established", msg.call_id)
         return [(call.peer_conn(conn), serialize_message(msg))]
 
-    def _on_bye(self, conn: ConnectionId, msg: SipMessage) -> list[Outbound]:
+    def _on_bye(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         call = self.calls.get(msg.call_id)
         if call is None:
             return self._reply(conn, msg, 481, "Call/Transaction Does Not Exist")
-        self._terminate(call)
+        self._terminate(call, now)
         return [(call.peer_conn(conn), serialize_message(msg))]
 
     def _on_response(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
@@ -230,14 +236,16 @@ class SipProxy:
                         answer = parse_sdp(msg.body)
                         rewritten = self.media.process_answer(call.media, answer)
                     except (SdpError, SdpRewriteError) as exc:
-                        self._terminate(call)
+                        self._terminate(call, now)
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         failure = build_response(msg, 500, "Server Internal Error")
                         return [(dest, serialize_message(failure))]
                     msg = _with_body(msg, serialize_sdp(rewritten))
                 self._on_event("answer_forwarded", msg.call_id)
             elif msg.status_code >= 300:
-                self._terminate(call)
+                self._terminate(call, now)
+        elif msg.cseq_method is Method.BYE and msg.status_code >= 200:
+            del self.calls[msg.call_id]
         return [(dest, serialize_message(msg))]
 
     # -- media ---------------------------------------------------------------
@@ -270,30 +278,34 @@ class SipProxy:
         if call is None:
             return []
         if msg.is_request and msg.method is Method.INVITE and call.phase is Phase.INVITING:
-            self._terminate(call)
+            self._terminate(call, now)
             failure = build_response(msg, 404, "Not Found")
             return [(call.caller_conn, serialize_message(failure))]
-        if call.phase is not Phase.TERMINATED:
-            self._terminate(call)
+        self._terminate(call, now)
         return []
 
     def tick(self, now: float) -> list[TickAction]:
-        """Expire registrations and time out unanswered calls."""
+        """Expire registrations, time out unanswered calls and forget ended ones."""
         actions = [
             TickAction("registration_expired", aor) for aor in self.registrar.expire(now)
         ]
+        guard = self.config.invite_guard
         for call in list(self.calls.values()):
-            if call.phase is Phase.INVITING and now - call.invited_at >= self.config.invite_guard:
-                self._terminate(call)
+            if call.phase is Phase.TERMINATED:
+                if now - call.ended_at >= guard:
+                    del self.calls[call.call_id]
+            elif call.phase is Phase.INVITING and now - call.invited_at >= guard:
+                self._terminate(call, now)
                 actions.append(TickAction("invite_timeout", call.call_id))
         for action in actions:
             self._on_event(action.kind, action.detail)
         return actions
 
-    def _terminate(self, call: CallState) -> None:
+    def _terminate(self, call: CallState, now: float) -> None:
         if call.phase is Phase.TERMINATED:
             return
         call.phase = Phase.TERMINATED
+        call.ended_at = now
         if call.media is not None and call.media.call_id in self.media.sessions:
             freed = self.media.release_session(call.call_id)
             self._on_event("media_released", f"{call.call_id}: {freed} ports freed")

@@ -3,6 +3,12 @@
 Thin by design: one selector loop accepts TCP signaling connections, frames
 them by Content-Length, binds a UDP socket per media pool port, and feeds
 everything into the same SipProxy the simulator drives.
+
+Signaling sockets run with TCP_NODELAY, so a message forwarded right behind
+another on the same connection is not held back waiting for the peer's
+delayed ACK.  Outbound messages are queued per connection and written once
+per loop pass; what the kernel does not take stays queued and goes out when
+the socket reports writable, so a slow reader never loses its connection.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ import selectors
 import socket
 import threading
 import time
+from collections import deque
+from dataclasses import dataclass, field
 
 from .net import TransportAddress
 from .proxy import ProxyConfig, SipProxy
@@ -20,6 +28,18 @@ from .sip_message import FramingError, MessageFramer
 logger = logging.getLogger(__name__)
 
 TICK_INTERVAL = 1.0
+READ = selectors.EVENT_READ
+READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
+
+
+@dataclass
+class _Connection:
+    """One accepted signaling socket with its inbound framer and outbound queue."""
+
+    sock: socket.socket
+    framer: MessageFramer = field(default_factory=MessageFramer)
+    outbox: deque[bytes] = field(default_factory=deque)
+    head_sent: int = 0  # bytes of outbox[0] already written
 
 
 class ProxyService:
@@ -47,8 +67,9 @@ class ProxyService:
             self._udp_socks[port] = sock
             self._selector.register(sock, selectors.EVENT_READ, ("media", port))
 
-        self._conns: dict[int, socket.socket] = {}
-        self._framers: dict[int, MessageFramer] = {}
+        self._conns: dict[int, _Connection] = {}
+        # Connections with queued bytes the socket can take now (dict as ordered set).
+        self._ready: dict[int, None] = {}
         self._next_conn = 1
         self._running = False
         self._thread: threading.Thread | None = None
@@ -65,7 +86,8 @@ class ProxyService:
         self._running = False
         if self._thread is not None:
             self._thread.join(timeout=5)
-        for sock in [self._listener, *self._udp_socks.values(), *self._conns.values()]:
+        conn_socks = [c.sock for c in self._conns.values()]
+        for sock in [self._listener, *self._udp_socks.values(), *conn_socks]:
             try:
                 sock.close()
             except OSError:
@@ -74,14 +96,18 @@ class ProxyService:
 
     def _loop(self) -> None:
         while self._running:
-            for key, _ in self._selector.select(timeout=0.05):
+            for key, events in self._selector.select(timeout=0.05):
                 kind, arg = key.data
                 if kind == "accept":
                     self._accept()
                 elif kind == "media":
                     self._read_media(key.fileobj, arg)
                 else:
-                    self._read_tcp(arg)
+                    if events & selectors.EVENT_WRITE:
+                        self._ready[arg] = None
+                    if events & selectors.EVENT_READ:
+                        self._read_tcp(arg)
+            self._flush()
             now = time.monotonic()
             if now - self._last_tick >= TICK_INTERVAL:
                 self._last_tick = now
@@ -95,20 +121,20 @@ class ProxyService:
         except OSError:
             return
         sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = self._next_conn
         self._next_conn += 1
-        self._conns[conn] = sock
-        self._framers[conn] = MessageFramer()
+        self._conns[conn] = _Connection(sock)
         self.proxy.connection_opened(conn, TransportAddress(peer[0], peer[1]))
-        self._selector.register(sock, selectors.EVENT_READ, ("tcp", conn))
+        self._selector.register(sock, READ, ("tcp", conn))
         logger.debug("accepted connection %d from %s:%d", conn, peer[0], peer[1])
 
     def _read_tcp(self, conn: int) -> None:
-        sock = self._conns.get(conn)
-        if sock is None:
+        connection = self._conns.get(conn)
+        if connection is None:
             return
         try:
-            data = sock.recv(65536)
+            data = connection.sock.recv(65536)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
@@ -117,7 +143,7 @@ class ProxyService:
             self._close_conn(conn)
             return
         try:
-            messages = self._framers[conn].feed(data)
+            messages = connection.framer.feed(data)
         except FramingError:
             logger.warning("unframeable stream on connection %d, closing", conn)
             self._close_conn(conn)
@@ -127,27 +153,58 @@ class ProxyService:
             self._transmit(outbound)
 
     def _transmit(self, outbound: list[tuple[int, bytes]]) -> None:
+        """Queue each message on its connection; ``_flush`` writes the queues."""
         for conn, raw in outbound:
-            sock = self._conns.get(conn)
-            if sock is None:
+            connection = self._conns.get(conn)
+            if connection is None:
                 self._transmit(self.proxy.delivery_failed(conn, raw, time.monotonic()))
                 continue
-            try:
-                sock.sendall(raw)
-            except OSError:
-                self._close_conn(conn)
-                self._transmit(self.proxy.delivery_failed(conn, raw, time.monotonic()))
+            if not connection.outbox:
+                # A non-empty queue is already ready or waiting for EVENT_WRITE.
+                self._ready[conn] = None
+            connection.outbox.append(raw)
+
+    def _flush(self) -> None:
+        """Write each ready queue with one send; keep what the kernel refuses.
+
+        A send error closes the connection, which reports its unsent
+        messages as delivery failures; the replies that produces (a 404 to a
+        caller) are queued and written in this same pass.
+        """
+        while self._ready:
+            ready, self._ready = self._ready, {}
+            for conn in ready:
+                connection = self._conns.get(conn)
+                if connection is not None:
+                    self._send_queued(conn, connection)
+
+    def _send_queued(self, conn: int, connection: _Connection) -> None:
+        data = b"".join(connection.outbox)
+        try:
+            sent = connection.head_sent + connection.sock.send(
+                memoryview(data)[connection.head_sent :]
+            )
+        except (BlockingIOError, InterruptedError):
+            sent = connection.head_sent
+        except OSError:
+            self._close_conn(conn)
+            return
+        outbox = connection.outbox
+        while outbox and sent >= len(outbox[0]):
+            sent -= len(outbox.popleft())
+        connection.head_sent = sent
+        events = READ_WRITE if outbox else READ
+        if self._selector.get_key(connection.sock).events != events:
+            self._selector.modify(connection.sock, events, ("tcp", conn))
 
     def _close_conn(self, conn: int) -> None:
-        sock = self._conns.pop(conn, None)
-        self._framers.pop(conn, None)
-        if sock is not None:
-            try:
-                self._selector.unregister(sock)
-            except (KeyError, ValueError):
-                pass
-            sock.close()
+        """Close a connection and report each message still queued on it as undeliverable."""
+        connection = self._conns.pop(conn)
+        self._selector.unregister(connection.sock)
+        connection.sock.close()
         self.proxy.connection_closed(conn)
+        for raw in connection.outbox:
+            self._transmit(self.proxy.delivery_failed(conn, raw, time.monotonic()))
 
     # -- UDP media -------------------------------------------------------------
 

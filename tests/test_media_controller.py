@@ -46,6 +46,19 @@ def test_pool_reuses_released_pairs_lowest_first():
     assert pool.allocate_pair("c2", LEG_A) == (40000, 40001)
 
 
+def test_pool_release_is_idempotent_and_keeps_lowest_first():
+    pool = PortPool(40000, 40009)
+    for i in range(5):
+        pool.allocate_pair(f"c{i}", LEG_A)
+    for port in (40006, 40002, 40006, 40008, 40002):
+        pool.release_pair(port)
+    assert pool.free_pairs() == {40002, 40006, 40008}
+    got = [pool.allocate_pair(f"d{i}", LEG_A)[0] for i in range(3)]
+    assert got == [40002, 40006, 40008]
+    with pytest.raises(PoolExhausted):
+        pool.allocate_pair("e", LEG_A)
+
+
 def test_pool_odd_lower_bound_starts_on_even_port():
     pool = PortPool(40001, 40010)
     assert pool.allocate_pair("c", LEG_A) == (40002, 40003)
@@ -259,3 +272,14 @@ def test_release_returns_ports_and_keeps_counters():
     assert finished.legs[LEG_A].counters[RTP].received == 1
     # The buffered packet was never deliverable; it counts as dropped.
     assert finished.legs[LEG_A].counters[RTP].dropped == 1
+
+
+def test_finished_keeps_at_most_one_session_per_pool_pair():
+    ctl = controller(40000, 40007)  # 4 pairs: two live sessions at most
+    for i in range(10):
+        ctl.allocate_session(f"call-{i}")
+        ctl.release_session(f"call-{i}")
+        assert len(ctl.finished) <= ctl.pool.pairs == 4
+    assert list(ctl.finished) == ["call-6", "call-7", "call-8", "call-9"]
+    assert ctl.session_for("call-9").state is SessionState.RELEASED
+    assert ctl.session_for("call-0") is None

@@ -99,6 +99,38 @@ def test_full_call_ladder_phases_and_teardown():
     assert conn == A_CONN
     assert call.phase is Phase.TERMINATED
     assert proxy.media.pool.free_pairs() == pool_at_rest  # all ports back
+    # The BYE is never answered: the call is kept for the guard time, then dropped.
+    proxy.tick(33.9)
+    assert "call-1@local2.com" in proxy.calls
+    proxy.tick(34.0)
+    assert proxy.calls == {}
+
+
+def test_answered_bye_retires_call_and_late_bye_gets_481():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    answer = build_response(
+        fwd_invite, 200, "OK",
+        body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    proxy.handle_message(A_CONN, serialize_message(answer), 1.1)
+    from dataclasses import replace
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    proxy.handle_message(B_CONN, serialize_message(ack), 1.2)
+    bye = replace(ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2)
+    _, fwd_bye = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.0))
+    ok = build_response(fwd_bye, 200, "OK")
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(ok), 2.1))
+    assert (conn, msg.status_code, msg.cseq_method) == (B_CONN, 200, Method.BYE)
+    assert proxy.calls == {}
+    assert proxy.media.sessions == {}
+
+    conn, msg = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.2))
+    assert (conn, msg.status_code) == (B_CONN, 481)
 
 
 def test_forwarded_descriptions_use_proxy_pool_ports():
@@ -202,6 +234,8 @@ def test_error_response_to_invite_terminates_and_forwards():
     assert (conn, msg.status_code) == (B_CONN, 486)
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
     assert proxy.media.pool.free_pairs() == pool_at_rest
+    proxy.tick(1.1 + proxy.config.invite_guard)
+    assert proxy.calls == {}
 
 
 def test_unanswered_invite_times_out_and_frees_ports():
@@ -214,6 +248,10 @@ def test_unanswered_invite_times_out_and_frees_ports():
     assert [a.kind for a in actions] == ["invite_timeout"]
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
     assert proxy.media.pool.free_pairs() == pool_at_rest
+    assert proxy.tick(73.9) == []
+    assert "call-1@local2.com" in proxy.calls
+    proxy.tick(42.0 + proxy.config.invite_guard)
+    assert proxy.calls == {}
 
 
 def test_tick_expires_registrations():
@@ -247,6 +285,8 @@ def test_delivery_failure_of_invite_yields_404_to_caller():
     assert proxy.media.pool.free_pairs() == pool_at_rest
     with pytest.raises(Exception):
         proxy.registrar.route_to("sip:ClientA@local1.com")
+    proxy.tick(1.1 + proxy.config.invite_guard)
+    assert proxy.calls == {}
 
 
 def test_connection_close_invalidates_registrations():

@@ -38,8 +38,13 @@ def find_media_range(size: int = 4, start: int = 47600) -> tuple[int, int]:
 
 
 class TcpClient:
-    def __init__(self, port: int):
-        self.sock = socket.create_connection((HOST, port), timeout=5)
+    def __init__(self, port: int, rcvbuf: int | None = None):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        if rcvbuf is not None:
+            # Set before connecting, so the advertised window is small from the start.
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+        self.sock.settimeout(5)
+        self.sock.connect((HOST, port))
         self.framer = MessageFramer()
         self.pending = []
 
@@ -60,14 +65,30 @@ class TcpClient:
         self.sock.close()
 
 
-@pytest.fixture
-def service():
+def wait_until(condition, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+
+
+def running_service(**config):
     lo, hi = find_media_range()
-    config = ProxyConfig(public_ip=HOST, sip_tcp_port=0, media_port_range=(lo, hi))
+    config = ProxyConfig(public_ip=HOST, sip_tcp_port=0, media_port_range=(lo, hi), **config)
     svc = ProxyService(config, host=HOST)
     svc.start()
     yield svc
     svc.stop()
+
+
+@pytest.fixture
+def service():
+    yield from running_service()
+
+
+@pytest.fixture
+def signaling_service():
+    """No media relay, so the small relay pool never limits how many calls are placed."""
+    yield from running_service(media_relay=False)
 
 
 def test_register_over_real_tcp(service):
@@ -76,6 +97,15 @@ def test_register_over_real_tcp(service):
     response = client.recv_message()
     assert response.status_code == 200
     assert service.proxy.registrar.route_to("sip:ClientA@local1.com") == 1
+    client.close()
+
+
+def test_signaling_sockets_disable_nagle(service):
+    client = TcpClient(service.sip_port)
+    client.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert client.recv_message().status_code == 200
+    (connection,) = service._conns.values()
+    assert connection.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
     client.close()
 
 
@@ -174,10 +204,9 @@ def test_full_call_with_real_media_relay(service):
     client_a.send(serialize_message(build_response(forwarded_bye, 200, "OK")))
     assert client_b.recv_message().status_code == 200
 
-    deadline = time.monotonic() + 5
-    while service.proxy.media.pool.allocated_count and time.monotonic() < deadline:
-        time.sleep(0.02)
+    wait_until(lambda: service.proxy.media.pool.allocated_count == 0)
     assert service.proxy.media.pool.allocated_count == 0
+    assert service.proxy.calls == {}
 
     for sock in (media_a, media_b):
         sock.close()
@@ -190,7 +219,53 @@ def test_closing_connection_unregisters(service):
     client.send(samples.make_register("ClientA", "local1.com", HOST))
     assert client.recv_message().status_code == 200
     client.close()
-    deadline = time.monotonic() + 5
-    while service.proxy.registrar.live_aors() and time.monotonic() < deadline:
-        time.sleep(0.02)
+    wait_until(lambda: not service.proxy.registrar.live_aors())
     assert service.proxy.registrar.live_aors() == []
+
+
+def test_send_error_reports_each_unsent_message_in_order(signaling_service):
+    service = signaling_service
+    callee = TcpClient(service.sip_port)
+    callee.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert callee.recv_message().status_code == 200
+    caller = TcpClient(service.sip_port)
+    caller.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert caller.recv_message().status_code == 200
+
+    # Writes to the callee now fail with EPIPE inside the service.
+    service._conns[1].sock.shutdown(socket.SHUT_WR)
+    call_ids = ["first@local2.com", "second@local2.com"]
+    caller.send(b"".join(samples.make_invite(call_id=call_id) for call_id in call_ids))
+    replies = [caller.recv_message() for _ in call_ids]
+    assert [(msg.status_code, msg.call_id) for msg in replies] == [(404, c) for c in call_ids]
+    wait_until(lambda: 1 not in service._conns)
+    assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
+    callee.close()
+    caller.close()
+
+
+SLOW_READER_INVITES = 16000  # about 5.5 MB, more than Linux's default 4 MB TCP send buffer limit
+
+
+def test_slow_reader_keeps_connection_and_gets_every_message(signaling_service):
+    service = signaling_service
+    slow = TcpClient(service.sip_port, rcvbuf=4096)
+    slow.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert slow.recv_message().status_code == 200
+    caller = TcpClient(service.sip_port)
+    caller.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert caller.recv_message().status_code == 200
+
+    # The slow client reads nothing while every INVITE is forwarded to it.
+    call_ids = [f"slow-{i}@local2.com" for i in range(SLOW_READER_INVITES)]
+    caller.send(b"".join(samples.make_invite(call_id=call_id) for call_id in call_ids))
+    wait_until(lambda: len(service.proxy.calls) == SLOW_READER_INVITES, timeout=20)
+    assert len(service.proxy.calls) == SLOW_READER_INVITES
+    assert service.proxy.registrar.route_to("sip:ClientA@local1.com") == 1
+
+    received = [slow.recv_message() for _ in call_ids]
+    assert [msg.method for msg in received] == [Method.INVITE] * len(call_ids)
+    assert [msg.call_id for msg in received] == call_ids
+    assert service.proxy.registrar.route_to("sip:ClientA@local1.com") == 1
+    slow.close()
+    caller.close()
