@@ -5,10 +5,12 @@ its answer get their session descriptions rewritten to relay ports before
 forwarding; ACK establishes; BYE tears the relay session down.  Request
 failures come back as SIP error responses, never silence.
 
-A call leaves ``SipProxy.calls`` once the final response to its BYE has been
-relayed.  Calls that end any other way (rejected, timed out, undeliverable,
-or a BYE never answered) stay ``TERMINATED`` for ``invite_guard`` seconds,
-so late messages for them are still recognised, and ``tick`` then drops them.
+A call that one party hangs up once established leaves ``SipProxy.calls``
+as soon as the other party's final response to that BYE is relayed.  Calls
+that end any other way (rejected, timed out, undeliverable, a BYE while
+inviting, BYEs from both sides, or a BYE never answered) stay ``TERMINATED``
+for ``invite_guard`` seconds, so late messages for them are still relayed,
+and ``tick`` then drops them.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ class CallState:
     phase: Phase = Phase.INVITING
     media: MediaSession | None = None
     ended_at: float | None = None
+    # Sender and CSeq of the final BYE response that retires the call at once.
+    retire_on: tuple[ConnectionId, int] | None = None
 
     def peer_conn(self, conn: ConnectionId) -> ConnectionId:
         return self.callee_conn if conn == self.caller_conn else self.caller_conn
@@ -220,6 +224,10 @@ class SipProxy:
         call = self.calls.get(msg.call_id)
         if call is None:
             return self._reply(conn, msg, 481, "Call/Transaction Does Not Exist")
+        if call.phase is Phase.ESTABLISHED:
+            call.retire_on = (call.peer_conn(conn), msg.cseq_num)
+        else:
+            call.retire_on = None  # hung up while inviting, or BYEs crossed
         self._terminate(call, now)
         return [(call.peer_conn(conn), serialize_message(msg))]
 
@@ -245,7 +253,8 @@ class SipProxy:
             elif msg.status_code >= 300:
                 self._terminate(call, now)
         elif msg.cseq_method is Method.BYE and msg.status_code >= 200:
-            del self.calls[msg.call_id]
+            if call.retire_on == (conn, msg.cseq_num):
+                del self.calls[msg.call_id]
         return [(dest, serialize_message(msg))]
 
     # -- media ---------------------------------------------------------------

@@ -20,6 +20,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .net import TransportAddress
 from .proxy import ProxyConfig, SipProxy
@@ -30,6 +31,7 @@ logger = logging.getLogger(__name__)
 TICK_INTERVAL = 1.0
 READ = selectors.EVENT_READ
 READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
+MAX_IOVECS = 1024  # buffers per sendmsg; IOV_MAX on Linux and macOS
 
 
 @dataclass
@@ -165,7 +167,7 @@ class ProxyService:
             connection.outbox.append(raw)
 
     def _flush(self) -> None:
-        """Write each ready queue with one send; keep what the kernel refuses.
+        """Write each ready queue with one sendmsg; keep what the kernel refuses.
 
         A send error closes the connection, which reports its unsent
         messages as delivery failures; the replies that produces (a 404 to a
@@ -179,17 +181,15 @@ class ProxyService:
                     self._send_queued(conn, connection)
 
     def _send_queued(self, conn: int, connection: _Connection) -> None:
-        data = b"".join(connection.outbox)
+        outbox = connection.outbox
+        buffers = [memoryview(outbox[0])[connection.head_sent :], *islice(outbox, 1, MAX_IOVECS)]
         try:
-            sent = connection.head_sent + connection.sock.send(
-                memoryview(data)[connection.head_sent :]
-            )
+            sent = connection.head_sent + connection.sock.sendmsg(buffers)
         except (BlockingIOError, InterruptedError):
             sent = connection.head_sent
         except OSError:
             self._close_conn(conn)
             return
-        outbox = connection.outbox
         while outbox and sent >= len(outbox[0]):
             sent -= len(outbox.popleft())
         connection.head_sent = sent

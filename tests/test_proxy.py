@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import samples
@@ -39,6 +41,27 @@ def invite_from_b(call_id="call-1@local2.com"):
         caller="ClientB", caller_domain="local2.com", caller_host="10.0.0.4",
         callee="ClientA", callee_domain="local1.com", call_id=call_id,
     )
+
+
+def establish_call(proxy, call_id="call-1@local2.com"):
+    """INVITE from ClientB, 200 from ClientA, ACK; returns the ACK as sent."""
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(call_id), 1.0))
+    answer = build_response(
+        fwd_invite, 200, "OK",
+        body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    proxy.handle_message(A_CONN, serialize_message(answer), 1.1)
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    proxy.handle_message(B_CONN, serialize_message(ack), 1.2)
+    assert proxy.calls[call_id].phase is Phase.ESTABLISHED
+    return ack
+
+
+def as_bye(ack):
+    return replace(ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2)
 
 
 def only_message(outbound):
@@ -85,7 +108,6 @@ def test_full_call_ladder_phases_and_teardown():
     assert call.phase is Phase.INVITING
 
     ack = fwd_invite  # reuse identity headers to build the ACK
-    from dataclasses import replace
     ack = replace(
         ack, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
         contact=None,
@@ -109,19 +131,7 @@ def test_full_call_ladder_phases_and_teardown():
 def test_answered_bye_retires_call_and_late_bye_gets_481():
     proxy = make_proxy()
     register_both(proxy)
-    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
-    answer = build_response(
-        fwd_invite, 200, "OK",
-        body=samples.sample_invite_body(), content_type="application/sdp",
-    )
-    proxy.handle_message(A_CONN, serialize_message(answer), 1.1)
-    from dataclasses import replace
-    ack = replace(
-        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
-        contact=None,
-    )
-    proxy.handle_message(B_CONN, serialize_message(ack), 1.2)
-    bye = replace(ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2)
+    bye = as_bye(establish_call(proxy))
     _, fwd_bye = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.0))
     ok = build_response(fwd_bye, 200, "OK")
     conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(ok), 2.1))
@@ -131,6 +141,84 @@ def test_answered_bye_retires_call_and_late_bye_gets_481():
 
     conn, msg = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.2))
     assert (conn, msg.status_code) == (B_CONN, 481)
+
+
+def test_bye_response_without_hangup_keeps_call_and_its_ports():
+    proxy = make_proxy()
+    register_both(proxy)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    bye = as_bye(establish_call(proxy))
+    unsolicited = serialize_message(build_response(bye, 200, "OK"))
+    for conn in (A_CONN, B_CONN, 3):
+        proxy.handle_message(conn, unsolicited, 1.5)
+    call = proxy.calls["call-1@local2.com"]
+    assert call.phase is Phase.ESTABLISHED
+    assert "call-1@local2.com" in proxy.media.sessions
+
+    _, fwd_bye = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.0))
+    # Only the callee's answer to this BYE retires the call, not the hanging-up side's.
+    proxy.handle_message(B_CONN, serialize_message(build_response(fwd_bye, 200, "OK")), 2.1)
+    assert "call-1@local2.com" in proxy.calls
+    stale = replace(fwd_bye, cseq_num=fwd_bye.cseq_num - 1)
+    proxy.handle_message(A_CONN, serialize_message(build_response(stale, 200, "OK")), 2.2)
+    assert "call-1@local2.com" in proxy.calls
+    proxy.handle_message(A_CONN, serialize_message(build_response(fwd_bye, 200, "OK")), 2.3)
+    assert proxy.calls == {}
+    assert proxy.media.sessions == {}
+    assert proxy.media.pool.free_pairs() == pool_at_rest
+
+
+def test_bye_while_inviting_still_relays_the_487():
+    proxy = make_proxy()
+    register_both(proxy)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    bye = replace(
+        fwd_invite, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2, body=b"",
+        content_type=None, contact=None,
+    )
+    _, fwd_bye = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 1.1))
+    conn, msg = only_message(
+        proxy.handle_message(A_CONN, serialize_message(build_response(fwd_bye, 200, "OK")), 1.2)
+    )
+    assert (conn, msg.status_code, msg.cseq_method) == (B_CONN, 200, Method.BYE)
+    terminated = build_response(fwd_invite, 487, "Request Terminated")
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(terminated), 1.3))
+    assert (conn, msg.status_code, msg.cseq_method) == (B_CONN, 487, Method.INVITE)
+    assert proxy.media.pool.free_pairs() == pool_at_rest
+    proxy.tick(1.1 + proxy.config.invite_guard)
+    assert proxy.calls == {}
+
+
+def test_crossed_byes_relay_both_answers():
+    proxy = make_proxy()
+    register_both(proxy)
+    bye_b = as_bye(establish_call(proxy))
+    bye_a = replace(bye_b, cseq_num=7)
+    _, fwd_bye_b = only_message(proxy.handle_message(B_CONN, serialize_message(bye_b), 2.0))
+    _, fwd_bye_a = only_message(proxy.handle_message(A_CONN, serialize_message(bye_a), 2.0))
+    for conn, fwd, dest in ((A_CONN, fwd_bye_b, B_CONN), (B_CONN, fwd_bye_a, A_CONN)):
+        ok = serialize_message(build_response(fwd, 200, "OK"))
+        out_conn, msg = only_message(proxy.handle_message(conn, ok, 2.1))
+        assert (out_conn, msg.status_code, msg.cseq_num) == (dest, 200, fwd.cseq_num)
+    proxy.tick(2.0 + proxy.config.invite_guard)
+    assert proxy.calls == {}
+
+
+def test_late_bye_answer_leaves_reused_call_id_alone():
+    proxy = make_proxy()
+    register_both(proxy)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    bye = as_bye(establish_call(proxy))
+    _, fwd_bye = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.0))
+    proxy.handle_message(B_CONN, invite_from_b(), 3.0)  # same Call-ID, old call TERMINATED
+    late_ok = serialize_message(build_response(fwd_bye, 200, "OK"))
+    conn, msg = only_message(proxy.handle_message(A_CONN, late_ok, 3.1))
+    assert (conn, msg.status_code) == (B_CONN, 200)
+    assert proxy.calls["call-1@local2.com"].phase is Phase.INVITING
+    assert "call-1@local2.com" in proxy.media.sessions
+    proxy.tick(3.0 + proxy.config.invite_guard)
+    assert proxy.media.pool.free_pairs() == pool_at_rest
 
 
 def test_forwarded_descriptions_use_proxy_pool_ports():
