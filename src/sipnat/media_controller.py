@@ -7,6 +7,11 @@ address.  Forwarded packets are always emitted from the destination leg's
 relay port, which is exactly the address that leg is already sending to,
 so restrictive NATs accept them.
 
+Once both legs of a kind have latched, every further packet from the
+latched source has a fixed answer.  ``routes`` holds that answer per relay
+port, and ``forward_established`` applies it without a relay decision; any
+other packet goes through ``on_media_packet``.
+
 Because relay addresses are handed out inside the signaling exchange, no
 client-visible allocation transaction exists at all.
 """
@@ -107,6 +112,21 @@ class KindCounters:
     dropped: int = 0
 
 
+@dataclass(slots=True)
+class Route:
+    """How an established leg's packets leave the relay.
+
+    A packet on the route's relay port that comes from ``source`` goes out
+    of ``from_port`` to ``to`` and counts in ``counters``.  Addresses are
+    plain ``(ip, port)`` tuples, as sockets report and take them.
+    """
+
+    source: tuple[str, int]  # the sending leg's latched address
+    from_port: int  # the peer leg's relay port
+    to: tuple[str, int]  # the peer leg's latched address
+    counters: KindCounters  # the sending leg's counters for this kind
+
+
 @dataclass
 class LegState:
     rtp_port: int
@@ -181,6 +201,8 @@ class MediaController:
         self.buffer_cap = buffer_cap
         self.relatch = relatch
         self.sessions: dict[str, MediaSession] = {}
+        # relay port -> route, for each kind whose two legs have both latched.
+        self.routes: dict[int, Route] = {}
         # The most recently released sessions, oldest first; at most one per pool pair.
         self.finished: dict[str, MediaSession] = {}
 
@@ -265,6 +287,9 @@ class MediaController:
 
         peer_latched = peer.latched.get(kind)
         if peer_latched is not None:
+            if src != latched:
+                # This (re)latch completed the pair: later packets take the route.
+                self._install_routes(leg, peer, kind)
             counters.forwarded += 1
             return RelayDecision(
                 action="forward",
@@ -278,6 +303,32 @@ class MediaController:
             counters.dropped += 1
         buffer.append(datagram)
         return RelayDecision(action="buffer", flushed=flushed)
+
+    def forward_established(
+        self, relay_port: int, src: tuple[str, int], size: int
+    ) -> Route | None:
+        """Count and return the route for a packet from the port's latched source.
+
+        Returns None for any other packet: an unknown or not yet established
+        port, or a source other than the latched one.  The caller then hands
+        the packet to ``on_media_packet``, which decides it.
+        """
+        route = self.routes.get(relay_port)
+        if route is None or route.source != src:
+            return None
+        counters = route.counters
+        counters.received += 1
+        counters.received_bytes += size
+        counters.forwarded += 1
+        return route
+
+    def _install_routes(self, leg: LegState, peer: LegState, kind: str) -> None:
+        """Route ``kind`` both ways between two legs that have both latched it."""
+        mine, its = leg.latched[kind], peer.latched[kind]
+        ours, theirs = (mine.ip, mine.port), (its.ip, its.port)
+        leg_port, peer_port = leg.port_for(kind), peer.port_for(kind)
+        self.routes[leg_port] = Route(ours, peer_port, theirs, leg.counters[kind])
+        self.routes[peer_port] = Route(theirs, leg_port, ours, peer.counters[kind])
 
     def _update_state(self, session: MediaSession) -> None:
         latched_legs = sum(1 for leg in session.legs.values() if RTP in leg.latched)
@@ -297,6 +348,7 @@ class MediaController:
                 dropped = len(leg.buffers[kind])
                 leg.counters[kind].dropped += dropped
                 leg.buffers[kind].clear()
+                self.routes.pop(leg.port_for(kind), None)
             self.pool.release_pair(leg.rtp_port)
             freed += 2
         session.state = SessionState.RELEASED

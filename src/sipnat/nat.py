@@ -65,6 +65,7 @@ class NatBinding:
     external: TransportAddress
     transport: str
     last_activity: float
+    key: tuple  # this binding's key in NatBox._bindings
     peers_contacted: set[TransportAddress] = field(default_factory=set)
     destination_key: TransportAddress | None = None  # symmetric only
 
@@ -99,11 +100,8 @@ class NatBox:
         return ttl is not None and now - binding.last_activity >= ttl
 
     def _drop(self, binding: NatBinding) -> None:
-        for key, value in list(self._bindings.items()):
-            if value is binding:
-                del self._bindings[key]
-                break
-        self._by_port.pop(binding.external.port, None)
+        del self._bindings[binding.key]
+        del self._by_port[binding.external.port]
 
     def _allocate_port(self) -> int:
         lo, hi = self.config.port_range
@@ -137,6 +135,7 @@ class NatBox:
                 external=external,
                 transport=transport,
                 last_activity=now,
+                key=key,
                 destination_key=(
                     external_dst if self.config.nat_type is NatType.SYMMETRIC else None
                 ),

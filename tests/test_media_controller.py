@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import samples
@@ -6,10 +8,12 @@ from sipnat.media_controller import (
     LEG_A,
     LEG_B,
     MediaController,
+    MediaSession,
     PoolExhausted,
     PortPool,
     RTCP,
     RTP,
+    Route,
     SdpRewriteError,
     SessionState,
     UnknownCall,
@@ -283,3 +287,137 @@ def test_finished_keeps_at_most_one_session_per_pool_pair():
     assert list(ctl.finished) == ["call-6", "call-7", "call-8", "call-9"]
     assert ctl.session_for("call-9").state is SessionState.RELEASED
     assert ctl.session_for("call-0") is None
+
+
+# -- established-media routes ---------------------------------------------------------
+
+
+def relay(ctl, port, src, payload, fast):
+    """Datagrams emitted for one packet, as (from_port, (ip, port), payload).
+
+    ``fast`` takes the service's two steps: the route table first, the relay
+    decision only on a miss.
+    """
+    if fast:
+        route = ctl.forward_established(port, (src.ip, src.port), len(payload))
+        if route is not None:
+            return [(route.from_port, route.to, payload)]
+    decision = ctl.on_media_packet(port, src, payload, now=0.0)
+    return [(s.from_port, (s.to.ip, s.to.port), s.payload) for s in decision.sends(payload)]
+
+
+def routes_from_latches(ctl):
+    """The route table as the live sessions' latches define it."""
+    routes = {}
+    for session in ctl.sessions.values():
+        for name, leg in session.legs.items():
+            peer = session.legs[MediaSession.peer_of(name)]
+            for kind in (RTP, RTCP):
+                if kind in leg.latched and kind in peer.latched:
+                    src, dst = leg.latched[kind], peer.latched[kind]
+                    routes[leg.port_for(kind)] = (
+                        (src.ip, src.port), peer.port_for(kind), (dst.ip, dst.port), id(leg.counters[kind])
+                    )
+    return routes
+
+
+def route_table(ctl):
+    return {port: (r.source, r.from_port, r.to, id(r.counters)) for port, r in ctl.routes.items()}
+
+
+def all_counters(ctl):
+    return {
+        call_id: {(leg, kind): c for leg, state in s.legs.items() for kind, c in state.counters.items()}
+        for call_id, s in [*ctl.finished.items(), *ctl.sessions.items()]
+    }
+
+
+@pytest.mark.parametrize("relatch", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_route_table_relays_exactly_like_the_relay_decision(seed, relatch):
+    rng = random.Random(seed)
+    # Three sessions fill the pool, so released ports are soon handed out again.
+    slow = controller(40000, 40011, buffer_cap=3, relatch=relatch)
+    fast = controller(40000, 40011, buffer_cap=3, relatch=relatch)
+    # Few addresses, shared by all calls: an earlier call's client, an
+    # impostor and a moved client all send to reused ports.
+    hosts = [TransportAddress(f"10.0.0.{i}", 5000 + 2 * j) for i in (1, 2) for j in range(3)]
+    calls = hits = 0
+    for step in range(600):
+        roll = rng.random()
+        if roll < 0.05 and len(slow.sessions) < 3:
+            call_id = f"call-{calls}"
+            calls += 1
+            for ctl in (slow, fast):
+                ctl.allocate_session(call_id)
+        elif roll < 0.09 and slow.sessions:
+            call_id = rng.choice(sorted(slow.sessions))
+            for ctl in (slow, fast):
+                ctl.release_session(call_id)
+        else:
+            port = rng.randrange(39999, 40013)  # one port either side of the pool
+            src = rng.choice(hosts)
+            if rng.random() < 0.5:
+                src = TransportAddress(src.ip, src.port + 1)  # RTCP's usual source
+            owner = slow.pool.owner_of(port)
+            if owner is not None and rng.random() < 0.8:
+                # Mostly the leg's own client, once it has latched.
+                call_id, leg, kind = owner
+                src = slow.sessions[call_id].legs[leg].latched.get(kind, src)
+            payload = f"pkt-{step}".encode()
+            route = fast.routes.get(port)
+            hits += route is not None and route.source == (src.ip, src.port)
+            assert relay(fast, port, src, payload, fast=True) == relay(slow, port, src, payload, fast=False)
+        assert all_counters(fast) == all_counters(slow)
+        assert route_table(fast) == routes_from_latches(fast)
+        assert route_table(slow) == routes_from_latches(slow)
+    assert calls > 3 and hits > 50  # ports were reused, and many packets took a route
+
+
+def test_forward_established_needs_both_latches_and_the_latched_source():
+    ctl = controller()
+    session, leg_a, leg_b = start_session(ctl)
+    a_src, b_src = (A_PUB.ip, A_PUB.port), (B_PUB.ip, B_PUB.port)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
+    assert ctl.forward_established(leg_a.rtp_port, a_src, 2) is None  # peer not latched
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
+    assert ctl.routes[leg_a.rtp_port] == Route(a_src, leg_b.rtp_port, b_src, leg_a.counters[RTP])
+    assert ctl.routes[leg_b.rtp_port] == Route(b_src, leg_a.rtp_port, a_src, leg_b.counters[RTP])
+    assert leg_a.rtcp_port not in ctl.routes  # RTCP has latched on neither leg
+
+    before = (leg_a.counters[RTP].received, leg_a.counters[RTP].forwarded)
+    assert ctl.forward_established(leg_a.rtp_port, ("6.6.6.6", 666), 4) is None
+    assert ctl.forward_established(leg_a.rtp_port, a_src, 7) is ctl.routes[leg_a.rtp_port]
+    counters = leg_a.counters[RTP]
+    assert (counters.received, counters.forwarded) == (before[0] + 1, before[1] + 1)
+    assert counters.received_bytes == 2 + 7
+
+
+def test_relatch_moves_both_routes():
+    ctl = controller(relatch=True)
+    session, leg_a, leg_b = start_session(ctl)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
+    moved = TransportAddress(A_PUB.ip, A_PUB.port + 10)
+    assert ctl.on_media_packet(leg_a.rtp_port, moved, b"a1", now=0.02).action == "forward"
+    assert ctl.routes[leg_a.rtp_port].source == (moved.ip, moved.port)
+    assert ctl.routes[leg_b.rtp_port].to == (moved.ip, moved.port)
+    assert ctl.forward_established(leg_a.rtp_port, (A_PUB.ip, A_PUB.port), 2) is None
+
+
+def test_released_call_routes_nothing_on_its_reused_ports():
+    ctl = controller()
+    session, leg_a, leg_b = start_session(ctl)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
+    ctl.release_session("call-1")
+    assert ctl.routes == {}
+
+    reused = ctl.allocate_session("call-2").legs[LEG_A]
+    assert reused.rtp_port == leg_a.rtp_port
+    # The old caller's late packet must not reach the old callee.
+    assert ctl.forward_established(reused.rtp_port, (A_PUB.ip, A_PUB.port), 4) is None
+    decision = ctl.on_media_packet(reused.rtp_port, A_PUB, b"late", now=0.02)
+    assert decision.action == "buffer"
+    assert decision.sends(b"late") == []
+    assert leg_a.counters[RTP].received == 1  # the old call's counters are untouched

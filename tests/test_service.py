@@ -6,6 +6,7 @@ import time
 import pytest
 
 import samples
+from sipnat.media_controller import RTP
 from sipnat.proxy import ProxyConfig
 from sipnat.sdp import parse_sdp
 from sipnat.service import ProxyService
@@ -196,6 +197,34 @@ def test_full_call_with_real_media_relay(service):
     got_a = parse_rtp(media_a.recvfrom(2048)[0])
     assert got_b.payload == b"from-a"
     assert got_a.payload == b"from-b"
+
+    # Both legs have latched: established media crosses unchanged, from the
+    # receiver's own relay port, and counts on the sending leg.
+    (session,) = service.proxy.media.sessions.values()
+    legs = {leg.rtp_port: leg for leg in session.legs.values()}
+    a_counters, b_counters = legs[a_target[1]].counters[RTP], legs[b_target[1]].counters[RTP]
+    before = [(c.received, c.forwarded) for c in (a_counters, b_counters)]
+    sent_a = [build_rtp(0, seq, 160 * seq, 0xA, b"a-%d" % seq) for seq in range(2, 102)]
+    sent_b = [build_rtp(0, seq, 160 * seq, 0xB, b"b-%d" % seq) for seq in range(2, 102)]
+    for packet, reply in zip(sent_a, sent_b):
+        media_a.sendto(packet, a_target)
+        media_b.sendto(reply, b_target)
+    assert [media_b.recvfrom(2048) for _ in sent_a] == [(p, b_target) for p in sent_a]
+    assert [media_a.recvfrom(2048) for _ in sent_b] == [(p, a_target) for p in sent_b]
+    after = [(c.received, c.forwarded) for c in (a_counters, b_counters)]
+    assert [(r - r0, f - f0) for (r, f), (r0, f0) in zip(after, before)] == [(100, 100)] * 2
+
+    # A third party sending to a latched relay port is dropped, not relayed:
+    # the next datagram B sees is A's own.
+    impostor = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    impostor.bind((HOST, 0))
+    dropped = a_counters.dropped
+    impostor.sendto(b"hijack", a_target)
+    wait_until(lambda: a_counters.dropped == dropped + 1)
+    assert a_counters.dropped == dropped + 1
+    media_a.sendto(b"after-impostor", a_target)
+    assert media_b.recvfrom(2048) == (b"after-impostor", b_target)
+    impostor.close()
 
     bye = replace(ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2)
     client_b.send(serialize_message(bye))
