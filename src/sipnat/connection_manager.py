@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .net import TransportAddress
-from .sip_message import Method, SipMessage
+from .sip_message import Method, SipMessage, uri_of
 
 ConnectionId = int
 
@@ -42,10 +42,7 @@ def aor_of(name_addr: str) -> str:
     Keeps scheme and user as written, lowercases the host, drops the port,
     display name and any parameters.
     """
-    value = name_addr.strip()
-    if "<" in value and ">" in value:
-        value = value[value.index("<") + 1 : value.index(">")]
-    value = value.split(";")[0].strip()
+    value = uri_of(name_addr).split(";")[0].strip()
     scheme, sep, rest = value.partition(":")
     if not sep:
         scheme, rest = "sip", value

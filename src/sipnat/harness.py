@@ -78,11 +78,11 @@ class ScriptEvent:
             if not isinstance(seconds, (int, float)) or seconds < 0:
                 raise InvalidScenario(f"idle needs non-negative 'seconds': {data!r}")
             return cls("idle", seconds=float(seconds))
-        if kind == "call":
+        if kind in ("call", "hangup"):
             caller = str(data.get("caller", "a")).lower()
             if caller not in ("a", "b"):
-                raise InvalidScenario(f"call 'caller' must be 'a' or 'b': {data!r}")
-            return cls("call", caller=caller)
+                raise InvalidScenario(f"{kind} 'caller' must be 'a' or 'b': {data!r}")
+            return cls(kind, caller=caller)
         if kind == "talk":
             packets = data.get("packets", 50)
             interval = data.get("interval_ms", 20)
@@ -91,11 +91,6 @@ class ScriptEvent:
             if not isinstance(interval, (int, float)) or interval <= 0:
                 raise InvalidScenario(f"talk needs positive 'interval_ms': {data!r}")
             return cls("talk", packets=packets, interval=float(interval) / 1000.0)
-        if kind == "hangup":
-            caller = str(data.get("caller", "a")).lower()
-            if caller not in ("a", "b"):
-                raise InvalidScenario(f"hangup 'caller' must be 'a' or 'b': {data!r}")
-            return cls("hangup", caller=caller)
         raise InvalidScenario(f"unknown script event: {kind!r}")
 
     def to_dict(self) -> dict:
@@ -161,16 +156,19 @@ class Scenario:
         tcp_ttl = data.get("tcp_idle_ttl")
         if tcp_ttl is not None and (not isinstance(tcp_ttl, (int, float)) or tcp_ttl <= 0):
             raise InvalidScenario("tcp_idle_ttl must be positive or null")
+        for name in ("seed", "extra_clients"):
+            if not isinstance(data.get(name, 0), int):
+                raise InvalidScenario(f"{name} must be an integer")
         return cls(
             nat_a=nat_a,
             nat_b=nat_b,
             script=[ScriptEvent.from_dict(e) for e in script_data],
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             mode=data.get("mode", MODE_ADAPTED),
             signaling=data.get("signaling", SIGNALING_TCP),
             udp_binding_ttl=float(ttl),
             tcp_idle_ttl=float(tcp_ttl) if tcp_ttl is not None else None,
-            extra_clients=int(data.get("extra_clients", 0)),
+            extra_clients=data.get("extra_clients", 0),
             expect=data.get("expect"),
         )
 
@@ -201,16 +199,8 @@ class Scenario:
         return data
 
     def script_digest(self) -> str:
-        """Fingerprint of everything but mode/seed, for cross-mode comparison."""
-        payload = {
-            "nat_a": self.nat_a.value,
-            "nat_b": self.nat_b.value,
-            "signaling": self.signaling,
-            "udp_binding_ttl": self.udp_binding_ttl,
-            "tcp_idle_ttl": self.tcp_idle_ttl,
-            "extra_clients": self.extra_clients,
-            "script": [e.to_dict() for e in self.script],
-        }
+        """Fingerprint of everything but mode/seed/expect, for cross-mode comparison."""
+        payload = {k: v for k, v in self.to_dict().items() if k not in ("mode", "seed", "expect")}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 

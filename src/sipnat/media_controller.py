@@ -21,7 +21,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .net import TransportAddress
 from .sdp import MultipleMediaUnsupported, SdpSession, rewrite_media
@@ -52,13 +51,6 @@ class UnknownCall(MediaError):
 
 class SdpRewriteError(MediaError):
     pass
-
-
-class SessionState(Enum):
-    ALLOCATED = "allocated"
-    HALF_LATCHED = "half_latched"
-    RELAYING = "relaying"
-    RELEASED = "released"
 
 
 class PortPool:
@@ -148,7 +140,6 @@ class MediaSession:
 
     call_id: str
     legs: dict[str, LegState]
-    state: SessionState = SessionState.ALLOCATED
 
     @staticmethod
     def peer_of(leg: str) -> str:
@@ -166,20 +157,11 @@ class RelaySend:
 
 @dataclass
 class RelayDecision:
-    """Outcome for one received datagram, plus any buffered sends it released."""
+    """Outcome for one received datagram and every datagram it emits."""
 
     action: str  # "forward" | "buffer" | "drop"
-    forward_to: TransportAddress | None = None
-    from_port: int | None = None
-    reason: str | None = None
-    flushed: list[RelaySend] = field(default_factory=list)
-
-    def sends(self, payload: bytes) -> list[RelaySend]:
-        """All datagrams to emit for this decision, in order."""
-        out = list(self.flushed)
-        if self.action == "forward":
-            out.append(RelaySend(self.from_port, self.forward_to, payload))
-        return out
+    reason: str | None = None  # why a packet was dropped
+    sends: list[RelaySend] = field(default_factory=list)  # released buffer first, then the forward
 
 
 class MediaController:
@@ -267,17 +249,16 @@ class MediaController:
         counters.received += 1
         counters.received_bytes += len(datagram)
 
-        flushed: list[RelaySend] = []
+        sends: list[RelaySend] = []
         latched = leg.latched.get(kind)
         if latched is None:
             leg.latched[kind] = src
-            self._update_state(session)
             # The peer's queued packets were waiting for this address.
             peer_buffer = peer.buffers[kind]
             while peer_buffer:
                 queued = peer_buffer.popleft()
                 peer.counters[kind].flushed += 1
-                flushed.append(RelaySend(leg.port_for(kind), src, queued))
+                sends.append(RelaySend(leg.port_for(kind), src, queued))
         elif src != latched:
             if self.relatch:
                 leg.latched[kind] = src
@@ -291,18 +272,14 @@ class MediaController:
                 # This (re)latch completed the pair: later packets take the route.
                 self._install_routes(leg, peer, kind)
             counters.forwarded += 1
-            return RelayDecision(
-                action="forward",
-                forward_to=peer_latched,
-                from_port=peer.port_for(kind),
-                flushed=flushed,
-            )
+            sends.append(RelaySend(peer.port_for(kind), peer_latched, datagram))
+            return RelayDecision(action="forward", sends=sends)
         buffer = leg.buffers[kind]
         if len(buffer) >= self.buffer_cap:
             buffer.popleft()
             counters.dropped += 1
         buffer.append(datagram)
-        return RelayDecision(action="buffer", flushed=flushed)
+        return RelayDecision(action="buffer", sends=sends)
 
     def forward_established(
         self, relay_port: int, src: tuple[str, int], size: int
@@ -330,13 +307,6 @@ class MediaController:
         self.routes[leg_port] = Route(ours, peer_port, theirs, leg.counters[kind])
         self.routes[peer_port] = Route(theirs, leg_port, ours, peer.counters[kind])
 
-    def _update_state(self, session: MediaSession) -> None:
-        latched_legs = sum(1 for leg in session.legs.values() if RTP in leg.latched)
-        if latched_legs == 2:
-            session.state = SessionState.RELAYING
-        elif latched_legs == 1:
-            session.state = SessionState.HALF_LATCHED
-
     def release_session(self, call_id: str) -> int:
         """Return all four ports to the pool; counters stay readable."""
         session = self.sessions.pop(call_id, None)
@@ -351,7 +321,6 @@ class MediaController:
                 self.routes.pop(leg.port_for(kind), None)
             self.pool.release_pair(leg.rtp_port)
             freed += 2
-        session.state = SessionState.RELEASED
         self.finished.pop(call_id, None)
         self.finished[call_id] = session
         if len(self.finished) > self.pool.pairs:

@@ -85,7 +85,7 @@ class NatBox:
     def bindings(self) -> list[NatBinding]:
         return list(self._bindings.values())
 
-    def _key(self, internal: TransportAddress, dst: TransportAddress, transport: str) -> tuple:
+    def _key(self, internal: TransportAddress, dst: TransportAddress | None, transport: str) -> tuple:
         if self.config.nat_type is NatType.SYMMETRIC:
             return (internal, dst, transport)
         return (internal, transport)
@@ -200,10 +200,7 @@ class NatBox:
         For a symmetric NAT the destination must be given, since mappings
         are per destination.
         """
-        if self.config.nat_type is NatType.SYMMETRIC:
-            if external_dst is None:
-                raise ValueError("symmetric lookup requires the destination")
-            binding = self._bindings.get((internal_src, external_dst, transport))
-        else:
-            binding = self._bindings.get((internal_src, transport))
+        if external_dst is None and self.config.nat_type is NatType.SYMMETRIC:
+            raise ValueError("symmetric lookup requires the destination")
+        binding = self._bindings.get(self._key(internal_src, external_dst, transport))
         return binding.external if binding else None

@@ -6,6 +6,15 @@ import ipaddress
 from dataclasses import dataclass
 
 
+class InvariantViolation(Exception):
+    """A value handed to a serializer breaks its own invariants."""
+
+
+def is_ascii_digits(text: str) -> bool:
+    # str.isdigit() alone accepts Unicode digits that int() rejects.
+    return text.isascii() and text.isdigit()
+
+
 @dataclass(frozen=True, order=True)
 class TransportAddress:
     """An (IPv4 address, port) endpoint."""
@@ -25,7 +34,7 @@ class TransportAddress:
     def parse(cls, text: str) -> "TransportAddress":
         """Parse ``"ip:port"`` into an address, raising ValueError otherwise."""
         host, sep, port_text = text.partition(":")
-        if not sep or not (port_text.isascii() and port_text.isdigit()):
+        if not sep or not is_ascii_digits(port_text):
             raise ValueError(f"expected ip:port, got {text!r}")
         return cls(host, int(port_text))
 

@@ -82,7 +82,6 @@ class ProxyConfig:
     registration_ttl: float = 3600.0
     invite_guard: float = 32.0
     media_relay: bool = True  # off: forward bodies untouched (no relay, no rewrite)
-    media_buffer_cap: int = 16
     relatch: bool = False
 
     def __post_init__(self) -> None:
@@ -111,12 +110,7 @@ class SipProxy:
     ):
         self.config = config
         self.registrar = ConnectionManager(config.registration_ttl)
-        self.media = MediaController(
-            config.public_ip,
-            config.media_port_range,
-            buffer_cap=config.media_buffer_cap,
-            relatch=config.relatch,
-        )
+        self.media = MediaController(config.public_ip, config.media_port_range, relatch=config.relatch)
         self.calls: dict[str, CallState] = {}
         self._conn_remote: dict[ConnectionId, TransportAddress] = {}
         self._on_event = on_event or (lambda event, detail: None)
@@ -196,7 +190,7 @@ class SipProxy:
             except (SdpError, SdpRewriteError) as exc:
                 self.media.release_session(call_id)
                 return self._reply(conn, msg, 400, f"Bad Request ({exc})")
-            msg = _with_body(msg, serialize_sdp(rewritten))
+            msg = replace(msg, body=serialize_sdp(rewritten))
 
         self.calls[call_id] = CallState(
             call_id=call_id,
@@ -248,7 +242,7 @@ class SipProxy:
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         failure = build_response(msg, 500, "Server Internal Error")
                         return [(dest, serialize_message(failure))]
-                    msg = _with_body(msg, serialize_sdp(rewritten))
+                    msg = replace(msg, body=serialize_sdp(rewritten))
                 self._on_event("answer_forwarded", msg.call_id)
             elif msg.status_code >= 300:
                 self._terminate(call, now)
@@ -266,7 +260,7 @@ class SipProxy:
         decision = self.media.on_media_packet(relay_port, src, datagram, now)
         if decision.action == "drop":
             self._on_event("media_dropped", f"port {relay_port}: {decision.reason}")
-        return decision.sends(datagram)
+        return decision.sends
 
     # -- failure and time ----------------------------------------------------
 
@@ -318,10 +312,6 @@ class SipProxy:
         if call.media is not None and call.media.call_id in self.media.sessions:
             freed = self.media.release_session(call.call_id)
             self._on_event("media_released", f"{call.call_id}: {freed} ports freed")
-
-
-def _with_body(msg: SipMessage, body: bytes) -> SipMessage:
-    return replace(msg, body=body)
 
 
 def _bad_request_for_garbage(detail: str) -> SipMessage:

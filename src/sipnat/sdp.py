@@ -11,7 +11,7 @@ import ipaddress
 import re
 from dataclasses import dataclass
 
-from .net import TransportAddress
+from .net import InvariantViolation, TransportAddress, is_ascii_digits
 
 
 class SdpError(Exception):
@@ -37,10 +37,6 @@ class BadAddress(SdpParseError):
 
 
 class MultipleMediaUnsupported(SdpError):
-    pass
-
-
-class InvariantViolation(SdpError):
     pass
 
 
@@ -75,11 +71,6 @@ class SdpSession:
 _CONNECTION_RE = re.compile(r"^IN\s+IP4\s+(\S+)$")
 
 
-def _is_ascii_digits(text: str) -> bool:
-    # str.isdigit() alone accepts Unicode digits that int() rejects.
-    return text.isascii() and text.isdigit()
-
-
 def _parse_media_line(value: str) -> MediaDesc:
     parts = value.split()
     if len(parts) < 4:
@@ -87,14 +78,14 @@ def _parse_media_line(value: str) -> MediaDesc:
     media_type, port_text, proto = parts[0], parts[1], parts[2]
     if media_type not in ("audio", "video"):
         raise SdpParseError(f"unsupported media type: {media_type!r}")
-    if not _is_ascii_digits(port_text):
+    if not is_ascii_digits(port_text):
         raise BadPort(f"bad media port: {port_text!r}")
     port = int(port_text)
     if not 1 <= port <= 65535:
         raise BadPort(f"media port out of range: {port}")
     formats: list[int] = []
     for fmt in parts[3:]:
-        if not _is_ascii_digits(fmt):
+        if not is_ascii_digits(fmt):
             raise SdpParseError(f"bad payload format: {fmt!r}")
         formats.append(int(fmt))
     return MediaDesc(media_type, port, proto, formats)
@@ -123,7 +114,7 @@ def parse_sdp(text: bytes | str) -> SdpSession:
         if key == "v":
             if version is not None:
                 raise SdpParseError("duplicate v= line")
-            if not _is_ascii_digits(value):
+            if not is_ascii_digits(value):
                 raise SdpParseError(f"bad version: {value!r}")
             version = int(value)
         elif key == "o":

@@ -27,6 +27,7 @@ from .sip_message import (
     build_response,
     parse_message,
     serialize_message,
+    uri_of,
 )
 
 LATENCY = 0.001  # one-way hop delay, virtual seconds
@@ -169,22 +170,17 @@ class SignalingChannel:
     def via_transport(self) -> str:
         return "TCP" if self.transport == TCP else "UDP"
 
-    def _connect(self) -> None:
-        self.external = self.nat.outbound(
+    def client_send(self, msg: SipMessage) -> None:
+        # Sending creates or refreshes the NAT binding in either transport; the
+        # proxy hears of its external address when that is new.
+        external = self.nat.outbound(
             self.client.sip_addr, self.net.sip_addr, self.net.now, transport=self.transport
         )
-        self.net.proxy.connection_opened(self.conn_id, self.external)
-        self.net.log(self.client.name, "connected", f"{self.transport} via {self.external}")
-
-    def client_send(self, msg: SipMessage) -> None:
-        if self.external is None:
-            self._connect()
-        else:
-            # Sending traffic refreshes the NAT binding in either transport.
-            self.external = self.nat.outbound(
-                self.client.sip_addr, self.net.sip_addr, self.net.now, transport=self.transport
-            )
-            self.net.proxy.connection_opened(self.conn_id, self.external)
+        if external != self.external:
+            self.net.proxy.connection_opened(self.conn_id, external)
+            if self.external is None:
+                self.net.log(self.client.name, "connected", f"{self.transport} via {external}")
+            self.external = external
         raw = serialize_message(msg)
         self.net.log(self.client.name, "sip_sent", describe(msg))
         self.net.schedule(LATENCY, lambda: self._deliver_to_proxy(raw))
@@ -347,7 +343,7 @@ class SimClient:
             cseq_num=self._next_cseq(),
             cseq_method=Method.BYE,
             method=Method.BYE,
-            request_uri=aor_uri(self.remote_name_addr) if self.remote_name_addr else self.aor,
+            request_uri=uri_of(self.remote_name_addr) if self.remote_name_addr else self.aor,
         )
         self.established = False
         self.channel.client_send(msg)
@@ -400,7 +396,7 @@ class SimClient:
                     cseq_num=msg.cseq_num,
                     cseq_method=Method.ACK,
                     method=Method.ACK,
-                    request_uri=aor_uri(msg.to_),
+                    request_uri=uri_of(msg.to_),
                 )
                 self.established = True
                 self.ever_established = True
@@ -446,10 +442,3 @@ class SimClient:
     def _on_rtcp_datagram(self, src: TransportAddress, data: bytes) -> None:
         self.media.rtcp_received += 1
         self.net.log(self.name, "rtcp_received", f"from {src}")
-
-
-def aor_uri(name_addr: str) -> str:
-    """Bare URI from a name-addr string."""
-    if "<" in name_addr and ">" in name_addr:
-        return name_addr[name_addr.index("<") + 1 : name_addr.index(">")]
-    return name_addr.strip()

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .net import TransportAddress
+from .net import InvariantViolation, TransportAddress, is_ascii_digits
 
 MAX_HEADER_BYTES = 65536
 
@@ -55,10 +55,6 @@ class UnsupportedMethod(SipParseError):
 
 class MalformedHeader(SipParseError):
     pass
-
-
-class InvariantViolation(SipError):
-    """A message handed to the serializer breaks its own invariants."""
 
 
 class FramingError(SipError):
@@ -146,11 +142,6 @@ _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$", re.ASCII)
 _CONTENT_LENGTH_RE = re.compile(rb"^content-length\s*:\s*(\d+)\s*$", re.I | re.M)
 
 
-def _is_ascii_digits(text: str) -> bool:
-    # str.isdigit() alone accepts Unicode digits that int() rejects.
-    return text.isascii() and text.isdigit()
-
-
 def _parse_via(value: str) -> ViaHeader:
     m = _VIA_RE.match(value.strip())
     if not m:
@@ -178,22 +169,28 @@ def _parse_via(value: str) -> ViaHeader:
     return ViaHeader(transport, sent_by, branch, received, tuple(extras))
 
 
-def _strip_name_addr(value: str) -> str:
-    """Return the bare URI from a name-addr ('Name <uri>') or plain URI."""
-    value = value.strip()
-    if "<" in value and ">" in value:
-        return value[value.index("<") + 1 : value.index(">")].strip()
+def uri_of(value: str) -> str:
+    """The URI of a name-addr ('Name <uri>;params') or of a bare URI.
+
+    A URI holds neither '<' nor '>', so the last '<' opens it even when a
+    quoted display name contains either.  A bare URI loses its parameters.
+    """
+    start = value.rfind("<") + 1
+    end = value.find(">", start)
+    if start and end != -1:
+        return value[start:end].strip()
     return value.split(";")[0].strip()
 
 
-def _split_header_block(raw: bytes) -> tuple[bytes, bytes]:
+def _header_end(raw: bytes) -> tuple[int, int] | None:
+    """(end of the headers, start of the body) at the first blank line, if any."""
     crlf = raw.find(b"\r\n\r\n")
     lf = raw.find(b"\n\n")
-    if crlf == -1 and lf == -1:
-        raise MalformedStartLine("message has no blank line terminating the headers")
     if crlf != -1 and (lf == -1 or crlf < lf):
-        return raw[:crlf], raw[crlf + 4 :]
-    return raw[:lf], raw[lf + 2 :]
+        return crlf, crlf + 4
+    if lf != -1:
+        return lf, lf + 2
+    return None
 
 
 def parse_message(raw: bytes) -> SipMessage:
@@ -204,8 +201,13 @@ def parse_message(raw: bytes) -> SipMessage:
     """
     if not isinstance(raw, (bytes, bytearray)):
         raise TypeError("raw message must be bytes")
-    header_block, body = _split_header_block(bytes(raw))
-    text = header_block.decode("latin-1")
+    raw = bytes(raw)
+    split = _header_end(raw)
+    if split is None:
+        raise MalformedStartLine("message has no blank line terminating the headers")
+    header_end, body_start = split
+    body = raw[body_start:]
+    text = raw[:header_end].decode("latin-1")
     lines = re.split(r"\r\n|\n", text)
     if not lines or not lines[0].strip():
         raise MalformedStartLine("empty start line")
@@ -225,7 +227,7 @@ def parse_message(raw: bytes) -> SipMessage:
     reason: str | None = None
     if start.startswith("SIP/2.0"):
         parts = start.split(" ", 2)
-        if len(parts) < 2 or parts[0] != "SIP/2.0" or not _is_ascii_digits(parts[1]):
+        if len(parts) < 2 or parts[0] != "SIP/2.0" or not is_ascii_digits(parts[1]):
             raise MalformedStartLine(f"bad status line: {start!r}")
         status_code = int(parts[1])
         if not 100 <= status_code <= 699:
@@ -286,7 +288,7 @@ def parse_message(raw: bytes) -> SipMessage:
         )
 
     if "content-length" in known:
-        if not _is_ascii_digits(known["content-length"]):
+        if not is_ascii_digits(known["content-length"]):
             raise MalformedHeader(f"bad Content-Length: {known['content-length']!r}")
         declared = int(known["content-length"])
         if declared != len(body):
@@ -294,7 +296,7 @@ def parse_message(raw: bytes) -> SipMessage:
                 f"Content-Length {declared} but body has {len(body)} bytes"
             )
 
-    contact = _strip_name_addr(known["contact"]) if "contact" in known else None
+    contact = uri_of(known["contact"]) if "contact" in known else None
     return SipMessage(
         via=via,
         from_=known["from"],
@@ -308,7 +310,7 @@ def parse_message(raw: bytes) -> SipMessage:
         reason=reason,
         contact=contact,
         content_type=known.get("content-type"),
-        body=bytes(body),
+        body=body,
         extra_headers=tuple(extras),
     )
 
@@ -392,16 +394,12 @@ class MessageFramer:
         self._buffer += data
         messages: list[bytes] = []
         while True:
-            crlf = self._buffer.find(b"\r\n\r\n")
-            lf = self._buffer.find(b"\n\n")
-            if crlf == -1 and lf == -1:
+            split = _header_end(self._buffer)
+            if split is None:
                 if len(self._buffer) > self._max_header_bytes:
                     raise FramingError("header section exceeds maximum size")
                 return messages
-            if crlf != -1 and (lf == -1 or crlf < lf):
-                header_end, body_start = crlf, crlf + 4
-            else:
-                header_end, body_start = lf, lf + 2
+            header_end, body_start = split
             m = _CONTENT_LENGTH_RE.search(self._buffer[:header_end])
             body_len = int(m.group(1)) if m else 0
             total = body_start + body_len

@@ -56,6 +56,9 @@ def test_run_invalid_scenario_exit_2(tmp_path):
     bad.write_text("{\"nat_a\": \"symmetric\"}")
     assert main(["run", "--scenario", str(bad)]) == 2
     assert main(["run", "--scenario", str(tmp_path / "missing.json")]) == 2
+    for field in ("seed", "extra_clients"):
+        for value in ("x", None, 1.5):
+            assert main(["run", "--scenario", str(write_scenario(tmp_path, **{field: value}))]) == 2
 
 
 def test_run_seed_is_reproducible(tmp_path):

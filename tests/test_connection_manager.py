@@ -8,7 +8,7 @@ from sipnat.connection_manager import (
     aor_of,
 )
 from sipnat.net import TransportAddress
-from sipnat.sip_message import parse_message, stamp_received
+from sipnat.sip_message import parse_message, stamp_received, uri_of
 
 C1, C2 = 1, 2
 
@@ -94,6 +94,13 @@ def test_aor_normalization():
     assert aor_of("<sip:bob@Example.COM:5060;transport=tcp>") == "sip:bob@example.com"
     assert aor_of("sip:carol@Host.net") == "sip:carol@host.net"
     assert aor_of("sip:local1.com") == "sip:local1.com"
+    # A quoted display name may hold '<' or '>'; the URI holds neither.
+    assert aor_of('"x>y" <sip:bob@h.com>') == "sip:bob@h.com"
+    assert aor_of('"a<b" <sip:bob@H.com:5060;transport=tcp>;tag=9') == "sip:bob@h.com"
+    assert aor_of("Bob < sip:bob@h >") == "sip:bob@h"
+    # A bare URI's parameters (a From/To tag) are not part of it.
+    assert uri_of("sip:bob@h.com;tag=9") == "sip:bob@h.com"
+    assert uri_of('"x>y" <sip:bob@h.com;transport=tcp>;tag=9') == "sip:bob@h.com;transport=tcp"
 
 
 def test_aor_derived_from_to_header():
@@ -104,3 +111,14 @@ def test_aor_derived_from_to_header():
     )
     registration = manager.register(C1, parse_message(raw), 0.0)
     assert registration.aor == "sip:ClientA@local1.com"
+
+
+def test_quoted_display_names_register_their_own_aors():
+    manager = ConnectionManager()
+    for conn, user in ((C1, "ClientA"), (C2, "ClientB")):
+        raw = samples.make_register(user=user).replace(
+            f"To: {user} <".encode(), f'To: "{user} <{user}>" <'.encode()
+        )
+        manager.register(conn, parse_message(raw), 0.0)
+    assert manager.route_to("sip:ClientA@local1.com") == C1
+    assert manager.route_to("sip:ClientB@local1.com") == C2

@@ -98,6 +98,32 @@ def test_received_stamp_matches_nat_oracle():
     assert invites[0].via.received == expected
 
 
+def test_proxy_hears_of_a_signaling_address_only_when_it_changes():
+    # The UDP bindings expire while idle, so the last REGISTERs leave from new ports.
+    script = [
+        ScriptEvent("register"),
+        ScriptEvent("call"),
+        ScriptEvent("hangup"),
+        ScriptEvent("idle", seconds=120.0),
+        ScriptEvent("register"),
+    ]
+    s = scenario(NatType.FULL_CONE, NatType.FULL_CONE, script=script, signaling="udp")
+    ctx = build_simulation(s)
+    opened = []
+    connection_opened = ctx.proxy.connection_opened
+
+    def record(conn, remote):
+        opened.append((conn, remote))
+        connection_opened(conn, remote)
+
+    ctx.proxy.connection_opened = record
+    execute_script(ctx, s)
+    for client in (ctx.client_a, ctx.client_b):
+        remotes = [remote for conn, remote in opened if conn == client.channel.conn_id]
+        assert len(remotes) == 2 and remotes[0] != remotes[1] == client.channel.external
+    assert sorted(e.actor for e in ctx.net.events if e.event == "connected") == ["client_a", "client_b"]
+
+
 def test_declared_addresses_recorded_but_not_used():
     s = scenario(seed=3)
     ctx = build_simulation(s)

@@ -15,7 +15,6 @@ from sipnat.media_controller import (
     RTP,
     Route,
     SdpRewriteError,
-    SessionState,
     UnknownCall,
 )
 from sipnat.net import TransportAddress
@@ -76,7 +75,8 @@ def test_allocate_session_reserves_both_leg_pairs():
     session = ctl.allocate_session("call-1")
     assert (session.legs[LEG_A].rtp_port, session.legs[LEG_A].rtcp_port) == (40000, 40001)
     assert (session.legs[LEG_B].rtp_port, session.legs[LEG_B].rtcp_port) == (40002, 40003)
-    assert session.state is SessionState.ALLOCATED
+    assert ctl.sessions == {"call-1": session}
+    assert [leg.latched for leg in session.legs.values()] == [{}, {}]
 
 
 def test_duplicate_call_rejected():
@@ -169,9 +169,9 @@ def test_first_packet_latches_then_buffers():
     session, leg_a, leg_b = start_session(ctl)
     decision = ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-0", now=0.0)
     assert decision.action == "buffer"
-    assert decision.flushed == []
+    assert decision.sends == []
     assert leg_a.latched[RTP] == A_PUB
-    assert session.state is SessionState.HALF_LATCHED
+    assert leg_b.latched == {}
 
 
 def test_peer_latch_flushes_buffer_in_order_then_relays():
@@ -181,18 +181,15 @@ def test_peer_latch_flushes_buffer_in_order_then_relays():
     ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-1", now=0.01)
 
     decision = ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"from-b", now=0.02)
-    assert session.state is SessionState.RELAYING
-    # B's packet forwards to A's latched address, emitted from A's relay port.
+    assert leg_b.latched[RTP] == B_PUB
     assert decision.action == "forward"
-    assert decision.forward_to == A_PUB
-    assert decision.from_port == leg_a.rtp_port
-    # A's buffered packets flush to B, emitted from B's relay port, in order.
-    assert [(s.from_port, s.to, s.payload) for s in decision.flushed] == [
+    # A's buffered packets flush to B, emitted from B's relay port, in order;
+    # then B's packet forwards to A's latched address from A's relay port.
+    assert [(s.from_port, s.to, s.payload) for s in decision.sends] == [
         (leg_b.rtp_port, B_PUB, b"pkt-0"),
         (leg_b.rtp_port, B_PUB, b"pkt-1"),
+        (leg_a.rtp_port, A_PUB, b"from-b"),
     ]
-    sends = decision.sends(b"from-b")
-    assert [s.payload for s in sends] == [b"pkt-0", b"pkt-1", b"from-b"]
 
 
 def test_forward_sends_from_destination_leg_port():
@@ -201,8 +198,7 @@ def test_forward_sends_from_destination_leg_port():
     ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
     ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
     decision = ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a1", now=0.02)
-    assert decision.forward_to == B_PUB
-    assert decision.from_port == leg_b.rtp_port
+    assert [(s.from_port, s.to, s.payload) for s in decision.sends] == [(leg_b.rtp_port, B_PUB, b"a1")]
 
 
 def test_source_mismatch_dropped_by_default():
@@ -272,7 +268,7 @@ def test_release_returns_ports_and_keeps_counters():
     assert freed == 4
     assert ctl.pool.allocated_count == 0
     finished = ctl.session_for("call-1")
-    assert finished.state is SessionState.RELEASED
+    assert "call-1" not in ctl.sessions and ctl.finished["call-1"] is finished
     assert finished.legs[LEG_A].counters[RTP].received == 1
     # The buffered packet was never deliverable; it counts as dropped.
     assert finished.legs[LEG_A].counters[RTP].dropped == 1
@@ -285,7 +281,7 @@ def test_finished_keeps_at_most_one_session_per_pool_pair():
         ctl.release_session(f"call-{i}")
         assert len(ctl.finished) <= ctl.pool.pairs == 4
     assert list(ctl.finished) == ["call-6", "call-7", "call-8", "call-9"]
-    assert ctl.session_for("call-9").state is SessionState.RELEASED
+    assert "call-9" not in ctl.sessions and ctl.session_for("call-9") is ctl.finished["call-9"]
     assert ctl.session_for("call-0") is None
 
 
@@ -303,7 +299,7 @@ def relay(ctl, port, src, payload, fast):
         if route is not None:
             return [(route.from_port, route.to, payload)]
     decision = ctl.on_media_packet(port, src, payload, now=0.0)
-    return [(s.from_port, (s.to.ip, s.to.port), s.payload) for s in decision.sends(payload)]
+    return [(s.from_port, (s.to.ip, s.to.port), s.payload) for s in decision.sends]
 
 
 def routes_from_latches(ctl):
@@ -419,5 +415,5 @@ def test_released_call_routes_nothing_on_its_reused_ports():
     assert ctl.forward_established(reused.rtp_port, (A_PUB.ip, A_PUB.port), 4) is None
     decision = ctl.on_media_packet(reused.rtp_port, A_PUB, b"late", now=0.02)
     assert decision.action == "buffer"
-    assert decision.sends(b"late") == []
+    assert decision.sends == []
     assert leg_a.counters[RTP].received == 1  # the old call's counters are untouched

@@ -262,6 +262,11 @@ def test_framer_lf_only_messages():
     )
     framer = MessageFramer()
     assert framer.feed(raw) == [raw]
+    # Framer and parser split at the same blank line, whatever the body holds.
+    body = b"v=0\r\n\r\nrest"
+    mixed = raw.replace(b"Content-Length: 2\n\nhi", b"Content-Length: %d\n\n" % len(body) + body)
+    assert framer.feed(mixed + raw[:10]) == [mixed]
+    assert parse_message(mixed).body == body
 
 
 def test_framer_header_overflow():
