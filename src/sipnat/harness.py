@@ -157,7 +157,7 @@ class Scenario:
         if tcp_ttl is not None and (not isinstance(tcp_ttl, (int, float)) or tcp_ttl <= 0):
             raise InvalidScenario("tcp_idle_ttl must be positive or null")
         for name in ("seed", "extra_clients"):
-            if not isinstance(data.get(name, 0), int):
+            if type(data.get(name, 0)) is not int:  # bool is an int subclass
                 raise InvalidScenario(f"{name} must be an integer")
         return cls(
             nat_a=nat_a,

@@ -164,6 +164,7 @@ class SignalingChannel:
         self.conn_id = net.new_connection_id()
         self.transport = net.sip_transport  # "tcp" or "udp"
         self.external: TransportAddress | None = None
+        self.announced: TransportAddress | None = None  # what the proxy knows
         net.register_channel(self)
 
     @property
@@ -172,15 +173,16 @@ class SignalingChannel:
 
     def client_send(self, msg: SipMessage) -> None:
         # Sending creates or refreshes the NAT binding in either transport; the
-        # proxy hears of its external address when that is new.
+        # proxy hears of the external address when it does not hold it.
         external = self.nat.outbound(
             self.client.sip_addr, self.net.sip_addr, self.net.now, transport=self.transport
         )
-        if external != self.external:
+        if external != self.announced:
             self.net.proxy.connection_opened(self.conn_id, external)
-            if self.external is None:
-                self.net.log(self.client.name, "connected", f"{self.transport} via {external}")
-            self.external = external
+            self.announced = external
+        if self.external is None:
+            self.net.log(self.client.name, "connected", f"{self.transport} via {external}")
+        self.external = external
         raw = serialize_message(msg)
         self.net.log(self.client.name, "sip_sent", describe(msg))
         self.net.schedule(LATENCY, lambda: self._deliver_to_proxy(raw))
@@ -199,6 +201,7 @@ class SignalingChannel:
         if internal is None:
             label = "sig_blocked"
             self.net.log(self.client.nat_label, label, f"to {self.client.name} at {self.external}")
+            self.announced = None  # the proxy closes the connection
             outbound = self.net.proxy.delivery_failed(self.conn_id, raw, self.net.now)
             self.net.dispatch_proxy_out(outbound)
             return

@@ -169,16 +169,20 @@ def _parse_via(value: str) -> ViaHeader:
     return ViaHeader(transport, sent_by, branch, received, tuple(extras))
 
 
+# RFC 3261 name-addr: a quoted-string or token display name, then '<uri>'.
+# The quoted form may hold '<', '>' and ';'; parameters after '>' may hold a
+# quoted '<' (RFC 5626 +sip.instance), so only the first '<uri>' counts.
+_NAME_ADDR_RE = re.compile(r'\s*(?:"(?:[^"\\]|\\.)*"\s*|[^"<;]*)<([^>]*)>')
+
+
 def uri_of(value: str) -> str:
     """The URI of a name-addr ('Name <uri>;params') or of a bare URI.
 
-    A URI holds neither '<' nor '>', so the last '<' opens it even when a
-    quoted display name contains either.  A bare URI loses its parameters.
+    A bare URI loses its parameters.
     """
-    start = value.rfind("<") + 1
-    end = value.find(">", start)
-    if start and end != -1:
-        return value[start:end].strip()
+    m = _NAME_ADDR_RE.match(value)
+    if m:
+        return m.group(1).strip()
     return value.split(";")[0].strip()
 
 

@@ -57,7 +57,7 @@ def test_run_invalid_scenario_exit_2(tmp_path):
     assert main(["run", "--scenario", str(bad)]) == 2
     assert main(["run", "--scenario", str(tmp_path / "missing.json")]) == 2
     for field in ("seed", "extra_clients"):
-        for value in ("x", None, 1.5):
+        for value in ("x", None, 1.5, True):
             assert main(["run", "--scenario", str(write_scenario(tmp_path, **{field: value}))]) == 2
 
 

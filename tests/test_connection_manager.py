@@ -89,6 +89,12 @@ def test_reregister_refreshes_expiry():
     assert manager.route_to("sip:ClientA@local1.com") == C1
 
 
+RFC5626_CONTACT = (
+    '<sip:alice@192.0.2.1;transport=tcp>;reg-id=1;'
+    '+sip.instance="<urn:uuid:00000000-0000-1000-8000-000A95A0E128>"'
+)
+
+
 def test_aor_normalization():
     assert aor_of("ClientA <sip:ClientA@LOCAL1.com>") == "sip:ClientA@local1.com"
     assert aor_of("<sip:bob@Example.COM:5060;transport=tcp>") == "sip:bob@example.com"
@@ -98,6 +104,10 @@ def test_aor_normalization():
     assert aor_of('"x>y" <sip:bob@h.com>') == "sip:bob@h.com"
     assert aor_of('"a<b" <sip:bob@H.com:5060;transport=tcp>;tag=9') == "sip:bob@h.com"
     assert aor_of("Bob < sip:bob@h >") == "sip:bob@h"
+    assert aor_of(r'"say \"<x>\"" <sip:bob@h.com>') == "sip:bob@h.com"
+    # Header parameters may hold a quoted '<' too; the first '<uri>' counts.
+    assert aor_of('<sip:b@H>;x="<"') == "sip:b@h"
+    assert uri_of(RFC5626_CONTACT) == "sip:alice@192.0.2.1;transport=tcp"
     # A bare URI's parameters (a From/To tag) are not part of it.
     assert uri_of("sip:bob@h.com;tag=9") == "sip:bob@h.com"
     assert uri_of('"x>y" <sip:bob@h.com;transport=tcp>;tag=9') == "sip:bob@h.com;transport=tcp"
@@ -111,6 +121,13 @@ def test_aor_derived_from_to_header():
     )
     registration = manager.register(C1, parse_message(raw), 0.0)
     assert registration.aor == "sip:ClientA@local1.com"
+
+
+def test_instance_id_contact_keeps_its_sip_uri():
+    raw = samples.make_register().replace(
+        b"Contact: <sip:ClientA@192.168.1.11>", f"Contact: {RFC5626_CONTACT}".encode()
+    )
+    assert parse_message(raw).contact == "sip:alice@192.0.2.1;transport=tcp"
 
 
 def test_quoted_display_names_register_their_own_aors():

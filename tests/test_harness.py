@@ -17,8 +17,11 @@ from sipnat.harness import (
     run_scenario,
 )
 from sipnat.media_controller import LEG_A, LEG_B, RTP
-from sipnat.nat import NatType
+from sipnat.nat import UDP, NatBox, NatConfig, NatType
 from sipnat.net import TransportAddress
+from sipnat.proxy import ProxyConfig, SipProxy
+from sipnat.simnet import SimClient, SimNetwork
+from sipnat.sip_message import parse_message
 
 SYM = NatType.SYMMETRIC
 PRC = NatType.PORT_RESTRICTED_CONE
@@ -174,6 +177,33 @@ def test_udp_signaling_blocked_after_idle():
     assert report.outcome is Outcome.SIGNALING_BLOCKED
     assert any(e["event"] == "sig_blocked" for e in report.events)
     assert report.rtp["a_to_b"].delivered == 0
+
+
+def test_signaling_address_rebound_to_the_same_port_is_announced_again():
+    # A two-port NAT whose other port goes to a second host hands the expired
+    # binding's port straight back on the next allocation.  The proxy
+    # dropped the connection when a delivery to the old binding failed, so it
+    # must hear of the address again to stamp 'received' on what follows.
+    proxy = SipProxy(ProxyConfig(public_ip="203.0.113.1"))
+    net = SimNetwork(proxy, sip_transport=UDP)
+    nat = NatBox(NatConfig(SYM, "198.51.100.1", udp_binding_ttl=30.0, port_range=(5000, 5001)))
+    net.add_nat("nat_a", nat)
+    client = SimClient(net, "client_a", "ClientA", "local1.com", nat, "nat_a", "192.168.1.11", 8000)
+    client.register()
+    net.run()
+    first = TransportAddress("198.51.100.1", 5000)
+    assert parse_message(client.raw_received[-1]).via.received == first
+    nat.outbound(TransportAddress("192.168.1.12", 5060), net.sip_addr, net.now, transport=UDP)
+    net.settle_to(60.0)
+    nat.expire(net.now)
+    client.channel.proxy_send(client.raw_received[-1])
+    net.run()
+    assert any(e.event == "delivery_failed" for e in net.events)
+    client.register()
+    net.run()
+    reply = parse_message(client.raw_received[-1])
+    assert reply.status_code == 200
+    assert reply.via.received == first
 
 
 def test_udp_signaling_works_without_idle():
