@@ -137,7 +137,8 @@ class Scenario:
             raise InvalidScenario(f"unknown signaling transport: {self.signaling!r}")
         if self.extra_clients < 0:
             raise InvalidScenario("extra_clients must be >= 0")
-        if self.expect is not None and self.expect not in {o.value for o in Outcome}:
+        # A list, not a set: membership must not hash an unhashable ``expect``.
+        if self.expect is not None and self.expect not in [o.value for o in Outcome]:
             raise InvalidScenario(f"unknown expected outcome: {self.expect!r}")
 
     @classmethod
@@ -145,7 +146,7 @@ class Scenario:
         try:
             nat_a = _NAT_TYPE_NAMES[data["nat_a"]]
             nat_b = _NAT_TYPE_NAMES[data["nat_b"]]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:  # TypeError: an unhashable value
             raise InvalidScenario(f"nat_a/nat_b must be one of {sorted(_NAT_TYPE_NAMES)}") from exc
         script_data = data.get("script")
         if not isinstance(script_data, list) or not script_data:

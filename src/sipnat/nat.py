@@ -21,11 +21,10 @@ offset, so identical event sequences produce identical binding tables.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .net import TransportAddress
+from .net import TransportAddress, is_ipv4
 
 UDP = "udp"
 TCP = "tcp"
@@ -51,7 +50,8 @@ class NatConfig:
     port_range: tuple[int, int] = (30000, 39999)
 
     def __post_init__(self) -> None:
-        ipaddress.IPv4Address(self.public_ip)
+        if not is_ipv4(self.public_ip):
+            raise ValueError(f"invalid IPv4 address: {self.public_ip!r}")
         lo, hi = self.port_range
         if not (1 <= lo < hi <= 65535):
             raise ValueError(f"bad port range: {self.port_range}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import ipaddress
+import socket
 from dataclasses import dataclass
 
 
@@ -15,6 +15,22 @@ def is_ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def is_ipv4(text: object) -> bool:
+    """True for a dotted-quad IPv4 address string.
+
+    Exactly four decimal octets of 0-255 with no leading zeros, signs,
+    whitespace or non-ASCII digits, and only a ``str``: the strings
+    ``ipaddress.IPv4Address`` accepts, at a fraction of its cost.
+    """
+    if not isinstance(text, str):
+        return False
+    try:
+        socket.inet_pton(socket.AF_INET, text)
+    except (OSError, ValueError):  # ValueError: NUL or an unencodable surrogate
+        return False
+    return True
+
+
 @dataclass(frozen=True, order=True)
 class TransportAddress:
     """An (IPv4 address, port) endpoint."""
@@ -23,10 +39,8 @@ class TransportAddress:
     port: int
 
     def __post_init__(self) -> None:
-        try:
-            ipaddress.IPv4Address(self.ip)
-        except (ipaddress.AddressValueError, ValueError) as exc:
-            raise ValueError(f"invalid IPv4 address: {self.ip!r}") from exc
+        if not is_ipv4(self.ip):
+            raise ValueError(f"invalid IPv4 address: {self.ip!r}")
         if not 1 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
 

@@ -15,7 +15,7 @@ and ``tick`` then drops them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -190,7 +190,7 @@ class SipProxy:
             except (SdpError, SdpRewriteError) as exc:
                 self.media.release_session(call_id)
                 return self._reply(conn, msg, 400, f"Bad Request ({exc})")
-            msg = replace(msg, body=serialize_sdp(rewritten))
+            msg.body = serialize_sdp(rewritten)  # msg was parsed in handle_message: ours to change
 
         self.calls[call_id] = CallState(
             call_id=call_id,
@@ -242,7 +242,7 @@ class SipProxy:
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         failure = build_response(msg, 500, "Server Internal Error")
                         return [(dest, serialize_message(failure))]
-                    msg = replace(msg, body=serialize_sdp(rewritten))
+                    msg.body = serialize_sdp(rewritten)  # parsed in handle_message: ours to change
                 self._on_event("answer_forwarded", msg.call_id)
             elif msg.status_code >= 300:
                 self._terminate(call, now)

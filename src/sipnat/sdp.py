@@ -7,11 +7,9 @@ own and keeps every other line untouched.
 
 from __future__ import annotations
 
-import ipaddress
-import re
 from dataclasses import dataclass
 
-from .net import InvariantViolation, TransportAddress, is_ascii_digits
+from .net import InvariantViolation, TransportAddress, is_ascii_digits, is_ipv4
 
 
 class SdpError(Exception):
@@ -68,9 +66,6 @@ class SdpSession:
     extra_lines: list[str]
 
 
-_CONNECTION_RE = re.compile(r"^IN\s+IP4\s+(\S+)$")
-
-
 def _parse_media_line(value: str) -> MediaDesc:
     parts = value.split()
     if len(parts) < 4:
@@ -94,7 +89,7 @@ def _parse_media_line(value: str) -> MediaDesc:
 def parse_sdp(text: bytes | str) -> SdpSession:
     """Parse a session description; unknown line types are preserved in order."""
     if isinstance(text, (bytes, bytearray)):
-        text = bytes(text).decode("latin-1")
+        text = text.decode("latin-1")
     version: int | None = None
     origin: str | None = None
     session_name: str | None = None
@@ -104,11 +99,11 @@ def parse_sdp(text: bytes | str) -> SdpSession:
     attributes: list[str] = []
     extra_lines: list[str] = []
 
-    for line in re.split(r"\r\n|\n", text):
+    for line in text.split("\n"):
         line = line.rstrip("\r")
-        if not line.strip():
-            continue
-        if len(line) < 2 or line[1] != "=":
+        if line[1:2] != "=":
+            if not line.strip():
+                continue
             raise SdpParseError(f"not a key=value line: {line!r}")
         key, value = line[0], line[2:].strip()
         if key == "v":
@@ -130,14 +125,12 @@ def parse_sdp(text: bytes | str) -> SdpSession:
                 raise SdpParseError("media-level c= lines are not supported")
             if connection_ip is not None:
                 raise SdpParseError("duplicate c= line")
-            m = _CONNECTION_RE.match(value)
-            if not m:
+            parts = value.split()
+            if len(parts) != 3 or parts[0] != "IN" or parts[1] != "IP4":
                 raise BadAddress(f"bad connection line: c={value!r}")
-            try:
-                ipaddress.IPv4Address(m.group(1))
-            except (ipaddress.AddressValueError, ValueError):
-                raise BadAddress(f"bad connection address: {m.group(1)!r}") from None
-            connection_ip = m.group(1)
+            if not is_ipv4(parts[2]):
+                raise BadAddress(f"bad connection address: {parts[2]!r}")
+            connection_ip = parts[2]
         elif key == "t":
             if timing is not None:
                 raise SdpParseError("duplicate t= line")
@@ -158,15 +151,9 @@ def parse_sdp(text: bytes | str) -> SdpSession:
     ):
         if not present:
             raise MissingLine(line_type)
+    # Positional, in field order: about half the cost of keywords.
     return SdpSession(
-        version=version,
-        origin=origin,
-        session_name=session_name,
-        connection_ip=connection_ip,
-        timing=timing,
-        media=media,
-        attributes=attributes,
-        extra_lines=extra_lines,
+        version, origin, session_name, connection_ip, timing, media, attributes, extra_lines
     )
 
 
@@ -177,12 +164,8 @@ def serialize_sdp(session: SdpSession) -> bytes:
     for desc in session.media:
         if not 1 <= desc.port <= 65535:
             raise InvariantViolation(f"media port out of range: {desc.port}")
-    try:
-        ipaddress.IPv4Address(session.connection_ip)
-    except (ipaddress.AddressValueError, ValueError):
-        raise InvariantViolation(
-            f"bad connection address: {session.connection_ip!r}"
-        ) from None
+    if not is_ipv4(session.connection_ip):
+        raise InvariantViolation(f"bad connection address: {session.connection_ip!r}")
     lines = [
         f"v={session.version}",
         f"o={session.origin}",
@@ -193,9 +176,9 @@ def serialize_sdp(session: SdpSession) -> bytes:
         lines.append(f"t={session.timing}")
     lines.extend(session.extra_lines)
     for desc in session.media:
-        formats = " ".join(str(f) for f in desc.formats)
+        formats = " ".join(map(str, desc.formats))
         lines.append(f"m={desc.media_type} {desc.port} {desc.proto} {formats}".rstrip())
-    lines.extend(f"a={attr}" for attr in session.attributes)
+    lines += [f"a={attr}" for attr in session.attributes]
     return ("\r\n".join(lines) + "\r\n").encode("latin-1")
 
 

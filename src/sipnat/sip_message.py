@@ -12,7 +12,7 @@ names; output is always CRLF with canonical header capitalization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .net import InvariantViolation, TransportAddress, is_ascii_digits
@@ -136,17 +136,23 @@ class SipMessage:
             raise InvariantViolation("body must be bytes")
 
 
-_MANDATORY = ("Via", "From", "To", "Call-ID", "CSeq")
 _VIA_RE = re.compile(r"^SIP/2\.0/(TCP|UDP)\s+([^;\s]+)\s*(;.*)?$")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$", re.ASCII)
 _CONTENT_LENGTH_RE = re.compile(rb"^content-length\s*:\s*(\d+)\s*$", re.I | re.M)
+_METHODS = {m.value: m for m in Method}  # by wire name: cheaper than Method(name)
+# Headers other than Via that a message may carry at most once, by lower-case name.
+_KNOWN_HEADERS = frozenset(
+    ("from", "to", "call-id", "cseq", "contact", "content-type", "content-length")
+)
+_MANDATORY_KNOWN = (("From", "from"), ("To", "to"), ("Call-ID", "call-id"), ("CSeq", "cseq"))
 
 
 def _parse_via(value: str) -> ViaHeader:
-    m = _VIA_RE.match(value.strip())
+    """Parse a stripped Via header value."""
+    m = _VIA_RE.match(value)
     if not m:
         raise MalformedHeader(f"bad Via header: {value!r}")
-    transport, sent_by, param_text = m.group(1), m.group(2), m.group(3) or ""
+    transport, sent_by, param_text = m.groups("")
     branch: str | None = None
     received: TransportAddress | None = None
     extras: list[tuple[str, str | None]] = []
@@ -157,9 +163,10 @@ def _parse_via(value: str) -> ViaHeader:
         name, eq, value_part = chunk.partition("=")
         name = name.strip()
         value_part = value_part.strip() if eq else None
-        if name.lower() == "branch":
+        lname = name.lower()
+        if lname == "branch":
             branch = value_part or ""
-        elif name.lower() == "received":
+        elif lname == "received":
             try:
                 received = TransportAddress.parse(value_part or "")
             except ValueError as exc:
@@ -186,15 +193,18 @@ def uri_of(value: str) -> str:
     return value.split(";")[0].strip()
 
 
-def _header_end(raw: bytes) -> tuple[int, int] | None:
-    """(end of the headers, start of the body) at the first blank line, if any."""
-    crlf = raw.find(b"\r\n\r\n")
-    lf = raw.find(b"\n\n")
-    if crlf != -1 and (lf == -1 or crlf < lf):
+def _header_end(raw: bytes, start: int = 0) -> tuple[int, int] | None:
+    """(end of the headers, start of the body) at the first blank line at or
+    after ``start``, if any."""
+    crlf = raw.find(b"\r\n\r\n", start)
+    if crlf == -1:
+        lf = raw.find(b"\n\n", start)
+        return None if lf == -1 else (lf, lf + 2)
+    # Only an LF blank line that ends before the CRLF one can come first.
+    lf = raw.find(b"\n\n", start, crlf)
+    if lf == -1:
         return crlf, crlf + 4
-    if lf != -1:
-        return lf, lf + 2
-    return None
+    return lf, lf + 2
 
 
 def parse_message(raw: bytes) -> SipMessage:
@@ -211,20 +221,23 @@ def parse_message(raw: bytes) -> SipMessage:
         raise MalformedStartLine("message has no blank line terminating the headers")
     header_end, body_start = split
     body = raw[body_start:]
-    text = raw[:header_end].decode("latin-1")
-    lines = re.split(r"\r\n|\n", text)
-    if not lines or not lines[0].strip():
+    text = raw[:header_end].decode("latin-1").replace("\r\n", "\n")
+    lines = text.split("\n")
+    start = lines[0].strip()
+    if not start:
         raise MalformedStartLine("empty start line")
 
-    # Unfold continuation lines (leading whitespace joins the previous header).
-    unfolded: list[str] = [lines[0]]
-    for line in lines[1:]:
-        if line[:1] in (" ", "\t") and len(unfolded) > 1:
-            unfolded[-1] += " " + line.strip()
-        else:
-            unfolded.append(line)
+    # Unfold continuation lines (leading whitespace joins the previous header;
+    # right after the start line it does not, and the line stands alone).
+    if "\n " in text or "\n\t" in text:
+        unfolded: list[str] = lines[:2]
+        for line in lines[2:]:
+            if line[:1] in (" ", "\t"):
+                unfolded[-1] += " " + line.strip()
+            else:
+                unfolded.append(line)
+        lines = unfolded
 
-    start = unfolded[0].strip()
     method: Method | None = None
     request_uri: str | None = None
     status_code: int | None = None
@@ -241,81 +254,73 @@ def parse_message(raw: bytes) -> SipMessage:
         parts = start.split(" ")
         if len(parts) != 3 or parts[2] != "SIP/2.0":
             raise MalformedStartLine(f"bad request line: {start!r}")
-        try:
-            method = Method(parts[0])
-        except ValueError:
-            raise UnsupportedMethod(f"unsupported method: {parts[0]!r}") from None
+        method = _METHODS.get(parts[0])
+        if method is None:
+            raise UnsupportedMethod(f"unsupported method: {parts[0]!r}")
         request_uri = parts[1]
 
     via: ViaHeader | None = None
     known: dict[str, str] = {}
     extras: list[tuple[str, str]] = []
-    for line in unfolded[1:]:
-        if not line.strip():
-            continue
+    for line in lines[1:]:
         name, sep, value = line.partition(":")
-        if not sep or not name.strip():
-            raise MalformedHeader(f"bad header line: {line!r}")
+        if not sep:
+            if line.strip():
+                raise MalformedHeader(f"bad header line: {line!r}")
+            continue  # whitespace only
         name = name.strip()
-        value = value.strip()
+        if not name:
+            raise MalformedHeader(f"bad header line: {line!r}")
         lname = name.lower()
-        if lname == "via":
-            if via is not None:
-                raise MalformedHeader("multiple Via headers are not supported")
-            via = _parse_via(value)
-        elif lname in ("from", "to", "call-id", "cseq", "contact", "content-type", "content-length"):
+        if lname in _KNOWN_HEADERS:
             if lname in known:
                 raise MalformedHeader(f"duplicate {name} header")
-            known[lname] = value
+            known[lname] = value.strip()
+        elif lname == "via":
+            if via is not None:
+                raise MalformedHeader("multiple Via headers are not supported")
+            via = _parse_via(value.strip())
         else:
-            extras.append((name, value))
+            extras.append((name, value.strip()))
 
     if via is None:
         raise MissingMandatoryHeader("Via")
-    for header in ("From", "To", "Call-ID", "CSeq"):
-        if header.lower() not in known:
+    for header, key in _MANDATORY_KNOWN:
+        if key not in known:
             raise MissingMandatoryHeader(header)
-    if not known["call-id"]:
+    call_id = known["call-id"]
+    if not call_id:
         raise MissingMandatoryHeader("Call-ID")
 
-    m = _CSEQ_RE.match(known["cseq"])
+    cseq = known["cseq"]
+    m = _CSEQ_RE.match(cseq)
     if not m:
-        raise MalformedHeader(f"bad CSeq header: {known['cseq']!r}")
-    cseq_num = int(m.group(1))
-    try:
-        cseq_method = Method(m.group(2))
-    except ValueError:
-        raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}") from None
+        raise MalformedHeader(f"bad CSeq header: {cseq!r}")
+    cseq_method = _METHODS.get(m.group(2))
+    if cseq_method is None:
+        raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
     if method is not None and cseq_method is not method:
         raise MalformedHeader(
             f"CSeq method {cseq_method.value} does not match request method {method.value}"
         )
 
-    if "content-length" in known:
-        if not is_ascii_digits(known["content-length"]):
-            raise MalformedHeader(f"bad Content-Length: {known['content-length']!r}")
-        declared = int(known["content-length"])
+    length = known.get("content-length")
+    if length is not None:
+        if not is_ascii_digits(length):
+            raise MalformedHeader(f"bad Content-Length: {length!r}")
+        declared = int(length)
         if declared != len(body):
             raise BodyLengthMismatch(
                 f"Content-Length {declared} but body has {len(body)} bytes"
             )
 
-    contact = uri_of(known["contact"]) if "contact" in known else None
+    contact = known.get("contact")
+    # Positional, in field order: about half the cost of keywords.
     return SipMessage(
-        via=via,
-        from_=known["from"],
-        to_=known["to"],
-        call_id=known["call-id"],
-        cseq_num=cseq_num,
-        cseq_method=cseq_method,
-        method=method,
-        request_uri=request_uri,
-        status_code=status_code,
-        reason=reason,
-        contact=contact,
-        content_type=known.get("content-type"),
-        body=body,
-        extra_headers=tuple(extras),
+        via, known["from"], known["to"], call_id, int(m.group(1)), cseq_method,
+        method, request_uri, status_code, reason,
+        None if contact is None else uri_of(contact),
+        known.get("content-type"), body, tuple(extras),
     )
 
 
@@ -353,9 +358,13 @@ def stamp_received(msg: SipMessage, source: TransportAddress) -> SipMessage:
 
     Idempotent: stamping twice with the same source yields an equal message.
     """
-    if msg.via.received == source:
+    via = msg.via
+    if via.received == source:
         return msg
-    return replace(msg, via=replace(msg.via, received=source))
+    stamped = object.__new__(SipMessage)  # a shallow copy, at a quarter of copy.copy's cost
+    stamped.__dict__.update(msg.__dict__)
+    stamped.via = ViaHeader(via.transport, via.sent_by, via.branch, source, via.extra_params)
+    return stamped
 
 
 def build_response(
@@ -395,19 +404,21 @@ class MessageFramer:
 
     def feed(self, data: bytes) -> list[bytes]:
         """Append stream bytes; return every complete raw message now available."""
-        self._buffer += data
+        buffer = self._buffer + data
         messages: list[bytes] = []
+        start = 0
         while True:
-            split = _header_end(self._buffer)
+            split = _header_end(buffer, start)
             if split is None:
-                if len(self._buffer) > self._max_header_bytes:
-                    raise FramingError("header section exceeds maximum size")
-                return messages
+                break
             header_end, body_start = split
-            m = _CONTENT_LENGTH_RE.search(self._buffer[:header_end])
-            body_len = int(m.group(1)) if m else 0
-            total = body_start + body_len
-            if len(self._buffer) < total:
-                return messages
-            messages.append(self._buffer[:total])
-            self._buffer = self._buffer[total:]
+            m = _CONTENT_LENGTH_RE.search(buffer[start:header_end])
+            total = body_start + (int(m.group(1)) if m else 0)
+            if len(buffer) < total:
+                break
+            messages.append(buffer[start:total])
+            start = total
+        self._buffer = buffer[start:]
+        if split is None and len(self._buffer) > self._max_header_bytes:
+            raise FramingError("header section exceeds maximum size")
+        return messages

@@ -416,3 +416,114 @@ def test_media_datagram_path_through_proxy():
         (a_port, a_media, b"from-b"),
         (b_port, b_media, b"from-a"),
     ]
+
+
+def wire(*lines, body=b""):
+    return "\r\n".join(lines).encode() + b"\r\n\r\n" + body
+
+
+def test_call_exchange_wire_output_is_pinned():
+    """Exact bytes the proxy sends for one INVITE/200/ACK/BYE/200 exchange."""
+    proxy = make_proxy()
+    register_both(proxy)
+    b_sdp = samples.sample_answer_body()
+    a_sdp = samples.sample_invite_body()
+    from_b = 'From: "Client B" <sip:ClientB@local2.com>;tag=b1'
+    to_a = "To: <sip:ClientA@local1.com>;tag=a1"
+    call_id = "Call-ID: call-1@local2.com"
+    received = ";received=77.224.10.9:6001"
+    exchange = [
+        (B_CONN, wire(
+            "INVITE sip:ClientA@local1.com SIP/2.0",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;rport", "Max-Forwards: 70",
+            from_b, "To: <sip:ClientA@local1.com>", call_id, "CSeq: 1 INVITE",
+            "Contact: <sip:ClientB@10.0.0.4:6580;transport=tcp>", "Content-Type: application/sdp",
+            f"Content-Length: {len(b_sdp)}", body=b_sdp,
+        )),
+        (A_CONN, wire(
+            "SIP/2.0 200 OK",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;rport" + received,
+            from_b, to_a, call_id, "CSeq: 1 INVITE", "Contact: <sip:ClientA@192.168.1.11:49570>",
+            "Content-Type: application/sdp", f"Content-Length: {len(a_sdp)}", body=a_sdp,
+        )),
+        (B_CONN, wire(
+            "ACK sip:ClientA@192.168.1.11:49570 SIP/2.0",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKack1;rport", "Max-Forwards: 70",
+            from_b, to_a, call_id, "CSeq: 1 ACK", "Content-Length: 0",
+        )),
+        (B_CONN, wire(
+            "BYE sip:ClientA@192.168.1.11:49570 SIP/2.0",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;rport", "Max-Forwards: 70",
+            from_b, to_a, call_id, "CSeq: 2 BYE", "Content-Length: 0",
+        )),
+        (A_CONN, wire(
+            "SIP/2.0 200 OK",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;rport" + received,
+            from_b, to_a, call_id, "CSeq: 2 BYE", "Content-Length: 0",
+        )),
+    ]
+    sent = []
+    for step, (conn, raw) in enumerate(exchange):
+        sent += proxy.handle_message(conn, raw, 1.0 + step / 10)
+
+    assert sent == [
+        (A_CONN, wire(
+            "INVITE sip:ClientA@local1.com SIP/2.0",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;received=77.224.10.9:6001;rport",
+            'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
+            "To: <sip:ClientA@local1.com>",
+            "Call-ID: call-1@local2.com",
+            "CSeq: 1 INVITE",
+            "Contact: <sip:ClientB@10.0.0.4:6580;transport=tcp>",
+            "Max-Forwards: 70",
+            "Content-Type: application/sdp",
+            "Content-Length: 142",
+            body=b"v=0\r\no=ClientB 284586526 28922265 IN IP4 local2.com\r\ns=Session SDP\r\n"
+            b"c=IN IP4 200.1.1.1\r\nt=0 0\r\nm=audio 40002 RTP/AVP 0\r\na=rtpmap:0 PCMU/8000\r\n",
+        )),
+        (B_CONN, wire(
+            "SIP/2.0 200 OK",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;received=77.224.10.9:6001;rport",
+            'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
+            "To: <sip:ClientA@local1.com>;tag=a1",
+            "Call-ID: call-1@local2.com",
+            "CSeq: 1 INVITE",
+            "Contact: <sip:ClientA@192.168.1.11:49570>",
+            "Content-Type: application/sdp",
+            "Content-Length: 149",
+            body=b"v=0\r\no=ClientA 2890844526 28902245844526 IN IP4 local1.com\r\n"
+            b"s=Session SDP\r\nc=IN IP4 200.1.1.1\r\nt=0 0\r\nm=audio 40000 RTP/AVP 0\r\n"
+            b"a=rtpmap:0 PCMU/8000\r\n",
+        )),
+        (A_CONN, wire(
+            "ACK sip:ClientA@192.168.1.11:49570 SIP/2.0",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKack1;received=77.224.10.9:6001;rport",
+            'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
+            "To: <sip:ClientA@local1.com>;tag=a1",
+            "Call-ID: call-1@local2.com",
+            "CSeq: 1 ACK",
+            "Max-Forwards: 70",
+            "Content-Length: 0",
+        )),
+        (A_CONN, wire(
+            "BYE sip:ClientA@192.168.1.11:49570 SIP/2.0",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;received=77.224.10.9:6001;rport",
+            'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
+            "To: <sip:ClientA@local1.com>;tag=a1",
+            "Call-ID: call-1@local2.com",
+            "CSeq: 2 BYE",
+            "Max-Forwards: 70",
+            "Content-Length: 0",
+        )),
+        (B_CONN, wire(
+            "SIP/2.0 200 OK",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;received=77.224.10.9:6001;rport",
+            'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
+            "To: <sip:ClientA@local1.com>;tag=a1",
+            "Call-ID: call-1@local2.com",
+            "CSeq: 2 BYE",
+            "Content-Length: 0",
+        )),
+    ]
+    assert proxy.calls == {}
+    assert proxy.media.pool.allocated_count == 0

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -105,6 +106,47 @@ def test_stamp_received_idempotent(invite_raw):
     twice = stamp_received(once, source)
     assert once == twice
     assert serialize_message(once) == serialize_message(twice)
+
+
+def test_stamp_received_leaves_its_argument_unchanged(answer_raw):
+    msg = parse_message(answer_raw)
+    via_before = copy.copy(msg.via)
+    stamped = stamp_received(msg, TransportAddress("77.224.10.9", 6001))
+    assert msg.via == via_before
+    assert msg.via.received == TransportAddress("68.92.25.44", 4325)
+    assert stamped.via.received == TransportAddress("77.224.10.9", 6001)
+    assert stamped.via.branch == msg.via.branch
+    assert (stamped.call_id, stamped.body, stamped.status_code) == (msg.call_id, msg.body, 200)
+
+
+def test_line_endings_and_folds_give_exact_fields():
+    raw = (
+        b"INVITE sip:b@h.com SIP/2.0\r\n"
+        b" X-Early: first\r\n"  # a fold right after the start line stands alone
+        b"Via: SIP/2.0/TCP 10.0.0.4;branch=z9hG4bK1\r\r\n"  # CR CR LF ending
+        b"From: <sip:a@h.com>;tag=1\r\n"
+        b"\t;x=y\r\n"  # tab fold
+        b"To: <sip:b@h.com>\n"  # bare LF ending
+        b"\r\r\n"  # whitespace-only line
+        b"\x0c\r\n"  # whitespace-only line
+        b"Call-ID: id\rwith-cr@h.com\r\n"  # bare CR inside a value
+        b"CSeq: 1 INVITE\r\n"
+        b"Subject: hello\r\n"
+        b"   world\r\n"  # space fold
+        b"Content-Length: 2\r\n"
+        b"\r\n"
+        b"\r\n"
+    )
+    msg = parse_message(raw)
+    assert msg.method is Method.INVITE
+    assert msg.request_uri == "sip:b@h.com"
+    assert msg.via == ViaHeader("TCP", "10.0.0.4", branch="z9hG4bK1")
+    assert msg.from_ == "<sip:a@h.com>;tag=1 ;x=y"
+    assert msg.to_ == "<sip:b@h.com>"
+    assert msg.call_id == "id\rwith-cr@h.com"
+    assert (msg.cseq_num, msg.cseq_method) == (1, Method.INVITE)
+    assert msg.extra_headers == (("X-Early", "first"), ("Subject", "hello world"))
+    assert msg.body == b"\r\n"
 
 
 @pytest.mark.parametrize("header", ["Via", "From", "To", "Call-ID", "CSeq"])
