@@ -3,14 +3,17 @@
 Each call gets two even/odd port pairs on the relay's public address, one
 pair per leg.  A client sends all of its media to its own leg's relay
 ports; the first packet received there latches the client's public source
-address.  Forwarded packets are always emitted from the destination leg's
-relay port, which is exactly the address that leg is already sending to,
-so restrictive NATs accept them.
+address for good, and packets from any other source are dropped.
+Forwarded packets are always emitted from the destination leg's relay port,
+which is exactly the address that leg is already sending to, so restrictive
+NATs accept them.
 
-Once both legs of a kind have latched, every further packet from the
-latched source has a fixed answer.  ``routes`` holds that answer per relay
-port, and ``forward_established`` applies it without a relay decision; any
-other packet goes through ``on_media_packet``.
+``MediaController.on_media_packet`` is the one relay decision; the simulator
+and the socket service both reach it through ``SipProxy.handle_media``.
+Once both legs of a kind have latched, ``routes`` holds the fixed answer
+for each of their relay ports, and the decision looks there first.  Client
+addresses are ``(ip, port)`` tuples, as sockets report and take them, so
+relaying a packet builds no address object.
 
 Because relay addresses are handed out inside the signaling exchange, no
 client-visible allocation transaction exists at all.
@@ -124,7 +127,7 @@ class LegState:
     rtp_port: int
     rtcp_port: int
     declared: TransportAddress | None = None
-    latched: dict[str, TransportAddress] = field(default_factory=dict)
+    latched: dict[str, tuple[str, int]] = field(default_factory=dict)
     buffers: dict[str, deque] = field(default_factory=lambda: {RTP: deque(), RTCP: deque()})
     counters: dict[str, KindCounters] = field(
         default_factory=lambda: {RTP: KindCounters(), RTCP: KindCounters()}
@@ -146,16 +149,16 @@ class MediaSession:
         return LEG_B if leg == LEG_A else LEG_A
 
 
-@dataclass
+@dataclass(slots=True)
 class RelaySend:
     """One datagram to emit: from a relay port to a latched client address."""
 
     from_port: int
-    to: TransportAddress
+    to: tuple[str, int]
     payload: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class RelayDecision:
     """Outcome for one received datagram and every datagram it emits."""
 
@@ -176,12 +179,10 @@ class MediaController:
         public_ip: str,
         port_range: tuple[int, int],
         buffer_cap: int = DEFAULT_BUFFER_CAP,
-        relatch: bool = False,
     ):
         self.public_ip = public_ip
         self.pool = PortPool(*port_range)
         self.buffer_cap = buffer_cap
-        self.relatch = relatch
         self.sessions: dict[str, MediaSession] = {}
         # relay port -> route, for each kind whose two legs have both latched.
         self.routes: dict[int, Route] = {}
@@ -228,14 +229,23 @@ class MediaController:
         return self._rewrite(session, sdp, LEG_B)
 
     def on_media_packet(
-        self, relay_port: int, src: TransportAddress, datagram: bytes, now: float
+        self, relay_port: int, src: tuple[str, int], datagram: bytes
     ) -> RelayDecision:
-        """Latch, then forward to the peer leg or buffer until it latches.
+        """Forward by the port's route, or latch, then forward or buffer.
 
-        The first packet on a leg's relay port latches ``src`` as that leg's
-        public address for that kind (RTP and RTCP latch independently).
+        A packet from the latched source of an established port follows its
+        route.  Otherwise the first packet on a leg's relay port latches
+        ``src`` as that leg's public address for that kind (RTP and RTCP
+        latch independently), and a packet from any other source is dropped.
         Forwarded packets are emitted from the peer leg's relay port.
         """
+        route = self.routes.get(relay_port)
+        if route is not None and route.source == src:
+            counters = route.counters
+            counters.received += 1
+            counters.received_bytes += len(datagram)
+            counters.forwarded += 1
+            return RelayDecision("forward", None, [RelaySend(route.from_port, route.to, datagram)])
         owner = self.pool.owner_of(relay_port)
         if owner is None:
             return RelayDecision(action="drop", reason="unknown_port")
@@ -260,16 +270,13 @@ class MediaController:
                 peer.counters[kind].flushed += 1
                 sends.append(RelaySend(leg.port_for(kind), src, queued))
         elif src != latched:
-            if self.relatch:
-                leg.latched[kind] = src
-            else:
-                counters.dropped += 1
-                return RelayDecision(action="drop", reason="source_mismatch")
+            counters.dropped += 1
+            return RelayDecision(action="drop", reason="source_mismatch")
 
         peer_latched = peer.latched.get(kind)
         if peer_latched is not None:
-            if src != latched:
-                # This (re)latch completed the pair: later packets take the route.
+            if latched is None:
+                # This latch completed the pair: later packets take the route.
                 self._install_routes(leg, peer, kind)
             counters.forwarded += 1
             sends.append(RelaySend(peer.port_for(kind), peer_latched, datagram))
@@ -281,28 +288,9 @@ class MediaController:
         buffer.append(datagram)
         return RelayDecision(action="buffer", sends=sends)
 
-    def forward_established(
-        self, relay_port: int, src: tuple[str, int], size: int
-    ) -> Route | None:
-        """Count and return the route for a packet from the port's latched source.
-
-        Returns None for any other packet: an unknown or not yet established
-        port, or a source other than the latched one.  The caller then hands
-        the packet to ``on_media_packet``, which decides it.
-        """
-        route = self.routes.get(relay_port)
-        if route is None or route.source != src:
-            return None
-        counters = route.counters
-        counters.received += 1
-        counters.received_bytes += size
-        counters.forwarded += 1
-        return route
-
     def _install_routes(self, leg: LegState, peer: LegState, kind: str) -> None:
         """Route ``kind`` both ways between two legs that have both latched it."""
-        mine, its = leg.latched[kind], peer.latched[kind]
-        ours, theirs = (mine.ip, mine.port), (its.ip, its.port)
+        ours, theirs = leg.latched[kind], peer.latched[kind]
         leg_port, peer_port = leg.port_for(kind), peer.port_for(kind)
         self.routes[leg_port] = Route(ours, peer_port, theirs, leg.counters[kind])
         self.routes[peer_port] = Route(theirs, leg_port, ours, peer.counters[kind])

@@ -82,18 +82,11 @@ class ProxyConfig:
     registration_ttl: float = 3600.0
     invite_guard: float = 32.0
     media_relay: bool = True  # off: forward bodies untouched (no relay, no rewrite)
-    relatch: bool = False
 
     def __post_init__(self) -> None:
         lo, hi = self.media_port_range
         if lo <= self.sip_tcp_port <= hi:
             raise ValueError("media port range must not contain the SIP port")
-
-
-@dataclass
-class TickAction:
-    kind: str  # "registration_expired" | "invite_timeout"
-    detail: str
 
 
 class SipProxy:
@@ -103,17 +96,13 @@ class SipProxy:
     proxy from a single event loop.
     """
 
-    def __init__(
-        self,
-        config: ProxyConfig,
-        on_event: Callable[[str, str], None] | None = None,
-    ):
+    def __init__(self, config: ProxyConfig):
         self.config = config
         self.registrar = ConnectionManager(config.registration_ttl)
-        self.media = MediaController(config.public_ip, config.media_port_range, relatch=config.relatch)
+        self.media = MediaController(config.public_ip, config.media_port_range)
         self.calls: dict[str, CallState] = {}
         self._conn_remote: dict[ConnectionId, TransportAddress] = {}
-        self._on_event = on_event or (lambda event, detail: None)
+        self._on_event: Callable[[str, str], None] = lambda event, detail: None
 
     def set_event_hook(self, hook: Callable[[str, str], None]) -> None:
         """Route proxy events (registrations, errors, releases) to a log."""
@@ -254,10 +243,10 @@ class SipProxy:
     # -- media ---------------------------------------------------------------
 
     def handle_media(
-        self, relay_port: int, src: TransportAddress, datagram: bytes, now: float
+        self, relay_port: int, src: tuple[str, int], datagram: bytes
     ) -> list[RelaySend]:
-        """Relay one UDP datagram; returns the datagrams to emit."""
-        decision = self.media.on_media_packet(relay_port, src, datagram, now)
+        """Relay one UDP datagram from ``src`` (ip, port); returns the datagrams to emit."""
+        decision = self.media.on_media_packet(relay_port, src, datagram)
         if decision.action == "drop":
             self._on_event("media_dropped", f"port {relay_port}: {decision.reason}")
         return decision.sends
@@ -287,11 +276,14 @@ class SipProxy:
         self._terminate(call, now)
         return []
 
-    def tick(self, now: float) -> list[TickAction]:
-        """Expire registrations, time out unanswered calls and forget ended ones."""
-        actions = [
-            TickAction("registration_expired", aor) for aor in self.registrar.expire(now)
-        ]
+    def tick(self, now: float) -> None:
+        """Expire registrations, time out unanswered calls and forget ended ones.
+
+        Each expiry and timeout goes to the event hook, after the releases
+        it caused.
+        """
+        expired = self.registrar.expire(now)
+        timed_out = []
         guard = self.config.invite_guard
         for call in list(self.calls.values()):
             if call.phase is Phase.TERMINATED:
@@ -299,10 +291,11 @@ class SipProxy:
                     del self.calls[call.call_id]
             elif call.phase is Phase.INVITING and now - call.invited_at >= guard:
                 self._terminate(call, now)
-                actions.append(TickAction("invite_timeout", call.call_id))
-        for action in actions:
-            self._on_event(action.kind, action.detail)
-        return actions
+                timed_out.append(call.call_id)
+        for aor in expired:
+            self._on_event("registration_expired", aor)
+        for call_id in timed_out:
+            self._on_event("invite_timeout", call_id)
 
     def _terminate(self, call: CallState, now: float) -> None:
         if call.phase is Phase.TERMINATED:

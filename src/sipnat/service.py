@@ -10,9 +10,10 @@ delayed ACK.  Outbound messages are queued per connection and written once
 per loop pass; what the kernel does not take stays queued and goes out when
 the socket reports writable, so a slow reader never loses its connection.
 
-A media datagram from the latched source of an established leg is sent on
-from the media controller's route table, with no address object built and
-no relay decision made; every other datagram goes through the proxy.
+Every media datagram goes to ``SipProxy.handle_media`` with the ``(ip,
+port)`` source that ``recvfrom`` returned, and each datagram it answers with
+goes out of its relay port's socket, so the service builds no address object
+per packet and the relay rules are the simulator's.
 """
 
 from __future__ import annotations
@@ -213,21 +214,13 @@ class ProxyService:
     # -- UDP media -------------------------------------------------------------
 
     def _read_media(self, sock: socket.socket, port: int) -> None:
-        """Relay one datagram: established media by its route, the rest through the proxy."""
+        """Relay one datagram through the proxy."""
         try:
             data, peer = sock.recvfrom(65536)
         except (BlockingIOError, InterruptedError, OSError):
             return
-        route = self.proxy.media.forward_established(port, peer, len(data))
-        if route is not None:
-            self._send_media(route.from_port, route.to, data)
-            return
-        source = TransportAddress(peer[0], peer[1])
-        for send in self.proxy.handle_media(port, source, data, time.monotonic()):
-            self._send_media(send.from_port, (send.to.ip, send.to.port), send.payload)
-
-    def _send_media(self, from_port: int, to: tuple[str, int], payload: bytes) -> None:
-        try:
-            self._udp_socks[from_port].sendto(payload, to)
-        except OSError:
-            logger.debug("media send to %s:%d failed", *to)
+        for send in self.proxy.handle_media(port, peer, data):
+            try:
+                self._udp_socks[send.from_port].sendto(send.payload, send.to)
+            except OSError:
+                logger.debug("media send to %s:%d failed", *send.to)

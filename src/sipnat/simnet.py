@@ -131,8 +131,7 @@ class SimNetwork:
 
     def _route_public(self, src: TransportAddress, dst: TransportAddress, data: bytes) -> None:
         if dst.ip == self.proxy_ip:
-            sends = self.proxy.handle_media(dst.port, src, data, self.now)
-            for send in sends:
+            for send in self.proxy.handle_media(dst.port, (src.ip, src.port), data):
                 self._send_from_proxy(send)
             return
         nat = self._nats.get(dst.ip)
@@ -151,7 +150,8 @@ class SimNetwork:
 
     def _send_from_proxy(self, send: RelaySend) -> None:
         src = TransportAddress(self.proxy_ip, send.from_port)
-        self.schedule(LATENCY, lambda: self._route_public(src, send.to, send.payload))
+        dst = TransportAddress(*send.to)
+        self.schedule(LATENCY, lambda: self._route_public(src, dst, send.payload))
 
 
 class SignalingChannel:

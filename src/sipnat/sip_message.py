@@ -403,7 +403,12 @@ class MessageFramer:
         self._max_header_bytes = max_header_bytes
 
     def feed(self, data: bytes) -> list[bytes]:
-        """Append stream bytes; return every complete raw message now available."""
+        """Append stream bytes; return every complete raw message now available.
+
+        Raises ``FramingError`` when the unframed tail is a header section
+        longer than the maximum, but only from a call that framed no message,
+        so messages that arrived ahead of it are returned first.
+        """
         buffer = self._buffer + data
         messages: list[bytes] = []
         start = 0
@@ -419,6 +424,6 @@ class MessageFramer:
             messages.append(buffer[start:total])
             start = total
         self._buffer = buffer[start:]
-        if split is None and len(self._buffer) > self._max_header_bytes:
+        if split is None and not messages and len(self._buffer) > self._max_header_bytes:
             raise FramingError("header section exceeds maximum size")
         return messages

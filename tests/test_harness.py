@@ -64,8 +64,8 @@ def test_latched_addresses_equal_nat_mappings():
     b_expected = ctx.nat_b.external_for(
         ctx.client_b.rtp_addr, TransportAddress(proxy_ip, leg_b.rtp_port)
     )
-    assert leg_a.latched[RTP] == a_expected
-    assert leg_b.latched[RTP] == b_expected
+    assert leg_a.latched[RTP] == (a_expected.ip, a_expected.port)
+    assert leg_b.latched[RTP] == (b_expected.ip, b_expected.port)
 
 
 def test_forwarding_from_wrong_proxy_port_is_blocked():
@@ -74,7 +74,7 @@ def test_forwarding_from_wrong_proxy_port_is_blocked():
     execute_script(ctx, s)
     session = ctx.proxy.media.session_for(ctx.client_a.call_id)
     leg_b = session.legs[LEG_B]
-    latched_b = leg_b.latched[RTP]
+    latched_b = TransportAddress(*leg_b.latched[RTP])
     proxy_ip = ctx.proxy.config.public_ip
     now = ctx.net.now
     right_port = TransportAddress(proxy_ip, leg_b.rtp_port)
@@ -134,7 +134,8 @@ def test_declared_addresses_recorded_but_not_used():
     session = ctx.proxy.media.session_for(ctx.client_a.call_id)
     assert session.legs[LEG_A].declared == TransportAddress("192.168.1.11", 49570)
     assert session.legs[LEG_B].declared == TransportAddress("10.0.0.4", 6580)
-    assert session.legs[LEG_A].latched[RTP] != session.legs[LEG_A].declared
+    declared = session.legs[LEG_A].declared
+    assert session.legs[LEG_A].latched[RTP] != (declared.ip, declared.port)
 
 
 def test_relayed_descriptions_only_name_proxy_ports():

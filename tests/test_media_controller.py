@@ -21,8 +21,8 @@ from sipnat.net import TransportAddress
 from sipnat.sdp import parse_sdp
 
 PROXY_IP = "200.1.1.1"
-A_PUB = TransportAddress("68.92.25.44", 62001)
-B_PUB = TransportAddress("77.224.10.9", 6100)
+A_PUB = ("68.92.25.44", 62001)
+B_PUB = ("77.224.10.9", 6100)
 
 
 def controller(lo=40000, hi=40100, **kwargs):
@@ -160,14 +160,14 @@ def start_session(ctl):
 def test_unknown_port_dropped():
     ctl = controller()
     start_session(ctl)
-    decision = ctl.on_media_packet(45000, A_PUB, b"x" * 20, now=0.0)
+    decision = ctl.on_media_packet(45000, A_PUB, b"x" * 20)
     assert (decision.action, decision.reason) == ("drop", "unknown_port")
 
 
 def test_first_packet_latches_then_buffers():
     ctl = controller()
     session, leg_a, leg_b = start_session(ctl)
-    decision = ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-0", now=0.0)
+    decision = ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-0")
     assert decision.action == "buffer"
     assert decision.sends == []
     assert leg_a.latched[RTP] == A_PUB
@@ -177,10 +177,10 @@ def test_first_packet_latches_then_buffers():
 def test_peer_latch_flushes_buffer_in_order_then_relays():
     ctl = controller()
     session, leg_a, leg_b = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-0", now=0.0)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-1", now=0.01)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-0")
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"pkt-1")
 
-    decision = ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"from-b", now=0.02)
+    decision = ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"from-b")
     assert leg_b.latched[RTP] == B_PUB
     assert decision.action == "forward"
     # A's buffered packets flush to B, emitted from B's relay port, in order;
@@ -195,38 +195,28 @@ def test_peer_latch_flushes_buffer_in_order_then_relays():
 def test_forward_sends_from_destination_leg_port():
     ctl = controller()
     session, leg_a, leg_b = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
-    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
-    decision = ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a1", now=0.02)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0")
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0")
+    decision = ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a1")
     assert [(s.from_port, s.to, s.payload) for s in decision.sends] == [(leg_b.rtp_port, B_PUB, b"a1")]
 
 
 def test_source_mismatch_dropped_by_default():
     ctl = controller()
     session, leg_a, _ = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
-    impostor = TransportAddress("6.6.6.6", 666)
-    decision = ctl.on_media_packet(leg_a.rtp_port, impostor, b"evil", now=0.01)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0")
+    impostor = ("6.6.6.6", 666)
+    decision = ctl.on_media_packet(leg_a.rtp_port, impostor, b"evil")
     assert (decision.action, decision.reason) == ("drop", "source_mismatch")
     assert leg_a.latched[RTP] == A_PUB
     assert leg_a.counters[RTP].dropped == 1
-
-
-def test_source_mismatch_relatches_when_configured():
-    ctl = controller(relatch=True)
-    session, leg_a, _ = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
-    moved = TransportAddress("68.92.25.44", 62002)
-    decision = ctl.on_media_packet(leg_a.rtp_port, moved, b"a1", now=0.01)
-    assert decision.action == "buffer"
-    assert leg_a.latched[RTP] == moved
 
 
 def test_buffer_cap_drops_oldest():
     ctl = controller(buffer_cap=3)
     session, leg_a, _ = start_session(ctl)
     for i in range(5):
-        ctl.on_media_packet(leg_a.rtp_port, A_PUB, f"pkt-{i}".encode(), now=i * 0.01)
+        ctl.on_media_packet(leg_a.rtp_port, A_PUB, f"pkt-{i}".encode())
     assert list(leg_a.buffers[RTP]) == [b"pkt-2", b"pkt-3", b"pkt-4"]
     assert leg_a.counters[RTP].dropped == 2
 
@@ -234,14 +224,14 @@ def test_buffer_cap_drops_oldest():
 def test_rtp_and_rtcp_latch_independently():
     ctl = controller()
     session, leg_a, leg_b = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"rtp", now=0.0)
-    rtcp_a = TransportAddress(A_PUB.ip, A_PUB.port + 1)
-    ctl.on_media_packet(leg_a.rtcp_port, rtcp_a, b"rtcp", now=0.0)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"rtp")
+    rtcp_a = (A_PUB[0], A_PUB[1] + 1)
+    ctl.on_media_packet(leg_a.rtcp_port, rtcp_a, b"rtcp")
     assert leg_a.latched[RTP] == A_PUB
     assert leg_a.latched[RTCP] == rtcp_a
     # RTCP forwarding needs the peer's RTCP latch, not its RTP latch.
-    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"rtp-b", now=0.01)
-    decision = ctl.on_media_packet(leg_a.rtcp_port, rtcp_a, b"rtcp-2", now=0.02)
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"rtp-b")
+    decision = ctl.on_media_packet(leg_a.rtcp_port, rtcp_a, b"rtcp-2")
     assert decision.action == "buffer"
 
 
@@ -249,10 +239,10 @@ def test_conservation_per_leg():
     ctl = controller(buffer_cap=2)
     session, leg_a, leg_b = start_session(ctl)
     for i in range(5):
-        ctl.on_media_packet(leg_a.rtp_port, A_PUB, f"a-{i}".encode(), now=i * 0.01)
-    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b-0", now=0.06)
+        ctl.on_media_packet(leg_a.rtp_port, A_PUB, f"a-{i}".encode())
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b-0")
     for i in range(3):
-        ctl.on_media_packet(leg_a.rtp_port, A_PUB, f"a2-{i}".encode(), now=0.07 + i * 0.01)
+        ctl.on_media_packet(leg_a.rtp_port, A_PUB, f"a2-{i}".encode())
     counters = leg_a.counters[RTP]
     buffered = len(leg_a.buffers[RTP])
     assert counters.received == counters.forwarded + counters.flushed + counters.dropped + buffered
@@ -261,7 +251,7 @@ def test_conservation_per_leg():
 def test_release_returns_ports_and_keeps_counters():
     ctl = controller()
     session, leg_a, leg_b = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0")
     before = ctl.pool.allocated_count
     assert before == 4
     freed = ctl.release_session("call-1")
@@ -288,18 +278,10 @@ def test_finished_keeps_at_most_one_session_per_pool_pair():
 # -- established-media routes ---------------------------------------------------------
 
 
-def relay(ctl, port, src, payload, fast):
-    """Datagrams emitted for one packet, as (from_port, (ip, port), payload).
-
-    ``fast`` takes the service's two steps: the route table first, the relay
-    decision only on a miss.
-    """
-    if fast:
-        route = ctl.forward_established(port, (src.ip, src.port), len(payload))
-        if route is not None:
-            return [(route.from_port, route.to, payload)]
-    decision = ctl.on_media_packet(port, src, payload, now=0.0)
-    return [(s.from_port, (s.to.ip, s.to.port), s.payload) for s in decision.sends]
+def relay(ctl, port, src, payload):
+    """Datagrams emitted for one packet, as (from_port, (ip, port), payload)."""
+    decision = ctl.on_media_packet(port, src, payload)
+    return [(s.from_port, s.to, s.payload) for s in decision.sends]
 
 
 def routes_from_latches(ctl):
@@ -310,9 +292,8 @@ def routes_from_latches(ctl):
             peer = session.legs[MediaSession.peer_of(name)]
             for kind in (RTP, RTCP):
                 if kind in leg.latched and kind in peer.latched:
-                    src, dst = leg.latched[kind], peer.latched[kind]
                     routes[leg.port_for(kind)] = (
-                        (src.ip, src.port), peer.port_for(kind), (dst.ip, dst.port), id(leg.counters[kind])
+                        leg.latched[kind], peer.port_for(kind), peer.latched[kind], id(leg.counters[kind])
                     )
     return routes
 
@@ -328,92 +309,85 @@ def all_counters(ctl):
     }
 
 
-@pytest.mark.parametrize("relatch", [False, True])
 @pytest.mark.parametrize("seed", range(6))
-def test_route_table_relays_exactly_like_the_relay_decision(seed, relatch):
+def test_route_table_relays_exactly_like_the_relay_decision(seed):
     rng = random.Random(seed)
     # Three sessions fill the pool, so released ports are soon handed out again.
-    slow = controller(40000, 40011, buffer_cap=3, relatch=relatch)
-    fast = controller(40000, 40011, buffer_cap=3, relatch=relatch)
+    # The reference controller's routes are emptied before each packet, so
+    # every packet it sees takes the latch decision.
+    reference = controller(40000, 40011, buffer_cap=3)
+    routed = controller(40000, 40011, buffer_cap=3)
     # Few addresses, shared by all calls: an earlier call's client, an
     # impostor and a moved client all send to reused ports.
-    hosts = [TransportAddress(f"10.0.0.{i}", 5000 + 2 * j) for i in (1, 2) for j in range(3)]
+    hosts = [(f"10.0.0.{i}", 5000 + 2 * j) for i in (1, 2) for j in range(3)]
     calls = hits = 0
     for step in range(600):
         roll = rng.random()
-        if roll < 0.05 and len(slow.sessions) < 3:
+        if roll < 0.05 and len(reference.sessions) < 3:
             call_id = f"call-{calls}"
             calls += 1
-            for ctl in (slow, fast):
+            for ctl in (reference, routed):
                 ctl.allocate_session(call_id)
-        elif roll < 0.09 and slow.sessions:
-            call_id = rng.choice(sorted(slow.sessions))
-            for ctl in (slow, fast):
+        elif roll < 0.09 and reference.sessions:
+            call_id = rng.choice(sorted(reference.sessions))
+            for ctl in (reference, routed):
                 ctl.release_session(call_id)
         else:
             port = rng.randrange(39999, 40013)  # one port either side of the pool
-            src = rng.choice(hosts)
-            if rng.random() < 0.5:
-                src = TransportAddress(src.ip, src.port + 1)  # RTCP's usual source
-            owner = slow.pool.owner_of(port)
+            ip, src_port = rng.choice(hosts)
+            src = (ip, src_port + 1) if rng.random() < 0.5 else (ip, src_port)  # RTCP's usual source
+            owner = reference.pool.owner_of(port)
             if owner is not None and rng.random() < 0.8:
                 # Mostly the leg's own client, once it has latched.
                 call_id, leg, kind = owner
-                src = slow.sessions[call_id].legs[leg].latched.get(kind, src)
+                src = reference.sessions[call_id].legs[leg].latched.get(kind, src)
             payload = f"pkt-{step}".encode()
-            route = fast.routes.get(port)
-            hits += route is not None and route.source == (src.ip, src.port)
-            assert relay(fast, port, src, payload, fast=True) == relay(slow, port, src, payload, fast=False)
-        assert all_counters(fast) == all_counters(slow)
-        assert route_table(fast) == routes_from_latches(fast)
-        assert route_table(slow) == routes_from_latches(slow)
+            route = routed.routes.get(port)
+            hits += route is not None and route.source == src
+            reference.routes.clear()
+            assert relay(routed, port, src, payload) == relay(reference, port, src, payload)
+        assert all_counters(routed) == all_counters(reference)
+        assert route_table(routed) == routes_from_latches(routed)
     assert calls > 3 and hits > 50  # ports were reused, and many packets took a route
 
 
 def test_forward_established_needs_both_latches_and_the_latched_source():
     ctl = controller()
     session, leg_a, leg_b = start_session(ctl)
-    a_src, b_src = (A_PUB.ip, A_PUB.port), (B_PUB.ip, B_PUB.port)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
-    assert ctl.forward_established(leg_a.rtp_port, a_src, 2) is None  # peer not latched
-    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
-    assert ctl.routes[leg_a.rtp_port] == Route(a_src, leg_b.rtp_port, b_src, leg_a.counters[RTP])
-    assert ctl.routes[leg_b.rtp_port] == Route(b_src, leg_a.rtp_port, a_src, leg_b.counters[RTP])
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0")
+    assert ctl.routes == {}  # peer not latched
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0")
+    assert ctl.routes[leg_a.rtp_port] == Route(A_PUB, leg_b.rtp_port, B_PUB, leg_a.counters[RTP])
+    assert ctl.routes[leg_b.rtp_port] == Route(B_PUB, leg_a.rtp_port, A_PUB, leg_b.counters[RTP])
     assert leg_a.rtcp_port not in ctl.routes  # RTCP has latched on neither leg
 
-    before = (leg_a.counters[RTP].received, leg_a.counters[RTP].forwarded)
-    assert ctl.forward_established(leg_a.rtp_port, ("6.6.6.6", 666), 4) is None
-    assert ctl.forward_established(leg_a.rtp_port, a_src, 7) is ctl.routes[leg_a.rtp_port]
     counters = leg_a.counters[RTP]
-    assert (counters.received, counters.forwarded) == (before[0] + 1, before[1] + 1)
-    assert counters.received_bytes == 2 + 7
-
-
-def test_relatch_moves_both_routes():
-    ctl = controller(relatch=True)
-    session, leg_a, leg_b = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
-    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
-    moved = TransportAddress(A_PUB.ip, A_PUB.port + 10)
-    assert ctl.on_media_packet(leg_a.rtp_port, moved, b"a1", now=0.02).action == "forward"
-    assert ctl.routes[leg_a.rtp_port].source == (moved.ip, moved.port)
-    assert ctl.routes[leg_b.rtp_port].to == (moved.ip, moved.port)
-    assert ctl.forward_established(leg_a.rtp_port, (A_PUB.ip, A_PUB.port), 2) is None
+    before = (counters.received, counters.forwarded, counters.dropped)
+    impostor = ctl.on_media_packet(leg_a.rtp_port, ("6.6.6.6", 666), b"evil")
+    assert (impostor.action, impostor.reason, impostor.sends) == ("drop", "source_mismatch", [])
+    decision = ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a1-pkt")
+    assert (decision.action, decision.reason) == ("forward", None)
+    assert [(s.from_port, s.to, s.payload) for s in decision.sends] == [(leg_b.rtp_port, B_PUB, b"a1-pkt")]
+    assert (counters.received, counters.forwarded, counters.dropped) == (
+        before[0] + 2, before[1] + 1, before[2] + 1
+    )
+    assert counters.received_bytes == 2 + 4 + 6
 
 
 def test_released_call_routes_nothing_on_its_reused_ports():
     ctl = controller()
     session, leg_a, leg_b = start_session(ctl)
-    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0", now=0.0)
-    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0", now=0.01)
+    ctl.on_media_packet(leg_a.rtp_port, A_PUB, b"a0")
+    ctl.on_media_packet(leg_b.rtp_port, B_PUB, b"b0")
     ctl.release_session("call-1")
     assert ctl.routes == {}
 
     reused = ctl.allocate_session("call-2").legs[LEG_A]
     assert reused.rtp_port == leg_a.rtp_port
-    # The old caller's late packet must not reach the old callee.
-    assert ctl.forward_established(reused.rtp_port, (A_PUB.ip, A_PUB.port), 4) is None
-    decision = ctl.on_media_packet(reused.rtp_port, A_PUB, b"late", now=0.02)
+    # The old caller's late packet must not reach the old callee: it latches
+    # the new call's leg and waits for that call's peer.
+    decision = ctl.on_media_packet(reused.rtp_port, A_PUB, b"late")
     assert decision.action == "buffer"
     assert decision.sends == []
+    assert ctl.routes == {}
     assert leg_a.counters[RTP].received == 1  # the old call's counters are untouched

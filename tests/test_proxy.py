@@ -326,17 +326,26 @@ def test_error_response_to_invite_terminates_and_forwards():
     assert proxy.calls == {}
 
 
+def tick_events(proxy, now):
+    """The events one ``tick`` sends to the event hook, as (event, detail)."""
+    events = []
+    proxy.set_event_hook(lambda event, detail: events.append((event, detail)))
+    assert proxy.tick(now) is None
+    return events
+
+
 def test_unanswered_invite_times_out_and_frees_ports():
     proxy = make_proxy()
     register_both(proxy)
     pool_at_rest = proxy.media.pool.free_pairs()
     proxy.handle_message(B_CONN, invite_from_b(), 10.0)
-    assert proxy.tick(41.9) == []
-    actions = proxy.tick(42.0)  # guard is 32 s
-    assert [a.kind for a in actions] == ["invite_timeout"]
+    assert tick_events(proxy, 41.9) == []
+    events = tick_events(proxy, 42.0)  # guard is 32 s
+    assert [event for event, _ in events] == ["media_released", "invite_timeout"]
+    assert events[-1] == ("invite_timeout", "call-1@local2.com")
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
     assert proxy.media.pool.free_pairs() == pool_at_rest
-    assert proxy.tick(73.9) == []
+    assert tick_events(proxy, 73.9) == []
     assert "call-1@local2.com" in proxy.calls
     proxy.tick(42.0 + proxy.config.invite_guard)
     assert proxy.calls == {}
@@ -345,8 +354,8 @@ def test_unanswered_invite_times_out_and_frees_ports():
 def test_tick_expires_registrations():
     proxy = make_proxy(registration_ttl=100.0)
     register_both(proxy, now=0.0)
-    actions = proxy.tick(100.0)
-    assert sorted(a.detail for a in actions if a.kind == "registration_expired") == [
+    events = tick_events(proxy, 100.0)
+    assert sorted(detail for event, detail in events if event == "registration_expired") == [
         "sip:ClientA@local1.com",
         "sip:ClientB@local2.com",
     ]
@@ -355,7 +364,7 @@ def test_tick_expires_registrations():
 def test_tick_noop_returns_empty():
     proxy = make_proxy()
     register_both(proxy)
-    assert proxy.tick(1.0) == []
+    assert tick_events(proxy, 1.0) == []
 
 
 def test_delivery_failure_of_invite_yields_404_to_caller():
@@ -407,11 +416,11 @@ def test_media_datagram_path_through_proxy():
     session = proxy.calls["call-1@local2.com"].media
     b_port = session.legs[LEG_B].rtp_port
     a_port = session.legs[LEG_A].rtp_port
-    b_media = TransportAddress("77.224.10.9", 6200)
-    a_media = TransportAddress("68.92.25.44", 62001)
+    b_media = ("77.224.10.9", 6200)
+    a_media = ("68.92.25.44", 62001)
 
-    assert proxy.handle_media(b_port, b_media, b"from-b", 2.0) == []  # buffered
-    sends = proxy.handle_media(a_port, a_media, b"from-a", 2.1)
+    assert proxy.handle_media(b_port, b_media, b"from-b") == []  # buffered
+    sends = proxy.handle_media(a_port, a_media, b"from-a")
     assert [(s.from_port, s.to, s.payload) for s in sends] == [
         (a_port, a_media, b"from-b"),
         (b_port, b_media, b"from-a"),

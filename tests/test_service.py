@@ -2,17 +2,20 @@
 
 import socket
 import time
+from dataclasses import dataclass, replace
 
 import pytest
 
 import samples
 from sipnat.media_controller import RTP
 from sipnat.proxy import ProxyConfig
+from sipnat.rtp import build_rtp, parse_rtp
 from sipnat.sdp import parse_sdp
 from sipnat.service import ProxyService
 from sipnat.sip_message import (
     MessageFramer,
     Method,
+    SipMessage,
     build_response,
     parse_message,
     serialize_message,
@@ -110,7 +113,28 @@ def test_signaling_sockets_disable_nagle(service):
     client.close()
 
 
-def test_full_call_with_real_media_relay(service):
+@dataclass
+class MediaCall:
+    """An established call: both parties' signaling and media sockets, and
+    the relay address each party sends its media to."""
+
+    client_a: TcpClient
+    client_b: TcpClient
+    media_a: socket.socket
+    media_b: socket.socket
+    a_target: tuple[str, int]
+    b_target: tuple[str, int]
+    ack: SipMessage
+
+    def close(self):
+        for sock in (self.media_a, self.media_b):
+            sock.close()
+        self.client_a.close()
+        self.client_b.close()
+
+
+def establish_call(service) -> MediaCall:
+    """ClientB calls ClientA through the service, each with its own media socket."""
     client_a = TcpClient(service.sip_port)
     client_b = TcpClient(service.sip_port)
     lo, hi = service.config.media_port_range
@@ -176,17 +200,21 @@ def test_full_call_with_real_media_relay(service):
     b_target = (rewritten.connection_ip, rewritten.media[0].port)
     assert a_target != b_target
 
-    from dataclasses import replace
     ack = replace(
         invite, method=Method.ACK, cseq_method=Method.ACK, body=b"",
         content_type=None, contact=None,
     )
     client_b.send(serialize_message(ack))
     client_a.recv_message()  # forwarded ACK
+    return MediaCall(client_a, client_b, media_a, media_b, a_target, b_target, ack)
+
+
+def test_full_call_with_real_media_relay(service):
+    call = establish_call(service)
+    client_a, client_b, media_a, media_b = call.client_a, call.client_b, call.media_a, call.media_b
+    a_target, b_target = call.a_target, call.b_target
 
     # Each side talks to its own relay port; payloads must cross unchanged.
-    from sipnat.rtp import build_rtp, parse_rtp
-
     packet_a = build_rtp(0, 1, 160, 0xA, b"from-a")
     packet_b = build_rtp(0, 1, 160, 0xB, b"from-b")
     media_a.sendto(packet_a, a_target)
@@ -226,7 +254,7 @@ def test_full_call_with_real_media_relay(service):
     assert media_b.recvfrom(2048) == (b"after-impostor", b_target)
     impostor.close()
 
-    bye = replace(ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2)
+    bye = replace(call.ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2)
     client_b.send(serialize_message(bye))
     forwarded_bye = client_a.recv_message()
     assert forwarded_bye.method is Method.BYE
@@ -236,11 +264,44 @@ def test_full_call_with_real_media_relay(service):
     wait_until(lambda: service.proxy.media.pool.allocated_count == 0)
     assert service.proxy.media.pool.allocated_count == 0
     assert service.proxy.calls == {}
+    call.close()
 
-    for sock in (media_a, media_b):
-        sock.close()
-    client_a.close()
-    client_b.close()
+
+def test_every_media_datagram_goes_through_handle_media(service, monkeypatch):
+    call = establish_call(service)
+    seen = []
+    handle_media = service.proxy.handle_media
+
+    def counted(relay_port, src, datagram):
+        seen.append((relay_port, src, datagram))
+        return handle_media(relay_port, src, datagram)
+
+    monkeypatch.setattr(service.proxy, "handle_media", counted)
+    impostor = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    impostor.bind((HOST, 0))
+    a_src, b_src = call.media_a.getsockname(), call.media_b.getsockname()
+    a_port, b_port = call.a_target[1], call.b_target[1]
+
+    # Latch both legs, then run established media both ways.
+    call.media_a.sendto(b"a-0", call.a_target)
+    time.sleep(0.1)
+    call.media_b.sendto(b"b-0", call.b_target)
+    assert call.media_b.recvfrom(2048)[0] == b"a-0"
+    assert call.media_a.recvfrom(2048)[0] == b"b-0"
+    sent = [(a_port, a_src, b"a-0"), (b_port, b_src, b"b-0")]
+    for seq in range(1, 21):
+        call.media_a.sendto(b"a-%d" % seq, call.a_target)
+        call.media_b.sendto(b"b-%d" % seq, call.b_target)
+        sent += [(a_port, a_src, b"a-%d" % seq), (b_port, b_src, b"b-%d" % seq)]
+    impostor.sendto(b"hijack", call.a_target)
+    sent.append((a_port, impostor.getsockname(), b"hijack"))
+
+    wait_until(lambda: len(seen) == len(sent))
+    assert sorted(seen) == sorted(sent)
+    assert [call.media_b.recvfrom(2048)[0] for _ in range(20)] == [b"a-%d" % seq for seq in range(1, 21)]
+    assert [call.media_a.recvfrom(2048)[0] for _ in range(20)] == [b"b-%d" % seq for seq in range(1, 21)]
+    impostor.close()
+    call.close()
 
 
 def test_closing_connection_unregisters(service):

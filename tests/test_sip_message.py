@@ -317,6 +317,13 @@ def test_framer_header_overflow():
         framer.feed(b"X" * 200)
 
 
+def test_framer_returns_framed_messages_before_header_overflow(invite_raw):
+    framer = MessageFramer()
+    assert framer.feed(invite_raw + b"X" * 70000) == [invite_raw]
+    with pytest.raises(FramingError):
+        framer.feed(b"X")
+
+
 def test_build_response_echoes_identity(invite_raw):
     msg = parse_message(invite_raw)
     resp = build_response(msg, 404, "Not Found")
