@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -56,9 +57,26 @@ class ScriptMismatch(Exception):
     pass
 
 
+SCRIPT_EVENTS = ("register", "idle", "call", "talk", "hangup")
+MAX_TALK_PACKETS = 65_536  # one RTP sequence number (16 bits) per packet
+
+
+def _is_number(value: object) -> bool:
+    """An int or a float; a bool is an int subclass but not a number here."""
+    return type(value) in (int, float)
+
+
+def _is_finite_positive(value: object) -> bool:
+    return _is_number(value) and math.isfinite(value) and value > 0
+
+
 @dataclass
 class ScriptEvent:
-    """One scripted step: register | idle | call | talk | hangup."""
+    """One scripted step: register | idle | call | talk | hangup.
+
+    Every field is checked on construction, however the event was made, so
+    a script that runs is one the simulator can finish.
+    """
 
     kind: str
     seconds: float = 0.0  # idle
@@ -66,32 +84,38 @@ class ScriptEvent:
     interval: float = 0.02  # talk, seconds between packets
     caller: str = "a"  # call/hangup: which client acts
 
+    def __post_init__(self) -> None:
+        if self.kind not in SCRIPT_EVENTS:
+            raise InvalidScenario(f"unknown script event: {self.kind!r}")
+        if not _is_number(self.seconds) or not math.isfinite(self.seconds) or self.seconds < 0:
+            raise InvalidScenario(f"idle needs finite non-negative 'seconds', got {self.seconds!r}")
+        if type(self.packets) is not int or not 0 <= self.packets <= MAX_TALK_PACKETS:
+            raise InvalidScenario(
+                f"talk needs integer 'packets' in 0..{MAX_TALK_PACKETS}, got {self.packets!r}"
+            )
+        if not _is_finite_positive(self.interval):
+            raise InvalidScenario(f"talk needs a finite positive interval, got {self.interval!r} s")
+        if self.caller not in ("a", "b"):
+            raise InvalidScenario(f"{self.kind} 'caller' must be 'a' or 'b', got {self.caller!r}")
+        self.seconds = float(self.seconds)
+        self.interval = float(self.interval)
+
     @classmethod
     def from_dict(cls, data: dict) -> "ScriptEvent":
         if not isinstance(data, dict) or "event" not in data:
             raise InvalidScenario(f"script entry must be an object with 'event': {data!r}")
         kind = data["event"]
-        if kind == "register":
-            return cls("register")
+        fields: dict = {}
         if kind == "idle":
-            seconds = data.get("seconds")
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                raise InvalidScenario(f"idle needs non-negative 'seconds': {data!r}")
-            return cls("idle", seconds=float(seconds))
-        if kind in ("call", "hangup"):
-            caller = str(data.get("caller", "a")).lower()
-            if caller not in ("a", "b"):
-                raise InvalidScenario(f"{kind} 'caller' must be 'a' or 'b': {data!r}")
-            return cls(kind, caller=caller)
-        if kind == "talk":
-            packets = data.get("packets", 50)
-            interval = data.get("interval_ms", 20)
-            if not isinstance(packets, int) or packets < 0:
-                raise InvalidScenario(f"talk needs integer 'packets': {data!r}")
-            if not isinstance(interval, (int, float)) or interval <= 0:
-                raise InvalidScenario(f"talk needs positive 'interval_ms': {data!r}")
-            return cls("talk", packets=packets, interval=float(interval) / 1000.0)
-        raise InvalidScenario(f"unknown script event: {kind!r}")
+            fields["seconds"] = data.get("seconds")
+        elif kind == "talk":
+            interval_ms = data.get("interval_ms", 20)
+            fields["packets"] = data.get("packets", 50)
+            # Only a number converts to seconds; anything else reaches the check as it is.
+            fields["interval"] = interval_ms / 1000.0 if _is_number(interval_ms) else interval_ms
+        elif kind in ("call", "hangup"):
+            fields["caller"] = str(data.get("caller", "a")).lower()
+        return cls(kind, **fields)
 
     def to_dict(self) -> dict:
         if self.kind == "idle":
@@ -135,11 +159,21 @@ class Scenario:
             raise InvalidScenario(f"unknown mode: {self.mode!r}")
         if self.signaling not in (SIGNALING_TCP, SIGNALING_UDP):
             raise InvalidScenario(f"unknown signaling transport: {self.signaling!r}")
+        for name in ("seed", "extra_clients"):
+            if type(getattr(self, name)) is not int:  # bool is an int subclass
+                raise InvalidScenario(f"{name} must be an integer")
         if self.extra_clients < 0:
             raise InvalidScenario("extra_clients must be >= 0")
+        if not _is_finite_positive(self.udp_binding_ttl):
+            raise InvalidScenario("udp_binding_ttl must be a finite positive number")
+        if self.tcp_idle_ttl is not None and not _is_finite_positive(self.tcp_idle_ttl):
+            raise InvalidScenario("tcp_idle_ttl must be a finite positive number or null")
         # A list, not a set: membership must not hash an unhashable ``expect``.
         if self.expect is not None and self.expect not in [o.value for o in Outcome]:
             raise InvalidScenario(f"unknown expected outcome: {self.expect!r}")
+        self.udp_binding_ttl = float(self.udp_binding_ttl)
+        if self.tcp_idle_ttl is not None:
+            self.tcp_idle_ttl = float(self.tcp_idle_ttl)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -151,15 +185,6 @@ class Scenario:
         script_data = data.get("script")
         if not isinstance(script_data, list) or not script_data:
             raise InvalidScenario("scenario needs a non-empty 'script' array")
-        ttl = data.get("udp_binding_ttl", 60.0)
-        if not isinstance(ttl, (int, float)) or ttl <= 0:
-            raise InvalidScenario("udp_binding_ttl must be positive")
-        tcp_ttl = data.get("tcp_idle_ttl")
-        if tcp_ttl is not None and (not isinstance(tcp_ttl, (int, float)) or tcp_ttl <= 0):
-            raise InvalidScenario("tcp_idle_ttl must be positive or null")
-        for name in ("seed", "extra_clients"):
-            if type(data.get(name, 0)) is not int:  # bool is an int subclass
-                raise InvalidScenario(f"{name} must be an integer")
         return cls(
             nat_a=nat_a,
             nat_b=nat_b,
@@ -167,8 +192,8 @@ class Scenario:
             seed=data.get("seed", 0),
             mode=data.get("mode", MODE_ADAPTED),
             signaling=data.get("signaling", SIGNALING_TCP),
-            udp_binding_ttl=float(ttl),
-            tcp_idle_ttl=float(tcp_ttl) if tcp_ttl is not None else None,
+            udp_binding_ttl=data.get("udp_binding_ttl", 60.0),
+            tcp_idle_ttl=data.get("tcp_idle_ttl"),
             extra_clients=data.get("extra_clients", 0),
             expect=data.get("expect"),
         )
@@ -345,8 +370,9 @@ def execute_script(ctx: SimContext, scenario: Scenario) -> None:
             caller.invite(callee)
             net.run()
         elif event.kind == "talk":
+            start, interval = net.now, event.interval
             for k in range(event.packets):
-                when = net.now + k * event.interval
+                when = start + k * interval
                 net.schedule_at(when, lambda k=k, c=ctx.client_a: c.send_rtp(k))
                 net.schedule_at(when, lambda k=k, c=ctx.client_b: c.send_rtp(k))
             if event.packets:
@@ -413,6 +439,8 @@ def run_scenario(scenario: Scenario) -> Report:
                 f"{client.name}: {ALLOCATIONS_PER_CLIENT} transactions",
             )
 
+    # Entries logged by one event share its time: round each distinct time once.
+    rounded = {t: round(t, 6) for t in {e.time for e in net.events}}
     return Report(
         mode=scenario.mode,
         seed=scenario.seed,
@@ -423,7 +451,10 @@ def run_scenario(scenario: Scenario) -> Report:
         sip_messages=sip_messages,
         allocation_transactions=allocation_transactions,
         clients=len(clients),
-        events=[entry.to_dict() for entry in net.events],
+        events=[
+            {"time": rounded[e.time], "actor": e.actor, "event": e.event, "detail": e.detail}
+            for e in net.events
+        ],
     )
 
 

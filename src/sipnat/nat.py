@@ -21,6 +21,7 @@ offset, so identical event sequences produce identical binding tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -59,24 +60,30 @@ class NatConfig:
             raise ValueError("udp_binding_ttl must be positive")
 
 
-@dataclass
+@dataclass(slots=True)
 class NatBinding:
     internal: TransportAddress
     external: TransportAddress
     transport: str
     last_activity: float
+    ttl: float  # idle seconds before expiry; inf: never
     key: tuple  # this binding's key in NatBox._bindings
-    peers_contacted: set[TransportAddress] = field(default_factory=set)
-    destination_key: TransportAddress | None = None  # symmetric only
+    peers_contacted: set[tuple[str, int]] = field(default_factory=set)  # (ip, port)
+    destination_key: tuple[str, int] | None = None  # symmetric only: (ip, port)
 
 
 class NatBox:
-    """One NAT instance: binding table plus the type's mapping/filtering rules."""
+    """One NAT instance: binding table plus the type's mapping/filtering rules.
+
+    Bindings are keyed by plain ``(ip, port, ...)`` tuples, which hash in C;
+    ``TransportAddress`` values cross only the public methods.
+    """
 
     def __init__(self, config: NatConfig, seed: int = 0):
         self.config = config
         self._bindings: dict[tuple, NatBinding] = {}
         self._by_port: dict[int, NatBinding] = {}
+        self._symmetric = config.nat_type is NatType.SYMMETRIC
         lo, hi = config.port_range
         self._span = hi - lo + 1
         self._next = lo + seed % self._span
@@ -86,18 +93,15 @@ class NatBox:
         return list(self._bindings.values())
 
     def _key(self, internal: TransportAddress, dst: TransportAddress | None, transport: str) -> tuple:
-        if self.config.nat_type is NatType.SYMMETRIC:
-            return (internal, dst, transport)
-        return (internal, transport)
+        if self._symmetric:
+            return (internal.ip, internal.port, dst.ip, dst.port, transport)
+        return (internal.ip, internal.port, transport)
 
-    def _ttl(self, transport: str) -> float | None:
+    def _ttl(self, transport: str) -> float:
         if transport == UDP:
             return self.config.udp_binding_ttl
-        return self.config.tcp_idle_ttl
-
-    def _is_stale(self, binding: NatBinding, now: float) -> bool:
-        ttl = self._ttl(binding.transport)
-        return ttl is not None and now - binding.last_activity >= ttl
+        ttl = self.config.tcp_idle_ttl
+        return math.inf if ttl is None else ttl
 
     def _drop(self, binding: NatBinding) -> None:
         del self._bindings[binding.key]
@@ -125,9 +129,10 @@ class NatBox:
         """
         key = self._key(internal_src, external_dst, transport)
         binding = self._bindings.get(key)
-        if binding is not None and self._is_stale(binding, now):
+        if binding is not None and now - binding.last_activity >= binding.ttl:
             self._drop(binding)
             binding = None
+        peer = (external_dst.ip, external_dst.port)
         if binding is None:
             external = TransportAddress(self.config.public_ip, self._allocate_port())
             binding = NatBinding(
@@ -135,14 +140,13 @@ class NatBox:
                 external=external,
                 transport=transport,
                 last_activity=now,
+                ttl=self._ttl(transport),
                 key=key,
-                destination_key=(
-                    external_dst if self.config.nat_type is NatType.SYMMETRIC else None
-                ),
+                destination_key=peer if self._symmetric else None,
             )
             self._bindings[key] = binding
             self._by_port[external.port] = binding
-        binding.peers_contacted.add(external_dst)
+        binding.peers_contacted.add(peer)
         binding.last_activity = now
         return binding.external
 
@@ -164,27 +168,27 @@ class NatBox:
         binding = self._by_port.get(external_dst.port)
         if binding is None or binding.transport != transport:
             return None
-        if self._is_stale(binding, now):
+        if now - binding.last_activity >= binding.ttl:
             self._drop(binding)
             return None
-        if not self._accepts(binding, external_src):
+        if not self._accepts(binding, (external_src.ip, external_src.port)):
             return None
         binding.last_activity = now
         return binding.internal
 
-    def _accepts(self, binding: NatBinding, source: TransportAddress) -> bool:
+    def _accepts(self, binding: NatBinding, source: tuple[str, int]) -> bool:
         nat_type = self.config.nat_type
         if nat_type is NatType.FULL_CONE:
             return True
         if nat_type is NatType.RESTRICTED_CONE:
-            return any(peer.ip == source.ip for peer in binding.peers_contacted)
+            return any(ip == source[0] for ip, _ in binding.peers_contacted)
         if nat_type is NatType.PORT_RESTRICTED_CONE:
             return source in binding.peers_contacted
         return source == binding.destination_key
 
     def expire(self, now: float) -> int:
         """Remove every stale binding; return how many were dropped."""
-        stale = [b for b in self._bindings.values() if self._is_stale(b, now)]
+        stale = [b for b in self._bindings.values() if now - b.last_activity >= b.ttl]
         for binding in stale:
             self._drop(binding)
         return len(stale)
@@ -200,7 +204,7 @@ class NatBox:
         For a symmetric NAT the destination must be given, since mappings
         are per destination.
         """
-        if external_dst is None and self.config.nat_type is NatType.SYMMETRIC:
+        if external_dst is None and self._symmetric:
             raise ValueError("symmetric lookup requires the destination")
         binding = self._bindings.get(self._key(internal_src, external_dst, transport))
         return binding.external if binding else None

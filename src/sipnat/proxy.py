@@ -3,7 +3,9 @@
 REGISTER binds the client to the TCP connection it arrived on; INVITE and
 its answer get their session descriptions rewritten to relay ports before
 forwarding; ACK establishes; BYE tears the relay session down.  Request
-failures come back as SIP error responses, never silence.
+failures come back as SIP error responses, never silence.  Only the call's
+two connections act on it: a BYE from any other connection gets 481, and
+an ACK or response from one is dropped with a ``non_party_message`` event.
 
 A call that one party hangs up once established leaves ``SipProxy.calls``
 as soon as the other party's final response to that BYE is relayed.  Calls
@@ -70,7 +72,11 @@ class CallState:
     # Sender and CSeq of the final BYE response that retires the call at once.
     retire_on: tuple[ConnectionId, int] | None = None
 
+    def is_party(self, conn: ConnectionId) -> bool:
+        return conn == self.caller_conn or conn == self.callee_conn
+
     def peer_conn(self, conn: ConnectionId) -> ConnectionId:
+        """The other party's connection; ``conn`` must be a party's."""
         return self.callee_conn if conn == self.caller_conn else self.caller_conn
 
 
@@ -198,6 +204,9 @@ class SipProxy:
         if call is None:
             self._on_event("stray_ack", msg.call_id)
             return []
+        if not call.is_party(conn):
+            self._on_event("non_party_message", f"ACK from connection {conn} for {msg.call_id}")
+            return []
         if call.phase is Phase.INVITING:
             call.phase = Phase.ESTABLISHED
             self._on_event("call_established", msg.call_id)
@@ -205,7 +214,7 @@ class SipProxy:
 
     def _on_bye(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         call = self.calls.get(msg.call_id)
-        if call is None:
+        if call is None or not call.is_party(conn):
             return self._reply(conn, msg, 481, "Call/Transaction Does Not Exist")
         if call.phase is Phase.ESTABLISHED:
             call.retire_on = (call.peer_conn(conn), msg.cseq_num)
@@ -218,6 +227,11 @@ class SipProxy:
         call = self.calls.get(msg.call_id)
         if call is None:
             self._on_event("stray_response", f"{msg.status_code} for {msg.call_id}")
+            return []
+        if not call.is_party(conn):
+            self._on_event(
+                "non_party_message", f"{msg.status_code} from connection {conn} for {msg.call_id}"
+            )
             return []
         dest = call.peer_conn(conn)
         if msg.cseq_method is Method.INVITE:

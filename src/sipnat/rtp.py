@@ -8,10 +8,12 @@ never generated.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 RTP_VERSION = 2
 HEADER_LEN = 12
+_HEADER = struct.Struct("!BBHII")  # V/P/X/CC, M/PT, sequence, timestamp, SSRC
+_EXTENSION_WORDS = struct.Struct("!H")
 
 
 class RtpError(Exception):
@@ -34,8 +36,7 @@ class FieldOutOfRange(RtpError):
     pass
 
 
-@dataclass(frozen=True)
-class RtpPacket:
+class RtpPacket(NamedTuple):
     payload_type: int
     sequence: int
     timestamp: int
@@ -46,40 +47,30 @@ class RtpPacket:
 
 def parse_rtp(raw: bytes) -> RtpPacket:
     """Decode the fixed header; remainder (minus padding/extension) is payload."""
-    if len(raw) < HEADER_LEN:
-        raise TooShort(f"datagram of {len(raw)} bytes, need at least {HEADER_LEN}")
-    b0, b1, sequence, timestamp, ssrc = struct.unpack("!BBHII", raw[:HEADER_LEN])
+    size = len(raw)
+    if size < HEADER_LEN:
+        raise TooShort(f"datagram of {size} bytes, need at least {HEADER_LEN}")
+    b0, b1, sequence, timestamp, ssrc = _HEADER.unpack_from(raw)
     version = b0 >> 6
     if version != RTP_VERSION:
         raise BadVersion(f"version {version}, expected {RTP_VERSION}")
-    has_padding = bool(b0 & 0x20)
-    has_extension = bool(b0 & 0x10)
-    csrc_count = b0 & 0x0F
-    payload_type = b1 & 0x7F
-
-    offset = HEADER_LEN + 4 * csrc_count
-    if len(raw) < offset:
+    offset = HEADER_LEN + 4 * (b0 & 0x0F)  # CSRC list
+    if size < offset:
         raise TooShort("datagram shorter than its CSRC list")
-    if has_extension:
-        if len(raw) < offset + 4:
+    if b0 & 0x10:  # header extension
+        if size < offset + 4:
             raise TooShort("datagram shorter than its extension header")
-        ext_words = struct.unpack("!H", raw[offset + 2 : offset + 4])[0]
+        (ext_words,) = _EXTENSION_WORDS.unpack_from(raw, offset + 2)
         offset += 4 + 4 * ext_words
-        if len(raw) < offset:
+        if size < offset:
             raise TooShort("datagram shorter than its header extension")
-    end = len(raw)
-    if has_padding:
+    end = size
+    if b0 & 0x20:  # padding
         pad = raw[-1]
         if pad == 0 or pad > end - offset:
             raise TooShort(f"invalid padding count {pad}")
         end -= pad
-    return RtpPacket(
-        payload_type=payload_type,
-        sequence=sequence,
-        timestamp=timestamp,
-        ssrc=ssrc,
-        payload=raw[offset:end],
-    )
+    return RtpPacket(b1 & 0x7F, sequence, timestamp, ssrc, raw[offset:end])
 
 
 def build_rtp(
@@ -98,5 +89,4 @@ def build_rtp(
         raise FieldOutOfRange(f"timestamp out of range: {timestamp}")
     if not 0 <= ssrc <= 0xFFFFFFFF:
         raise FieldOutOfRange(f"ssrc out of range: {ssrc}")
-    header = struct.pack("!BBHII", RTP_VERSION << 6, payload_type, sequence, timestamp, ssrc)
-    return header + payload
+    return _HEADER.pack(RTP_VERSION << 6, payload_type, sequence, timestamp, ssrc) + payload

@@ -1,16 +1,24 @@
 """Single-threaded deterministic network: virtual clock, NATs, proxy, clients.
 
-Everything runs off one event queue (ties broken by insertion order).  TCP
-signaling is modeled as an ordered reliable message channel whose NAT
-binding is created at connect time; UDP signaling and all media are
-per-datagram, so every hop consults the NAT filter and can be silently
-dropped.  No real time or real sockets are involved.
+Everything runs off one event queue (ties broken by insertion order), and
+every event enters it through ``SimNetwork.schedule_at``.  TCP signaling is
+modeled as an ordered reliable message channel whose NAT binding is created
+at connect time; UDP signaling and all media are per-datagram, so every hop
+consults the NAT filter and can be silently dropped.  No real time or real
+sockets are involved.
+
+The per-packet path builds no address: the relay hands back ``(ip, port)``
+tuples, and ``SimNetwork`` maps each to one interned ``TransportAddress``
+(the relay's ports and the latched client addresses alike), while its
+socket table is keyed by plain tuples.  Log entries keep the raw clock;
+``harness.run_scenario`` rounds each distinct time once, for the report.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable
 
 from .media_controller import RelaySend
@@ -33,15 +41,12 @@ from .sip_message import (
 LATENCY = 0.001  # one-way hop delay, virtual seconds
 
 
-@dataclass
+@dataclass(slots=True)
 class LogEntry:
-    time: float
+    time: float  # the virtual clock, unrounded; reports round it
     actor: str
     event: str
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"time": self.time, "actor": self.actor, "event": self.event, "detail": self.detail}
 
 
 def describe(msg: SipMessage) -> str:
@@ -61,10 +66,12 @@ class SimNetwork:
         self.now = 0.0
         self.events: list[LogEntry] = []
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
+        self._seq = count()
         self._nats: dict[str, NatBox] = {}
         self._nat_labels: dict[str, str] = {}
-        self._udp_sockets: dict[tuple[str, TransportAddress], Callable] = {}
+        # (NAT public IP, internal IP, internal port) -> datagram handler
+        self._udp_sockets: dict[tuple[str, str, int], Callable] = {}
+        self._addresses: dict[tuple[str, int], TransportAddress] = {}
         self._channels: dict[int, "SignalingChannel"] = {}
         self._next_conn = 1
         proxy.set_event_hook(lambda event, detail: self.log("proxy", event, detail))
@@ -75,14 +82,17 @@ class SimNetwork:
         self.schedule_at(self.now + delay, fn)
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self._queue, (when, self._seq, fn))
-        self._seq += 1
+        if when < self.now:
+            raise ValueError(f"cannot schedule at {when}, before the clock's {self.now}")
+        heapq.heappush(self._queue, (when, next(self._seq), fn))
 
     def run(self) -> None:
         """Drain the queue, advancing the virtual clock event by event."""
-        while self._queue:
-            when, _, fn = heapq.heappop(self._queue)
-            self.now = max(self.now, when)
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            when, _, fn = pop(queue)
+            self.now = when
             fn()
 
     def settle_to(self, when: float) -> None:
@@ -90,7 +100,7 @@ class SimNetwork:
         self.now = max(self.now, when)
 
     def log(self, actor: str, event: str, detail: str = "") -> None:
-        self.events.append(LogEntry(round(self.now, 6), actor, event, detail))
+        self.events.append(LogEntry(self.now, actor, event, detail))
 
     # -- topology ----------------------------------------------------------
 
@@ -100,7 +110,7 @@ class SimNetwork:
 
     def bind_udp(self, nat: NatBox, internal: TransportAddress, handler: Callable) -> None:
         """Register a private UDP socket so NAT-delivered datagrams reach it."""
-        self._udp_sockets[(nat.config.public_ip, internal)] = handler
+        self._udp_sockets[(nat.config.public_ip, internal.ip, internal.port)] = handler
 
     def new_connection_id(self) -> int:
         conn = self._next_conn
@@ -136,21 +146,29 @@ class SimNetwork:
             return
         nat = self._nats.get(dst.ip)
         if nat is None:
-            self.log("net", "unroutable", f"{src} -> {dst}")
+            self.log("net", "unroutable", f"{src.ip}:{src.port} -> {dst.ip}:{dst.port}")
             return
         internal = nat.inbound(src, dst, self.now, transport=UDP)
         if internal is None:
-            self.log(self._nat_labels[dst.ip], "media_blocked", f"{src} -> {dst}")
+            label = self._nat_labels[dst.ip]
+            self.log(label, "media_blocked", f"{src.ip}:{src.port} -> {dst.ip}:{dst.port}")
             return
-        handler = self._udp_sockets.get((nat.config.public_ip, internal))
+        handler = self._udp_sockets.get((dst.ip, internal.ip, internal.port))
         if handler is None:
             self.log(self._nat_labels[dst.ip], "no_socket", str(internal))
             return
         handler(src, data)
 
+    def _intern(self, key: tuple[str, int]) -> TransportAddress:
+        address = self._addresses[key] = TransportAddress(*key)
+        return address
+
     def _send_from_proxy(self, send: RelaySend) -> None:
-        src = TransportAddress(self.proxy_ip, send.from_port)
-        dst = TransportAddress(*send.to)
+        # Each (ip, port) gets one TransportAddress, built the first time it is seen.
+        addresses = self._addresses
+        src_key = (self.proxy_ip, send.from_port)
+        src = addresses.get(src_key) or self._intern(src_key)
+        dst = addresses.get(send.to) or self._intern(send.to)
         self.schedule(LATENCY, lambda: self._route_public(src, dst, send.payload))
 
 
@@ -265,6 +283,7 @@ class SimClient:
         self.ever_established = False  # sticky: survives hangup
         self.call_id: str | None = None
         self.remote_media: TransportAddress | None = None
+        self._remote_media_text = ""  # str(remote_media), for the per-packet log
         self.remote_name_addr: str | None = None
         self.last_failure: int | None = None
         self.received_bodies: list[bytes] = []
@@ -411,6 +430,7 @@ class SimClient:
     def _learn_media(self, body: bytes) -> None:
         session = parse_sdp(body)
         self.remote_media = TransportAddress(session.connection_ip, session.media[0].port)
+        self._remote_media_text = str(self.remote_media)
 
     # -- media ----------------------------------------------------------------
 
@@ -421,7 +441,7 @@ class SimClient:
         payload = f"{self.user}-voice-{seq:04d}".encode()
         data = build_rtp(0, seq, seq * 160, self.ssrc, payload)
         self.media.sent.append((seq, payload))
-        self.net.log(self.name, "rtp_sent", f"seq={seq} to {self.remote_media}")
+        self.net.log(self.name, "rtp_sent", f"seq={seq} to {self._remote_media_text}")
         self.net.send_from_client(self.nat, self.rtp_addr, self.remote_media, data)
 
     def send_rtcp(self) -> None:
@@ -440,7 +460,7 @@ class SimClient:
             self.media.invalid += 1
             return
         self.media.received.append((packet.sequence, packet.payload))
-        self.net.log(self.name, "rtp_received", f"seq={packet.sequence} from {src}")
+        self.net.log(self.name, "rtp_received", f"seq={packet.sequence} from {src.ip}:{src.port}")
 
     def _on_rtcp_datagram(self, src: TransportAddress, data: bytes) -> None:
         self.media.rtcp_received += 1

@@ -62,6 +62,15 @@ def test_run_invalid_scenario_exit_2(tmp_path):
     for field in ("nat_a", "nat_b", "expect"):
         for value in ([], ["x"], {}):
             assert main(["run", "--scenario", str(write_scenario(tmp_path, **{field: value}))]) == 2
+    for field in ("udp_binding_ttl", "tcp_idle_ttl"):
+        for value in (float("inf"), float("nan"), True, 0, -1, "60"):
+            assert main(["run", "--scenario", str(write_scenario(tmp_path, **{field: value}))]) == 2
+    bad_steps = [{"event": "idle", "seconds": value} for value in (float("inf"), float("nan"), True, -1)]
+    bad_steps += [{"event": "talk", "interval_ms": value} for value in (float("inf"), float("nan"), True, 0)]
+    bad_steps += [{"event": "talk", "packets": value} for value in (True, -1, 65537, 70000, 5.0)]
+    for step in bad_steps:
+        script = [{"event": "register"}, {"event": "call"}, step]
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, script=script))]) == 2, step
 
 
 def test_run_seed_is_reproducible(tmp_path):
@@ -86,3 +95,10 @@ def test_matrix_report_and_exit_code(tmp_path, capsys):
 
 def test_matrix_unknown_mode_exit_2():
     assert main(["matrix", "--modes", "warp"]) == 2
+
+
+def test_matrix_packets_beyond_the_rtp_sequence_space_exit_2(capsys):
+    assert main(["matrix", "--modes", "adapted", "--packets", "70000"]) == 2
+    assert main(["matrix", "--modes", "adapted", "--packets", "-1"]) == 2
+    assert "packets" in capsys.readouterr().err
+

@@ -1,9 +1,11 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
 from sipnat.harness import (
+    MODES,
     InvalidScenario,
     Outcome,
     Scenario,
@@ -235,6 +237,24 @@ def test_reports_are_deterministic():
     assert json.loads(different_seed)["outcome"] == "media_ok"
 
 
+# sha256 over the JSON reports of every signaling transport x mode x NAT
+# pairing, default_script(20), seed 3.  Any change to what a report says, or
+# to the order of its events, changes it; a change that means to alter the
+# reports must update it and say why.
+PINNED_REPORTS_SHA256 = "2f8f840f04af8f4ad338efd757db50f796630e0aa23ba110b5956a7f3c363a29"
+
+
+def test_reports_match_the_pinned_bytes():
+    digest = hashlib.sha256()
+    for signaling in ("tcp", "udp"):
+        for mode in MODES:
+            for nat_a in NatType:
+                for nat_b in NatType:
+                    s = scenario(nat_a, nat_b, default_script(20), seed=3, mode=mode, signaling=signaling)
+                    digest.update(run_scenario(s).to_json().encode())
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256
+
+
 def test_delivered_never_exceeds_sent():
     for mode in ("adapted", "naive"):
         report = run_scenario(scenario(seed=2, mode=mode, script=default_script(8)))
@@ -358,6 +378,48 @@ def test_scenario_json_round_trip():
 def test_invalid_scenarios_rejected(data):
     with pytest.raises(InvalidScenario):
         Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "idle", "seconds": float("inf")},
+        {"kind": "idle", "seconds": float("nan")},
+        {"kind": "idle", "seconds": True},
+        {"kind": "talk", "packets": 65537},
+        {"kind": "talk", "packets": True},
+        {"kind": "talk", "interval": float("nan")},
+        {"kind": "talk", "interval": float("inf")},
+        {"kind": "call", "caller": "c"},
+        {"kind": "warp"},
+    ],
+)
+def test_script_events_are_checked_however_they_are_built(fields):
+    with pytest.raises(InvalidScenario):
+        ScriptEvent(**fields)
+
+
+def test_script_event_limits_are_inclusive():
+    assert ScriptEvent("talk", packets=65536).packets == 65536
+    assert ScriptEvent("talk", packets=0).packets == 0
+    assert ScriptEvent("idle", seconds=0).seconds == 0.0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"udp_binding_ttl": float("nan")},
+        {"udp_binding_ttl": float("inf")},
+        {"udp_binding_ttl": True},
+        {"tcp_idle_ttl": float("nan")},
+        {"tcp_idle_ttl": float("inf")},
+        {"tcp_idle_ttl": False},
+        {"seed": True},
+    ],
+)
+def test_scenario_fields_are_checked_however_they_are_built(fields):
+    with pytest.raises(InvalidScenario):
+        scenario(**fields)
 
 
 def test_invalid_json_rejected():

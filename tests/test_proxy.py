@@ -312,6 +312,101 @@ def test_bye_for_unknown_call_481():
     assert (conn, msg.status_code) == (B_CONN, 481)
 
 
+C_CONN = 3  # a third registered connection, party to no call
+
+
+def with_third_party(proxy):
+    proxy.connection_opened(C_CONN, TransportAddress("6.6.6.6", 5060))
+    proxy.handle_message(C_CONN, samples.make_register("ClientC", "local3.com", "172.16.0.1"), 0.0)
+    events = []
+    proxy.set_event_hook(lambda event, detail: events.append((event, detail)))
+    return events
+
+
+def test_bye_from_a_non_party_connection_gets_481_and_leaves_the_call():
+    proxy = make_proxy()
+    register_both(proxy)
+    ack = establish_call(proxy)
+    events = with_third_party(proxy)
+    free = proxy.media.pool.free_pairs()
+    conn, msg = only_message(proxy.handle_message(C_CONN, serialize_message(as_bye(ack)), 2.0))
+    assert (conn, msg.status_code) == (C_CONN, 481)
+    call = proxy.calls["call-1@local2.com"]
+    assert call.phase is Phase.ESTABLISHED
+    assert call.media is not None and call.call_id in proxy.media.sessions
+    assert proxy.media.pool.free_pairs() == free
+    assert [event for event, _ in events] == ["error_response"]
+    # The parties can still hang up.
+    conn, _ = only_message(proxy.handle_message(B_CONN, serialize_message(as_bye(ack)), 3.0))
+    assert conn == A_CONN
+    assert call.phase is Phase.TERMINATED
+
+
+def test_ack_from_a_non_party_connection_is_dropped():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    events = with_third_party(proxy)
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    assert proxy.handle_message(C_CONN, serialize_message(ack), 1.2) == []
+    assert proxy.calls["call-1@local2.com"].phase is Phase.INVITING
+    assert events == [("non_party_message", "ACK from connection 3 for call-1@local2.com")]
+
+
+def test_response_from_a_non_party_connection_is_dropped():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    events = with_third_party(proxy)
+    free = proxy.media.pool.free_pairs()
+    for status, reason in ((200, "OK"), (486, "Busy Here")):
+        body = samples.sample_invite_body() if status == 200 else b""
+        response = build_response(
+            fwd_invite, status, reason, body=body,
+            content_type="application/sdp" if body else None,
+        )
+        assert proxy.handle_message(C_CONN, serialize_message(response), 1.1) == []
+    call = proxy.calls["call-1@local2.com"]
+    assert call.phase is Phase.INVITING
+    assert proxy.media.pool.free_pairs() == free
+    assert events == [
+        ("non_party_message", "200 from connection 3 for call-1@local2.com"),
+        ("non_party_message", "486 from connection 3 for call-1@local2.com"),
+    ]
+
+
+def test_both_parties_on_one_connection_complete_a_call():
+    # A trunk carries both users, so the caller's and callee's connection are one.
+    proxy = make_proxy()
+    proxy.handle_message(A_CONN, samples.make_register("ClientA", "local1.com", "192.168.1.11"), 0.0)
+    proxy.handle_message(A_CONN, samples.make_register("ClientB", "local2.com", "10.0.0.4"), 0.0)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    conn, fwd_invite = only_message(proxy.handle_message(A_CONN, invite_from_b(), 1.0))
+    assert conn == A_CONN
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    conn, _ = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
+    assert conn == A_CONN
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    conn, _ = only_message(proxy.handle_message(A_CONN, serialize_message(ack), 1.2))
+    assert conn == A_CONN
+    assert proxy.calls["call-1@local2.com"].phase is Phase.ESTABLISHED
+    conn, fwd_bye = only_message(proxy.handle_message(A_CONN, serialize_message(as_bye(ack)), 2.0))
+    assert conn == A_CONN
+    assert proxy.media.pool.free_pairs() == pool_at_rest
+    bye_ok = build_response(fwd_bye, 200, "OK")
+    conn, _ = only_message(proxy.handle_message(A_CONN, serialize_message(bye_ok), 2.1))
+    assert conn == A_CONN
+    assert proxy.calls == {}
+
+
 def test_error_response_to_invite_terminates_and_forwards():
     proxy = make_proxy()
     register_both(proxy)
