@@ -56,8 +56,11 @@ class NatConfig:
         lo, hi = self.port_range
         if not (1 <= lo < hi <= 65535):
             raise ValueError(f"bad port range: {self.port_range}")
-        if self.udp_binding_ttl <= 0:
-            raise ValueError("udp_binding_ttl must be positive")
+        if not (math.isfinite(self.udp_binding_ttl) and self.udp_binding_ttl > 0):
+            raise ValueError("udp_binding_ttl must be finite and positive")
+        ttl = self.tcp_idle_ttl
+        if ttl is not None and not (math.isfinite(ttl) and ttl > 0):
+            raise ValueError("tcp_idle_ttl must be finite and positive, or None")
 
 
 @dataclass(slots=True)

@@ -111,7 +111,7 @@ class SipProxy:
         self._on_event: Callable[[str, str], None] = lambda event, detail: None
 
     def set_event_hook(self, hook: Callable[[str, str], None]) -> None:
-        """Route proxy events (registrations, errors, releases) to a log."""
+        """Send proxy events (registrations, errors, releases) to a log."""
         self._on_event = hook
 
     # -- connection lifecycle ------------------------------------------------
@@ -236,7 +236,8 @@ class SipProxy:
         dest = call.peer_conn(conn)
         if msg.cseq_method is Method.INVITE:
             if msg.status_code == 200:
-                if self.config.media_relay and call.media is not None:
+                # An ended call's ports may be another call's by now: relay its answer untouched.
+                if call.media is not None and call.phase is not Phase.TERMINATED:
                     try:
                         answer = parse_sdp(msg.body)
                         rewritten = self.media.process_answer(call.media, answer)

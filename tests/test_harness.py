@@ -18,7 +18,7 @@ from sipnat.harness import (
     run_matrix,
     run_scenario,
 )
-from sipnat.media_controller import LEG_A, LEG_B, RTP
+from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.nat import UDP, NatBox, NatConfig, NatType
 from sipnat.net import TransportAddress
 from sipnat.proxy import ProxyConfig, SipProxy
@@ -61,13 +61,13 @@ def test_latched_addresses_equal_nat_mappings():
     leg_a, leg_b = session.legs[LEG_A], session.legs[LEG_B]
     proxy_ip = ctx.proxy.config.public_ip
     a_expected = ctx.nat_a.external_for(
-        ctx.client_a.rtp_addr, TransportAddress(proxy_ip, leg_a.rtp_port)
+        ctx.client_a.rtp_addr, TransportAddress(proxy_ip, leg_a.rtp.port)
     )
     b_expected = ctx.nat_b.external_for(
-        ctx.client_b.rtp_addr, TransportAddress(proxy_ip, leg_b.rtp_port)
+        ctx.client_b.rtp_addr, TransportAddress(proxy_ip, leg_b.rtp.port)
     )
-    assert leg_a.latched[RTP] == (a_expected.ip, a_expected.port)
-    assert leg_b.latched[RTP] == (b_expected.ip, b_expected.port)
+    assert leg_a.rtp.latched == (a_expected.ip, a_expected.port)
+    assert leg_b.rtp.latched == (b_expected.ip, b_expected.port)
 
 
 def test_forwarding_from_wrong_proxy_port_is_blocked():
@@ -76,11 +76,11 @@ def test_forwarding_from_wrong_proxy_port_is_blocked():
     execute_script(ctx, s)
     session = ctx.proxy.media.session_for(ctx.client_a.call_id)
     leg_b = session.legs[LEG_B]
-    latched_b = TransportAddress(*leg_b.latched[RTP])
+    latched_b = TransportAddress(*leg_b.rtp.latched)
     proxy_ip = ctx.proxy.config.public_ip
     now = ctx.net.now
-    right_port = TransportAddress(proxy_ip, leg_b.rtp_port)
-    wrong_port = TransportAddress(proxy_ip, leg_b.rtp_port + 10)
+    right_port = TransportAddress(proxy_ip, leg_b.rtp.port)
+    wrong_port = TransportAddress(proxy_ip, leg_b.rtp.port + 10)
     assert ctx.nat_b.inbound(right_port, latched_b, now) == ctx.client_b.rtp_addr
     assert ctx.nat_b.inbound(wrong_port, latched_b, now) is None
 
@@ -137,7 +137,7 @@ def test_declared_addresses_recorded_but_not_used():
     assert session.legs[LEG_A].declared == TransportAddress("192.168.1.11", 49570)
     assert session.legs[LEG_B].declared == TransportAddress("10.0.0.4", 6580)
     declared = session.legs[LEG_A].declared
-    assert session.legs[LEG_A].latched[RTP] != (declared.ip, declared.port)
+    assert session.legs[LEG_A].rtp.latched != (declared.ip, declared.port)
 
 
 def test_relayed_descriptions_only_name_proxy_ports():
@@ -283,9 +283,9 @@ def test_media_conservation_per_leg():
     execute_script(ctx, s)
     session = ctx.proxy.media.session_for(ctx.client_a.call_id)
     for leg in session.legs.values():
-        counters = leg.counters[RTP]
-        assert counters.received == counters.forwarded + counters.flushed + counters.dropped
-        assert not leg.buffers[RTP]
+        port = leg.rtp
+        assert port.received == port.forwarded + port.flushed + port.dropped
+        assert not port.buffer
 
 
 # -- allocation accounting -----------------------------------------------------

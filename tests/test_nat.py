@@ -161,6 +161,26 @@ def test_tcp_binding_with_finite_idle_ttl_expires():
     assert nat.inbound(proxy, external, now=200.0, transport=TCP) is None
 
 
+@pytest.mark.parametrize(
+    "ttls",
+    [
+        {"ttl": float("nan")},
+        {"ttl": float("inf")},
+        {"ttl": 0.0},
+        {"ttl": -1.0},
+        {"tcp_ttl": float("nan")},
+        {"tcp_ttl": float("inf")},
+        {"tcp_ttl": 0.0},
+        {"tcp_ttl": -5.0},
+    ],
+)
+def test_config_rejects_a_ttl_that_is_not_finite_and_positive(ttls):
+    # A NaN TTL never expires a binding (no comparison with NaN is true),
+    # and a negative one makes every binding stale at once.
+    with pytest.raises(ValueError):
+        make_nat(NatType.SYMMETRIC, **ttls)
+
+
 def test_transport_spaces_do_not_cross():
     nat = make_nat(NatType.FULL_CONE)
     external = nat.outbound(LOCAL, DEST, now=0.0, transport=TCP)

@@ -221,6 +221,36 @@ def test_late_bye_answer_leaves_reused_call_id_alone():
     assert proxy.media.pool.free_pairs() == pool_at_rest
 
 
+@pytest.mark.parametrize("ended_by", ["bye", "invite_timeout", "delivery_failed"])
+def test_late_answer_for_an_ended_call_is_relayed_unrewritten(ended_by):
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b("old@x"), 1.0))
+    if ended_by == "bye":
+        bye = replace(
+            fwd_invite, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2, body=b"",
+            content_type=None, contact=None,
+        )
+        proxy.handle_message(B_CONN, serialize_message(bye), 1.1)
+    elif ended_by == "invite_timeout":
+        proxy.tick(1.0 + proxy.config.invite_guard)
+    else:
+        proxy.delivery_failed(A_CONN, serialize_message(fwd_invite), 1.1)
+        register_both(proxy, 1.1)
+    old = proxy.calls["old@x"]
+    assert old.phase is Phase.TERMINATED
+    proxy.handle_message(B_CONN, invite_from_b("new@x"), 40.0)
+    # The ended call's ports went back to the pool, and the new call holds them.
+    assert proxy.calls["new@x"].media.legs[LEG_A].rtp.port == old.media.legs[LEG_A].rtp.port
+
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 40.1))
+    # Rewritten, the answer would send the old caller's media to the new call's port.
+    assert (conn, msg.status_code, msg.body) == (B_CONN, 200, answer.body)
+
+
 def test_forwarded_descriptions_use_proxy_pool_ports():
     proxy = make_proxy()
     register_both(proxy)
@@ -230,7 +260,7 @@ def test_forwarded_descriptions_use_proxy_pool_ports():
     lo, hi = proxy.config.media_port_range
     assert lo <= offer.media[0].port <= hi
     session = proxy.calls["call-1@local2.com"].media
-    assert offer.media[0].port == session.legs[LEG_B].rtp_port
+    assert offer.media[0].port == session.legs[LEG_B].rtp.port
 
     answer = build_response(
         fwd_invite, 200, "OK",
@@ -239,7 +269,7 @@ def test_forwarded_descriptions_use_proxy_pool_ports():
     _, fwd_answer = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
     answered = parse_sdp(fwd_answer.body)
     assert answered.connection_ip == "200.1.1.1"
-    assert answered.media[0].port == session.legs[LEG_A].rtp_port
+    assert answered.media[0].port == session.legs[LEG_A].rtp.port
     # Declared (private) addresses were recorded, not used for sending.
     assert session.legs[LEG_A].declared == TransportAddress("10.0.0.4", 6580)
     assert session.legs[LEG_B].declared == TransportAddress("192.168.1.11", 49570)
@@ -509,8 +539,8 @@ def test_media_datagram_path_through_proxy():
     )
     proxy.handle_message(A_CONN, serialize_message(answer), 1.1)
     session = proxy.calls["call-1@local2.com"].media
-    b_port = session.legs[LEG_B].rtp_port
-    a_port = session.legs[LEG_A].rtp_port
+    b_port = session.legs[LEG_B].rtp.port
+    a_port = session.legs[LEG_A].rtp.port
     b_media = ("77.224.10.9", 6200)
     a_media = ("68.92.25.44", 62001)
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 import pytest
 
 import samples
-from sipnat.media_controller import RTP
 from sipnat.proxy import ProxyConfig
 from sipnat.rtp import build_rtp, parse_rtp
 from sipnat.sdp import parse_sdp
@@ -228,9 +227,9 @@ def test_full_call_with_real_media_relay(service):
 
     # Both legs have latched: established media crosses unchanged, from the
     # receiver's own relay port, and counts on the sending leg.
-    (session,) = service.proxy.media.sessions.values()
-    legs = {leg.rtp_port: leg for leg in session.legs.values()}
-    a_counters, b_counters = legs[a_target[1]].counters[RTP], legs[b_target[1]].counters[RTP]
+    relay_ports = service.proxy.media.ports
+    assert len(relay_ports) == 4  # one call
+    a_counters, b_counters = relay_ports[a_target[1]], relay_ports[b_target[1]]
     before = [(c.received, c.forwarded) for c in (a_counters, b_counters)]
     sent_a = [build_rtp(0, seq, 160 * seq, 0xA, b"a-%d" % seq) for seq in range(2, 102)]
     sent_b = [build_rtp(0, seq, 160 * seq, 0xB, b"b-%d" % seq) for seq in range(2, 102)]
