@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .net import TransportAddress
 from .sip_message import Method, SipMessage, uri_of
 
 ConnectionId = int
+
+REGISTRATION_TTL = 3600.0  # seconds a REGISTER binds its address-of-record
 
 
 class RegistrarError(Exception):
@@ -32,7 +33,6 @@ class NotRegistered(RegistrarError):
 class Registration:
     aor: str
     connection: ConnectionId
-    source: TransportAddress | None
     expires_at: float
 
 
@@ -59,8 +59,7 @@ class ConnectionManager:
     with respect to the others.
     """
 
-    def __init__(self, registration_ttl: float = 3600.0):
-        self.registration_ttl = registration_ttl
+    def __init__(self) -> None:
         self._registrations: dict[str, Registration] = {}
 
     def register(self, conn: ConnectionId, msg: SipMessage, now: float) -> Registration:
@@ -73,8 +72,7 @@ class ConnectionManager:
         registration = Registration(
             aor=aor,
             connection=conn,
-            source=msg.via.received,
-            expires_at=now + self.registration_ttl,
+            expires_at=now + REGISTRATION_TTL,
         )
         self._registrations[aor] = registration
         return registration
@@ -103,9 +101,6 @@ class ConnectionManager:
         for aor in removed:
             del self._registrations[aor]
         return removed
-
-    def registration_for(self, aor: str) -> Registration | None:
-        return self._registrations.get(aor)
 
     def live_aors(self) -> list[str]:
         return list(self._registrations)

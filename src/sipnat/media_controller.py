@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .net import TransportAddress
-from .sdp import MultipleMediaUnsupported, SdpSession, rewrite_media
+from .sdp import SdpSession, rewrite_media
 
 LEG_A = "A"  # offerer (caller) leg
 LEG_B = "B"  # answerer (callee) leg
@@ -49,10 +49,6 @@ class DuplicateCall(MediaError):
 
 
 class UnknownCall(MediaError):
-    pass
-
-
-class SdpRewriteError(MediaError):
     pass
 
 
@@ -191,10 +187,7 @@ class MediaController:
 
     def _rewrite(self, sdp: SdpSession, from_leg: LegState, to_leg: LegState) -> SdpSession:
         relay = TransportAddress(self.public_ip, to_leg.rtp.port)
-        try:
-            rewritten, original = rewrite_media(sdp, relay)
-        except MultipleMediaUnsupported as exc:
-            raise SdpRewriteError(str(exc)) from exc
+        rewritten, original = rewrite_media(sdp, relay)
         from_leg.declared = original
         return rewritten
 

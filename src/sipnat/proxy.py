@@ -11,7 +11,7 @@ A call that one party hangs up once established leaves ``SipProxy.calls``
 as soon as the other party's final response to that BYE is relayed.  Calls
 that end any other way (rejected, timed out, undeliverable, a BYE while
 inviting, BYEs from both sides, or a BYE never answered) stay ``TERMINATED``
-for ``invite_guard`` seconds, so late messages for them are still relayed,
+for ``INVITE_GUARD`` seconds, so late messages for them are still relayed,
 and ``tick`` then drops them.
 """
 
@@ -33,7 +33,6 @@ from .media_controller import (
     MediaSession,
     PoolExhausted,
     RelaySend,
-    SdpRewriteError,
 )
 from .net import TransportAddress
 from .sdp import SdpError, parse_sdp, serialize_sdp
@@ -50,9 +49,10 @@ from .sip_message import (
 
 Outbound = tuple[ConnectionId, bytes]
 
+INVITE_GUARD = 32.0  # seconds: RFC 3261's Timer B, 64 * T1
+
 
 class Phase(Enum):
-    IDLE = "idle"
     INVITING = "inviting"
     ESTABLISHED = "established"
     TERMINATED = "terminated"
@@ -61,8 +61,6 @@ class Phase(Enum):
 @dataclass
 class CallState:
     call_id: str
-    caller_aor: str
-    callee_aor: str
     caller_conn: ConnectionId
     callee_conn: ConnectionId
     invited_at: float
@@ -85,8 +83,6 @@ class ProxyConfig:
     public_ip: str
     sip_tcp_port: int = 5060
     media_port_range: tuple[int, int] = (40000, 40199)
-    registration_ttl: float = 3600.0
-    invite_guard: float = 32.0
     media_relay: bool = True  # off: forward bodies untouched (no relay, no rewrite)
 
     def __post_init__(self) -> None:
@@ -104,7 +100,7 @@ class SipProxy:
 
     def __init__(self, config: ProxyConfig):
         self.config = config
-        self.registrar = ConnectionManager(config.registration_ttl)
+        self.registrar = ConnectionManager()
         self.media = MediaController(config.public_ip, config.media_port_range)
         self.calls: dict[str, CallState] = {}
         self._conn_remote: dict[ConnectionId, TransportAddress] = {}
@@ -166,10 +162,9 @@ class SipProxy:
         call_id = msg.call_id
         if call_id in self.calls and self.calls[call_id].phase is not Phase.TERMINATED:
             return self._reply(conn, msg, 400, "Bad Request (duplicate Call-ID)")
-        callee_aor = aor_of(msg.request_uri)
-        caller_aor = aor_of(msg.from_)
+        callee = aor_of(msg.request_uri)
         try:
-            callee_conn = self.registrar.route_to(callee_aor)
+            callee_conn = self.registrar.route_to(callee)
         except NotRegistered:
             return self._reply(conn, msg, 404, "Not Found")
 
@@ -182,21 +177,19 @@ class SipProxy:
             try:
                 offer = parse_sdp(msg.body)
                 rewritten = self.media.process_offer(session, offer)
-            except (SdpError, SdpRewriteError) as exc:
+            except SdpError as exc:
                 self.media.release_session(call_id)
                 return self._reply(conn, msg, 400, f"Bad Request ({exc})")
             msg.body = serialize_sdp(rewritten)  # msg was parsed in handle_message: ours to change
 
         self.calls[call_id] = CallState(
             call_id=call_id,
-            caller_aor=caller_aor,
-            callee_aor=callee_aor,
             caller_conn=conn,
             callee_conn=callee_conn,
             invited_at=now,
             media=session,
         )
-        self._on_event("invite_forwarded", f"{caller_aor} -> {callee_aor} ({call_id})")
+        self._on_event("invite_forwarded", f"{aor_of(msg.from_)} -> {callee} ({call_id})")
         return [(callee_conn, serialize_message(msg))]
 
     def _on_ack(self, conn: ConnectionId, msg: SipMessage) -> list[Outbound]:
@@ -241,7 +234,7 @@ class SipProxy:
                     try:
                         answer = parse_sdp(msg.body)
                         rewritten = self.media.process_answer(call.media, answer)
-                    except (SdpError, SdpRewriteError) as exc:
+                    except SdpError as exc:
                         self._terminate(call, now)
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         failure = build_response(msg, 500, "Server Internal Error")
@@ -299,12 +292,11 @@ class SipProxy:
         """
         expired = self.registrar.expire(now)
         timed_out = []
-        guard = self.config.invite_guard
         for call in list(self.calls.values()):
             if call.phase is Phase.TERMINATED:
-                if now - call.ended_at >= guard:
+                if now - call.ended_at >= INVITE_GUARD:
                     del self.calls[call.call_id]
-            elif call.phase is Phase.INVITING and now - call.invited_at >= guard:
+            elif call.phase is Phase.INVITING and now - call.invited_at >= INVITE_GUARD:
                 self._terminate(call, now)
                 timed_out.append(call.call_id)
         for aor in expired:

@@ -39,6 +39,7 @@ from .sip_message import (
 )
 
 LATENCY = 0.001  # one-way hop delay, virtual seconds
+SIP_PORT = 5060  # every client's private signaling port
 
 
 @dataclass(slots=True)
@@ -123,12 +124,9 @@ class SimNetwork:
     # -- proxy-side transmission -------------------------------------------
 
     def dispatch_proxy_out(self, outbound: list[tuple[int, bytes]]) -> None:
+        # The proxy only answers connection ids a channel gave it, and channels stay.
         for conn, raw in outbound:
-            channel = self._channels.get(conn)
-            if channel is None:
-                self.log("proxy", "no_such_connection", str(conn))
-                continue
-            channel.proxy_send(raw)
+            self._channels[conn].proxy_send(raw)
 
     # -- datagram routing ----------------------------------------------------
 
@@ -237,7 +235,6 @@ class SignalingChannel:
 class MediaRecord:
     sent: list[tuple[int, bytes]] = field(default_factory=list)
     received: list[tuple[int, bytes]] = field(default_factory=list)
-    invalid: int = 0
     rtcp_sent: int = 0
     rtcp_received: int = 0
 
@@ -259,8 +256,6 @@ class SimClient:
         nat_label: str,
         private_ip: str,
         rtp_port: int,
-        sip_port: int = 5060,
-        answer_calls: bool = True,
     ):
         self.net = net
         self.name = name
@@ -270,23 +265,18 @@ class SimClient:
         self.nat_label = nat_label
         self.aor = f"sip:{user}@{domain}"
         self.name_addr = f"{user} <sip:{user}@{domain}>"
-        self.sip_addr = TransportAddress(private_ip, sip_port)
+        self.sip_addr = TransportAddress(private_ip, SIP_PORT)
         self.rtp_addr = TransportAddress(private_ip, rtp_port)
         self.rtcp_addr = TransportAddress(private_ip, rtp_port + 1)
-        self.answer_calls = answer_calls
         self.channel = SignalingChannel(net, self)
         self.ssrc = sum(ord(c) for c in name) * 65537 % 0xFFFFFFFF
         self.media = MediaRecord()
 
-        self.registered = False
-        self.established = False
         self.ever_established = False  # sticky: survives hangup
         self.call_id: str | None = None
         self.remote_media: TransportAddress | None = None
         self._remote_media_text = ""  # str(remote_media), for the per-packet log
         self.remote_name_addr: str | None = None
-        self.last_failure: int | None = None
-        self.received_bodies: list[bytes] = []
         self.raw_received: list[bytes] = []
         self._cseq = 0
         self._call_count = 0
@@ -367,14 +357,11 @@ class SimClient:
             method=Method.BYE,
             request_uri=uri_of(self.remote_name_addr) if self.remote_name_addr else self.aor,
         )
-        self.established = False
         self.channel.client_send(msg)
 
     # -- SIP handling --------------------------------------------------------
 
     def on_sip(self, msg: SipMessage) -> None:
-        if msg.body:
-            self.received_bodies.append(msg.body)
         if msg.is_request:
             self._on_request(msg)
         else:
@@ -382,9 +369,6 @@ class SimClient:
 
     def _on_request(self, msg: SipMessage) -> None:
         if msg.method is Method.INVITE:
-            if not self.answer_calls:
-                self.net.log(self.name, "invite_ignored", msg.call_id)
-                return
             self.call_id = msg.call_id
             self.remote_name_addr = msg.from_
             self._learn_media(msg.body)
@@ -398,16 +382,12 @@ class SimClient:
             )
             self.channel.client_send(answer)
         elif msg.method is Method.ACK:
-            self.established = True
             self.ever_established = True
         elif msg.method is Method.BYE:
-            self.established = False
             self.channel.client_send(build_response(msg, 200, "OK"))
 
     def _on_response(self, msg: SipMessage) -> None:
-        if msg.cseq_method is Method.REGISTER and msg.status_code == 200:
-            self.registered = True
-        elif msg.cseq_method is Method.INVITE:
+        if msg.cseq_method is Method.INVITE:
             if msg.status_code == 200:
                 self._learn_media(msg.body)
                 ack = SipMessage(
@@ -420,11 +400,9 @@ class SimClient:
                     method=Method.ACK,
                     request_uri=uri_of(msg.to_),
                 )
-                self.established = True
                 self.ever_established = True
                 self.channel.client_send(ack)
             elif msg.status_code >= 300:
-                self.last_failure = msg.status_code
                 self.call_id = None
 
     def _learn_media(self, body: bytes) -> None:
@@ -457,7 +435,6 @@ class SimClient:
         try:
             packet = parse_rtp(data)
         except RtpParseError:
-            self.media.invalid += 1
             return
         self.media.received.append((packet.sequence, packet.payload))
         self.net.log(self.name, "rtp_received", f"seq={packet.sequence} from {src.ip}:{src.port}")

@@ -18,6 +18,7 @@ from enum import Enum
 from .net import InvariantViolation, TransportAddress, is_ascii_digits
 
 MAX_HEADER_BYTES = 65536
+MAX_BODY_BYTES = 65536
 
 
 class Method(str, Enum):
@@ -394,36 +395,46 @@ def build_response(
 class MessageFramer:
     """Splits an ordered TCP byte stream into complete SIP messages.
 
-    Framing rule: read headers up to the blank line, then exactly
+    Framing rule: skip CR and LF where a message would start (RFC 3261
+    section 7.5), read headers up to the blank line, then exactly
     Content-Length body bytes (0 if the header is absent).
     """
 
-    def __init__(self, max_header_bytes: int = MAX_HEADER_BYTES):
+    def __init__(self) -> None:
         self._buffer = b""
-        self._max_header_bytes = max_header_bytes
 
     def feed(self, data: bytes) -> list[bytes]:
         """Append stream bytes; return every complete raw message now available.
 
         Raises ``FramingError`` when the unframed tail is a header section
-        longer than the maximum, but only from a call that framed no message,
-        so messages that arrived ahead of it are returned first.
+        longer than ``MAX_HEADER_BYTES`` or declares a body longer than
+        ``MAX_BODY_BYTES``, but only from a call that framed no message, so
+        messages that arrived ahead of it are returned first.
         """
         buffer = self._buffer + data
         messages: list[bytes] = []
         start = 0
         while True:
+            while buffer[start : start + 1] in (b"\r", b"\n"):
+                start += 1
             split = _header_end(buffer, start)
             if split is None:
+                if len(buffer) - start > MAX_HEADER_BYTES and not messages:
+                    raise FramingError("header section exceeds maximum size")
                 break
             header_end, body_start = split
             m = _CONTENT_LENGTH_RE.search(buffer[start:header_end])
-            total = body_start + (int(m.group(1)) if m else 0)
+            digits = m.group(1).lstrip(b"0") if m else b""
+            # Ten digits are far past the cap, and int() refuses thousands of them.
+            length = int(digits or b"0") if len(digits) < 10 else MAX_BODY_BYTES + 1
+            if length > MAX_BODY_BYTES:
+                if not messages:
+                    raise FramingError("declared body exceeds maximum size")
+                break
+            total = body_start + length
             if len(buffer) < total:
                 break
             messages.append(buffer[start:total])
             start = total
         self._buffer = buffer[start:]
-        if split is None and not messages and len(self._buffer) > self._max_header_bytes:
-            raise FramingError("header section exceeds maximum size")
         return messages

@@ -2,31 +2,27 @@ import pytest
 
 import samples
 from sipnat.connection_manager import (
+    REGISTRATION_TTL,
     ConnectionManager,
     MalformedRegister,
     NotRegistered,
     aor_of,
 )
-from sipnat.net import TransportAddress
-from sipnat.sip_message import parse_message, stamp_received, uri_of
+from sipnat.sip_message import parse_message, uri_of
 
 C1, C2 = 1, 2
 
 
-def register(manager, conn, user="ClientA", domain="local1.com", now=0.0, source=None):
+def register(manager, conn, user="ClientA", domain="local1.com", now=0.0):
     msg = parse_message(samples.make_register(user=user, domain=domain))
-    if source is not None:
-        msg = stamp_received(msg, source)
     return manager.register(conn, msg, now)
 
 
 def test_register_creates_binding():
     manager = ConnectionManager()
-    source = TransportAddress("68.92.25.44", 4325)
-    registration = register(manager, C1, source=source)
+    registration = register(manager, C1)
     assert registration.aor == "sip:ClientA@local1.com"
     assert registration.connection == C1
-    assert registration.source == source
     assert manager.route_to("sip:ClientA@local1.com") == C1
 
 
@@ -73,19 +69,19 @@ def test_close_connection_holding_two_aors():
 
 
 def test_registration_expiry():
-    manager = ConnectionManager(registration_ttl=100.0)
+    manager = ConnectionManager()
     register(manager, C1, now=0.0)
-    assert manager.expire(now=99.0) == []
-    assert manager.expire(now=100.0) == ["sip:ClientA@local1.com"]
+    assert manager.expire(now=REGISTRATION_TTL - 1.0) == []
+    assert manager.expire(now=REGISTRATION_TTL) == ["sip:ClientA@local1.com"]
     with pytest.raises(NotRegistered):
         manager.route_to("sip:ClientA@local1.com")
 
 
 def test_reregister_refreshes_expiry():
-    manager = ConnectionManager(registration_ttl=100.0)
+    manager = ConnectionManager()
     register(manager, C1, now=0.0)
     register(manager, C1, now=90.0)
-    assert manager.expire(now=150.0) == []
+    assert manager.expire(now=REGISTRATION_TTL + 50.0) == []
     assert manager.route_to("sip:ClientA@local1.com") == C1
 
 

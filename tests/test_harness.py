@@ -147,7 +147,8 @@ def test_relayed_descriptions_only_name_proxy_ports():
     from sipnat.sdp import parse_sdp
 
     lo, hi = ctx.proxy.config.media_port_range
-    bodies = ctx.client_a.received_bodies + ctx.client_b.received_bodies
+    received = ctx.client_a.raw_received + ctx.client_b.raw_received
+    bodies = [msg.body for msg in map(parse_message, received) if msg.body]
     assert bodies
     for body in bodies:
         session = parse_sdp(body)
@@ -253,6 +254,72 @@ def test_reports_match_the_pinned_bytes():
                     s = scenario(nat_a, nat_b, default_script(20), seed=3, mode=mode, signaling=signaling)
                     digest.update(run_scenario(s).to_json().encode())
     assert digest.hexdigest() == PINNED_REPORTS_SHA256
+
+
+# The pin above runs no idle step and meets no expired binding.  This set
+# does: every talk is (interval in seconds, packets) from _EXPIRY_TALKS, the
+# 61 s idle outlives every UDP binding and, at 45 s, the TCP ones, and
+# scenarios cycle through UDP TTLs, TCP idle TTLs and an extra client.
+_EXPIRY_TALKS = ((0.001, 0), (0.002, 1), (0.003, 7), (0.020, 2))
+_EXPIRY_PAIRINGS = (
+    (NatType.FULL_CONE, NatType.SYMMETRIC),
+    (NatType.SYMMETRIC, NatType.SYMMETRIC),
+    (NatType.PORT_RESTRICTED_CONE, NatType.RESTRICTED_CONE),
+    (NatType.RESTRICTED_CONE, NatType.FULL_CONE),
+)
+# sha256 over the JSON reports of _expiry_scenarios(), in order.
+PINNED_EXPIRY_REPORTS_SHA256 = "04f2e1d9adabac3d9656dce579b8b8128905ef25353d55e72f42ed39223399b0"
+
+
+def _expiry_script(interval, packets):
+    def talk(n):
+        return ScriptEvent("talk", packets=n, interval=interval)
+
+    return [
+        ScriptEvent("register"),
+        ScriptEvent("idle", seconds=2.5),
+        ScriptEvent("call", caller="b"),
+        talk(packets),
+        ScriptEvent("idle", seconds=61.0),
+        talk(packets),
+        ScriptEvent("hangup", caller="b"),
+        ScriptEvent("idle", seconds=40.0),
+        ScriptEvent("register"),
+        ScriptEvent("call", caller="a"),
+        talk(3),
+    ]
+
+
+def _expiry_scenarios():
+    i = 0
+    for signaling in ("tcp", "udp"):
+        for mode in MODES:
+            for nat_a, nat_b in _EXPIRY_PAIRINGS:
+                for interval, packets in _EXPIRY_TALKS:
+                    yield Scenario(
+                        nat_a,
+                        nat_b,
+                        _expiry_script(interval, packets),
+                        seed=i,
+                        mode=mode,
+                        signaling=signaling,
+                        udp_binding_ttl=(30.0, 60.0)[i % 2],
+                        tcp_idle_ttl=(45.0, None)[i // 2 % 2],
+                        extra_clients=i // 3 % 2,
+                    )
+                    i += 1
+
+
+def test_expiry_reports_match_the_pinned_bytes():
+    digest = hashlib.sha256()
+    seen = set()
+    for s in _expiry_scenarios():
+        report = run_scenario(s)
+        digest.update(report.to_json().encode())
+        seen.update(e["event"] for e in report.events)
+    # The paths the first pin misses; the set must keep reaching them.
+    assert {"sig_blocked", "delivery_failed", "registration_dropped", "media_dropped"} <= seen
+    assert digest.hexdigest() == PINNED_EXPIRY_REPORTS_SHA256
 
 
 def test_delivered_never_exceeds_sent():

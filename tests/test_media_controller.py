@@ -13,11 +13,10 @@ from sipnat.media_controller import (
     PoolExhausted,
     PortPool,
     RelayPort,
-    SdpRewriteError,
     UnknownCall,
 )
 from sipnat.net import TransportAddress
-from sipnat.sdp import parse_sdp
+from sipnat.sdp import MultipleMediaUnsupported, parse_sdp
 
 PROXY_IP = "200.1.1.1"
 A_PUB = ("68.92.25.44", 62001)
@@ -164,7 +163,7 @@ def test_multi_media_offer_rejected():
     ctl = controller()
     session = ctl.allocate_session("call-1")
     body = samples.crlf_body(samples.INVITE_BODY_LINES + ["m=video 50000 RTP/AVP 96"])
-    with pytest.raises(SdpRewriteError):
+    with pytest.raises(MultipleMediaUnsupported):
         ctl.process_offer(session, parse_sdp(body))
 
 

@@ -3,9 +3,10 @@ from dataclasses import replace
 import pytest
 
 import samples
+from sipnat.connection_manager import REGISTRATION_TTL
 from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.net import TransportAddress
-from sipnat.proxy import Phase, ProxyConfig, SipProxy
+from sipnat.proxy import INVITE_GUARD, Phase, ProxyConfig, SipProxy
 from sipnat.sdp import parse_sdp
 from sipnat.sip_message import Method, build_response, parse_message, serialize_message
 
@@ -94,8 +95,6 @@ def test_full_call_ladder_phases_and_teardown():
     assert conn == A_CONN
     call = proxy.calls["call-1@local2.com"]
     assert call.phase is Phase.INVITING
-    assert call.caller_aor == "sip:ClientB@local2.com"
-    assert call.callee_aor == "sip:ClientA@local1.com"
 
     # Callee answers: 200 with its own (private) description, rewritten on the way back.
     answer = build_response(
@@ -186,7 +185,7 @@ def test_bye_while_inviting_still_relays_the_487():
     conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(terminated), 1.3))
     assert (conn, msg.status_code, msg.cseq_method) == (B_CONN, 487, Method.INVITE)
     assert proxy.media.pool.free_pairs() == pool_at_rest
-    proxy.tick(1.1 + proxy.config.invite_guard)
+    proxy.tick(1.1 + INVITE_GUARD)
     assert proxy.calls == {}
 
 
@@ -201,7 +200,7 @@ def test_crossed_byes_relay_both_answers():
         ok = serialize_message(build_response(fwd, 200, "OK"))
         out_conn, msg = only_message(proxy.handle_message(conn, ok, 2.1))
         assert (out_conn, msg.status_code, msg.cseq_num) == (dest, 200, fwd.cseq_num)
-    proxy.tick(2.0 + proxy.config.invite_guard)
+    proxy.tick(2.0 + INVITE_GUARD)
     assert proxy.calls == {}
 
 
@@ -217,7 +216,7 @@ def test_late_bye_answer_leaves_reused_call_id_alone():
     assert (conn, msg.status_code) == (B_CONN, 200)
     assert proxy.calls["call-1@local2.com"].phase is Phase.INVITING
     assert "call-1@local2.com" in proxy.media.sessions
-    proxy.tick(3.0 + proxy.config.invite_guard)
+    proxy.tick(3.0 + INVITE_GUARD)
     assert proxy.media.pool.free_pairs() == pool_at_rest
 
 
@@ -233,7 +232,7 @@ def test_late_answer_for_an_ended_call_is_relayed_unrewritten(ended_by):
         )
         proxy.handle_message(B_CONN, serialize_message(bye), 1.1)
     elif ended_by == "invite_timeout":
-        proxy.tick(1.0 + proxy.config.invite_guard)
+        proxy.tick(1.0 + INVITE_GUARD)
     else:
         proxy.delivery_failed(A_CONN, serialize_message(fwd_invite), 1.1)
         register_both(proxy, 1.1)
@@ -447,7 +446,7 @@ def test_error_response_to_invite_terminates_and_forwards():
     assert (conn, msg.status_code) == (B_CONN, 486)
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
     assert proxy.media.pool.free_pairs() == pool_at_rest
-    proxy.tick(1.1 + proxy.config.invite_guard)
+    proxy.tick(1.1 + INVITE_GUARD)
     assert proxy.calls == {}
 
 
@@ -472,14 +471,15 @@ def test_unanswered_invite_times_out_and_frees_ports():
     assert proxy.media.pool.free_pairs() == pool_at_rest
     assert tick_events(proxy, 73.9) == []
     assert "call-1@local2.com" in proxy.calls
-    proxy.tick(42.0 + proxy.config.invite_guard)
+    proxy.tick(42.0 + INVITE_GUARD)
     assert proxy.calls == {}
 
 
 def test_tick_expires_registrations():
-    proxy = make_proxy(registration_ttl=100.0)
+    proxy = make_proxy()
     register_both(proxy, now=0.0)
-    events = tick_events(proxy, 100.0)
+    assert tick_events(proxy, REGISTRATION_TTL - 1.0) == []
+    events = tick_events(proxy, REGISTRATION_TTL)
     assert sorted(detail for event, detail in events if event == "registration_expired") == [
         "sip:ClientA@local1.com",
         "sip:ClientB@local2.com",
@@ -507,7 +507,7 @@ def test_delivery_failure_of_invite_yields_404_to_caller():
     assert proxy.media.pool.free_pairs() == pool_at_rest
     with pytest.raises(Exception):
         proxy.registrar.route_to("sip:ClientA@local1.com")
-    proxy.tick(1.1 + proxy.config.invite_guard)
+    proxy.tick(1.1 + INVITE_GUARD)
     assert proxy.calls == {}
 
 

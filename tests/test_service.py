@@ -103,6 +103,24 @@ def test_register_over_real_tcp(service):
     client.close()
 
 
+def test_crlf_before_a_register_and_keepalives_get_no_reply(service):
+    register = samples.make_register("ClientA", "local1.com", HOST)
+    call_id = parse_message(register).call_id
+    client = TcpClient(service.sip_port)
+    client.send(b"\r\n" + register)
+    response = client.recv_message()
+    assert (response.status_code, response.call_id) == (200, call_id)
+    # A double-CRLF keepalive gets no reply and leaves the registration alone.
+    client.send(b"\r\n\r\n")
+    with pytest.raises(TimeoutError):
+        client.recv_message(timeout=0.3)
+    assert service.proxy.registrar.route_to("sip:ClientA@local1.com") == 1
+    client.send(register)
+    response = client.recv_message()
+    assert (response.status_code, response.call_id) == (200, call_id)
+    client.close()
+
+
 def test_signaling_sockets_disable_nagle(service):
     client = TcpClient(service.sip_port)
     client.send(samples.make_register("ClientA", "local1.com", HOST))

@@ -6,6 +6,8 @@ import pytest
 import samples
 from sipnat.net import TransportAddress
 from sipnat.sip_message import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_BYTES,
     BodyLengthMismatch,
     FramingError,
     InvariantViolation,
@@ -312,9 +314,10 @@ def test_framer_lf_only_messages():
 
 
 def test_framer_header_overflow():
-    framer = MessageFramer(max_header_bytes=128)
+    framer = MessageFramer()
+    assert framer.feed(b"X" * MAX_HEADER_BYTES) == []
     with pytest.raises(FramingError):
-        framer.feed(b"X" * 200)
+        framer.feed(b"X")
 
 
 def test_framer_returns_framed_messages_before_header_overflow(invite_raw):
@@ -322,6 +325,41 @@ def test_framer_returns_framed_messages_before_header_overflow(invite_raw):
     assert framer.feed(invite_raw + b"X" * 70000) == [invite_raw]
     with pytest.raises(FramingError):
         framer.feed(b"X")
+
+
+def test_framer_ignores_crlf_where_a_message_would_start(invite_raw):
+    reg = samples.make_register()
+    framer = MessageFramer()
+    # Before the first message, between messages, and alone (a double-CRLF keepalive).
+    assert framer.feed(b"\r\n" + reg + b"\r\n\r\n" + invite_raw) == [reg, invite_raw]
+    assert framer.feed(b"\r\n\r\n") == []
+    assert framer.feed(b"\n\r") == []
+    assert framer.feed(b"\r") == []
+    assert framer.feed(b"\n" + reg[:20]) == []
+    assert framer.feed(reg[20:]) == [reg]
+    # CR and LF inside a message body are the body's.
+    body = b"\r\n\r\n"
+    raw = reg.replace(b"Content-Length: 0", b"Content-Length: 4") + body
+    assert framer.feed(raw + b"\r\n") == [raw]
+    assert parse_message(raw).body == body
+
+
+def test_framer_bounds_the_declared_body(invite_raw):
+    head = invite_raw.split(b"\r\n\r\n", 1)[0]
+    at_cap = head.replace(b"Content-Length:", b"X-Old-Length:") + b"\r\nContent-Length: %d\r\n\r\n"
+    framer = MessageFramer()
+    message = at_cap % MAX_BODY_BYTES + b"v" * MAX_BODY_BYTES
+    assert framer.feed(message) == [message]
+    # Messages framed ahead of an oversized declaration come first; the next feed raises.
+    assert framer.feed(invite_raw + at_cap % (MAX_BODY_BYTES + 1)) == [invite_raw]
+    with pytest.raises(FramingError):
+        framer.feed(b"")
+    for declared in (b"999999999999", b"1" * 5000):
+        with pytest.raises(FramingError):
+            MessageFramer().feed(at_cap.replace(b"%d", declared))
+    # Leading zeros do not count against the cap.
+    padded = at_cap.replace(b"%d", b"0" * 40 + b"2") + b"hi"
+    assert MessageFramer().feed(padded) == [padded]
 
 
 def test_build_response_echoes_identity(invite_raw):
