@@ -33,7 +33,7 @@ from .sdp import SdpSession, rewrite_media
 LEG_A = "A"  # offerer (caller) leg
 LEG_B = "B"  # answerer (callee) leg
 
-DEFAULT_BUFFER_CAP = 16
+BUFFER_CAP = 16  # packets a relay port holds while its peer has not latched
 
 
 class MediaError(Exception):
@@ -114,7 +114,6 @@ class RelayPort:
 class LegState:
     rtp: RelayPort
     rtcp: RelayPort
-    declared: TransportAddress | None = None
 
 
 @dataclass
@@ -150,20 +149,12 @@ class MediaController:
     not internally locked.
     """
 
-    def __init__(
-        self,
-        public_ip: str,
-        port_range: tuple[int, int],
-        buffer_cap: int = DEFAULT_BUFFER_CAP,
-    ):
+    def __init__(self, public_ip: str, port_range: tuple[int, int]):
         self.public_ip = public_ip
         self.pool = PortPool(*port_range)
-        self.buffer_cap = buffer_cap
         self.sessions: dict[str, MediaSession] = {}
         # Every allocated relay port, of every live session.
         self.ports: dict[int, RelayPort] = {}
-        # The most recently released sessions, oldest first; at most one per pool pair.
-        self.finished: dict[str, MediaSession] = {}
 
     def allocate_session(self, call_id: str) -> MediaSession:
         """Reserve both legs' port pairs; nothing is signaled to any client."""
@@ -185,20 +176,14 @@ class MediaController:
         self.sessions[call_id] = session
         return session
 
-    def _rewrite(self, sdp: SdpSession, from_leg: LegState, to_leg: LegState) -> SdpSession:
-        relay = TransportAddress(self.public_ip, to_leg.rtp.port)
-        rewritten, original = rewrite_media(sdp, relay)
-        from_leg.declared = original
-        return rewritten
-
     def process_offer(self, session: MediaSession, sdp: SdpSession) -> SdpSession:
-        """Record the offerer's declared address; aim the offer at its peer's
-        relay port so the answerer sends media to the relay."""
-        return self._rewrite(sdp, session.legs[LEG_A], session.legs[LEG_B])
+        """Aim the offer at the answerer's relay port, so the answerer sends
+        media to the relay."""
+        return rewrite_media(sdp, TransportAddress(self.public_ip, session.legs[LEG_B].rtp.port))
 
     def process_answer(self, session: MediaSession, sdp: SdpSession) -> SdpSession:
-        """Same as process_offer, for the answering leg."""
-        return self._rewrite(sdp, session.legs[LEG_B], session.legs[LEG_A])
+        """Aim the answer at the offerer's relay port."""
+        return rewrite_media(sdp, TransportAddress(self.public_ip, session.legs[LEG_A].rtp.port))
 
     def on_media_packet(
         self, relay_port: int, src: tuple[str, int], datagram: bytes
@@ -240,14 +225,18 @@ class MediaController:
             sends.append(RelaySend(peer.port, to, datagram))
             return RelayDecision("forward", sends=sends)
         buffer = here.buffer
-        if len(buffer) >= self.buffer_cap:
+        if len(buffer) >= BUFFER_CAP:
             buffer.popleft()
             here.dropped += 1
         buffer.append(datagram)
         return RelayDecision("buffer", sends=sends)
 
     def release_session(self, call_id: str) -> int:
-        """Return all four ports to the pool; counters stay readable."""
+        """Return all four ports to the pool.
+
+        The counters stay readable on the ``MediaSession`` the caller holds;
+        the controller keeps nothing of a released session.
+        """
         session = self.sessions.pop(call_id, None)
         if session is None:
             raise UnknownCall(call_id)
@@ -258,11 +247,4 @@ class MediaController:
                 relay_port.peer = None  # break the peer cycle, so refcounting frees the session
                 del self.ports[relay_port.port]
             self.pool.release_pair(leg.rtp.port)
-        self.finished.pop(call_id, None)
-        self.finished[call_id] = session
-        if len(self.finished) > self.pool.pairs:
-            del self.finished[next(iter(self.finished))]
         return 4
-
-    def session_for(self, call_id: str) -> MediaSession | None:
-        return self.sessions.get(call_id) or self.finished.get(call_id)

@@ -9,8 +9,8 @@ Filtering rule, applied to inbound packets addressed to a live binding:
     full cone            deliver from anyone
     restricted cone      deliver iff the source IP was previously contacted
     port restricted cone deliver iff the source (IP, port) was contacted
-    symmetric            deliver iff the source equals the binding's
-                         single destination
+    symmetric            deliver iff the source is the binding's single
+                         destination (the one peer it has contacted)
 
 UDP bindings expire after ``udp_binding_ttl`` idle seconds (any delivered
 or sent packet refreshes the window); TCP bindings persist for the life of
@@ -71,8 +71,8 @@ class NatBinding:
     last_activity: float
     ttl: float  # idle seconds before expiry; inf: never
     key: tuple  # this binding's key in NatBox._bindings
-    peers_contacted: set[tuple[str, int]] = field(default_factory=set)  # (ip, port)
-    destination_key: tuple[str, int] | None = None  # symmetric only: (ip, port)
+    # (ip, port); a symmetric binding's key holds its destination, the only peer.
+    peers_contacted: set[tuple[str, int]] = field(default_factory=set)
 
 
 class NatBox:
@@ -145,7 +145,6 @@ class NatBox:
                 last_activity=now,
                 ttl=self._ttl(transport),
                 key=key,
-                destination_key=peer if self._symmetric else None,
             )
             self._bindings[key] = binding
             self._by_port[external.port] = binding
@@ -185,9 +184,7 @@ class NatBox:
             return True
         if nat_type is NatType.RESTRICTED_CONE:
             return any(ip == source[0] for ip, _ in binding.peers_contacted)
-        if nat_type is NatType.PORT_RESTRICTED_CONE:
-            return source in binding.peers_contacted
-        return source == binding.destination_key
+        return source in binding.peers_contacted  # port restricted, or symmetric
 
     def expire(self, now: float) -> int:
         """Remove every stale binding; return how many were dropped."""

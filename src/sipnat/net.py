@@ -10,9 +10,21 @@ class InvariantViolation(Exception):
     """A value handed to a serializer breaks its own invariants."""
 
 
-def is_ascii_digits(text: str) -> bool:
+def parse_digits(text: str, error: type[Exception], what: str) -> int:
+    """The value of ``text``, a non-empty run of ASCII decimal digits.
+
+    Raises ``error``, the caller's own parse error, for any other text and
+    for more significant digits than ``int()`` converts; leading zeros are
+    free, as in ``MessageFramer``.
+    """
     # str.isdigit() alone accepts Unicode digits that int() rejects.
-    return text.isascii() and text.isdigit()
+    if not (text.isascii() and text.isdigit()):
+        raise error(f"bad {what}: {text!r}")
+    significant = text.lstrip("0") or "0"
+    try:
+        return int(significant)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise error(f"{what} too long: {len(significant)} digits") from None
 
 
 def is_ipv4(text: object) -> bool:
@@ -48,9 +60,9 @@ class TransportAddress:
     def parse(cls, text: str) -> "TransportAddress":
         """Parse ``"ip:port"`` into an address, raising ValueError otherwise."""
         host, sep, port_text = text.partition(":")
-        if not sep or not is_ascii_digits(port_text):
+        if not sep:
             raise ValueError(f"expected ip:port, got {text!r}")
-        return cls(host, int(port_text))
+        return cls(host, parse_digits(port_text, ValueError, "port"))
 
     def __str__(self) -> str:
         return f"{self.ip}:{self.port}"

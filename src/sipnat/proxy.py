@@ -309,7 +309,7 @@ class SipProxy:
             return
         call.phase = Phase.TERMINATED
         call.ended_at = now
-        if call.media is not None and call.media.call_id in self.media.sessions:
+        if call.media is not None:
             freed = self.media.release_session(call.call_id)
             self._on_event("media_released", f"{call.call_id}: {freed} ports freed")
 

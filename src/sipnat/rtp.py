@@ -1,8 +1,9 @@
 """Minimal RTP fixed-header codec (version 2, network byte order).
 
-The relay only needs to validate and count media packets; payloads are
-opaque.  Padding, CSRC lists and header extensions are skipped on parse but
-never generated.
+The relay never parses RTP: it forwards datagrams as opaque bytes.  Only
+the simulated clients use this codec, to build the packets they send and to
+read the ones they receive.  Padding, CSRC lists and header extensions are
+skipped on parse but never generated.
 """
 
 from __future__ import annotations

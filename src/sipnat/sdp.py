@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .net import InvariantViolation, TransportAddress, is_ascii_digits, is_ipv4
+from .net import InvariantViolation, TransportAddress, is_ipv4, parse_digits
 
 
 class SdpError(Exception):
@@ -73,16 +73,10 @@ def _parse_media_line(value: str) -> MediaDesc:
     media_type, port_text, proto = parts[0], parts[1], parts[2]
     if media_type not in ("audio", "video"):
         raise SdpParseError(f"unsupported media type: {media_type!r}")
-    if not is_ascii_digits(port_text):
-        raise BadPort(f"bad media port: {port_text!r}")
-    port = int(port_text)
+    port = parse_digits(port_text, BadPort, "media port")
     if not 1 <= port <= 65535:
         raise BadPort(f"media port out of range: {port}")
-    formats: list[int] = []
-    for fmt in parts[3:]:
-        if not is_ascii_digits(fmt):
-            raise SdpParseError(f"bad payload format: {fmt!r}")
-        formats.append(int(fmt))
+    formats = [parse_digits(fmt, SdpParseError, "payload format") for fmt in parts[3:]]
     return MediaDesc(media_type, port, proto, formats)
 
 
@@ -109,9 +103,7 @@ def parse_sdp(text: bytes | str) -> SdpSession:
         if key == "v":
             if version is not None:
                 raise SdpParseError("duplicate v= line")
-            if not is_ascii_digits(value):
-                raise SdpParseError(f"bad version: {value!r}")
-            version = int(value)
+            version = parse_digits(value, SdpParseError, "version")
         elif key == "o":
             if origin is not None:
                 raise SdpParseError("duplicate o= line")
@@ -182,22 +174,18 @@ def serialize_sdp(session: SdpSession) -> bytes:
     return ("\r\n".join(lines) + "\r\n").encode("latin-1")
 
 
-def rewrite_media(
-    session: SdpSession, relay: TransportAddress
-) -> tuple[SdpSession, TransportAddress]:
+def rewrite_media(session: SdpSession, relay: TransportAddress) -> SdpSession:
     """Point the session at a relay address.
 
-    Returns a copy whose connection address and media port are the relay's,
-    plus the original (connection address, media port) pair for bookkeeping.
+    Returns a copy whose connection address and media port are the relay's.
     Only single-media sessions are supported.
     """
     if len(session.media) != 1:
         raise MultipleMediaUnsupported(
             f"expected exactly one media description, got {len(session.media)}"
         )
-    original = TransportAddress(session.connection_ip, session.media[0].port)
     desc = session.media[0]
-    rewritten = SdpSession(
+    return SdpSession(
         version=session.version,
         origin=session.origin,
         session_name=session.session_name,
@@ -207,4 +195,3 @@ def rewrite_media(
         attributes=list(session.attributes),
         extra_lines=list(session.extra_lines),
     )
-    return rewritten, original

@@ -1,9 +1,11 @@
 """Single-threaded deterministic network: virtual clock, NATs, proxy, clients.
 
 Everything runs off one event queue (ties broken by insertion order), and
-every event enters it through ``SimNetwork.schedule_at``.  TCP signaling is
-modeled as an ordered reliable message channel whose NAT binding is created
-at connect time; UDP signaling and all media are per-datagram, so every hop
+every event enters it through ``SimNetwork.schedule_at``.  Each
+``SimClient`` carries its own signaling path to the proxy, under the
+connection id ``SimNetwork.add_client`` gave it.  TCP signaling is modeled as
+an ordered reliable message stream whose NAT binding lasts while the
+connection does; UDP signaling and all media are per-datagram, so every hop
 consults the NAT filter and can be silently dropped.  No real time or real
 sockets are involved.
 
@@ -73,8 +75,7 @@ class SimNetwork:
         # (NAT public IP, internal IP, internal port) -> datagram handler
         self._udp_sockets: dict[tuple[str, str, int], Callable] = {}
         self._addresses: dict[tuple[str, int], TransportAddress] = {}
-        self._channels: dict[int, "SignalingChannel"] = {}
-        self._next_conn = 1
+        self._clients: dict[int, SimClient] = {}  # by signaling connection id
         proxy.set_event_hook(lambda event, detail: self.log("proxy", event, detail))
 
     # -- clock and queue -------------------------------------------------
@@ -113,20 +114,18 @@ class SimNetwork:
         """Register a private UDP socket so NAT-delivered datagrams reach it."""
         self._udp_sockets[(nat.config.public_ip, internal.ip, internal.port)] = handler
 
-    def new_connection_id(self) -> int:
-        conn = self._next_conn
-        self._next_conn += 1
+    def add_client(self, client: SimClient) -> int:
+        """Give a client its signaling connection id, numbered from 1."""
+        conn = len(self._clients) + 1
+        self._clients[conn] = client
         return conn
-
-    def register_channel(self, channel: "SignalingChannel") -> None:
-        self._channels[channel.conn_id] = channel
 
     # -- proxy-side transmission -------------------------------------------
 
     def dispatch_proxy_out(self, outbound: list[tuple[int, bytes]]) -> None:
-        # The proxy only answers connection ids a channel gave it, and channels stay.
+        # The proxy only answers connection ids a client gave it, and clients stay.
         for conn, raw in outbound:
-            self._channels[conn].proxy_send(raw)
+            self._clients[conn].proxy_send(raw)
 
     # -- datagram routing ----------------------------------------------------
 
@@ -170,67 +169,6 @@ class SimNetwork:
         self.schedule(LATENCY, lambda: self._route_public(src, dst, send.payload))
 
 
-class SignalingChannel:
-    """Client <-> proxy signaling path (one registration-time NAT binding)."""
-
-    def __init__(self, net: SimNetwork, client: "SimClient"):
-        self.net = net
-        self.client = client
-        self.nat = client.nat
-        self.conn_id = net.new_connection_id()
-        self.transport = net.sip_transport  # "tcp" or "udp"
-        self.external: TransportAddress | None = None
-        self.announced: TransportAddress | None = None  # what the proxy knows
-        net.register_channel(self)
-
-    @property
-    def via_transport(self) -> str:
-        return "TCP" if self.transport == TCP else "UDP"
-
-    def client_send(self, msg: SipMessage) -> None:
-        # Sending creates or refreshes the NAT binding in either transport; the
-        # proxy hears of the external address when it does not hold it.
-        external = self.nat.outbound(
-            self.client.sip_addr, self.net.sip_addr, self.net.now, transport=self.transport
-        )
-        if external != self.announced:
-            self.net.proxy.connection_opened(self.conn_id, external)
-            self.announced = external
-        if self.external is None:
-            self.net.log(self.client.name, "connected", f"{self.transport} via {external}")
-        self.external = external
-        raw = serialize_message(msg)
-        self.net.log(self.client.name, "sip_sent", describe(msg))
-        self.net.schedule(LATENCY, lambda: self._deliver_to_proxy(raw))
-
-    def _deliver_to_proxy(self, raw: bytes) -> None:
-        outbound = self.net.proxy.handle_message(self.conn_id, raw, self.net.now)
-        self.net.dispatch_proxy_out(outbound)
-
-    def proxy_send(self, raw: bytes) -> None:
-        self.net.schedule(LATENCY, lambda: self._deliver_to_client(raw))
-
-    def _deliver_to_client(self, raw: bytes) -> None:
-        internal = self.nat.inbound(
-            self.net.sip_addr, self.external, self.net.now, transport=self.transport
-        )
-        if internal is None:
-            label = "sig_blocked"
-            self.net.log(self.client.nat_label, label, f"to {self.client.name} at {self.external}")
-            self.announced = None  # the proxy closes the connection
-            outbound = self.net.proxy.delivery_failed(self.conn_id, raw, self.net.now)
-            self.net.dispatch_proxy_out(outbound)
-            return
-        try:
-            msg = parse_message(raw)
-        except SipParseError as exc:
-            self.net.log(self.client.name, "sip_unparseable", str(exc))
-            return
-        self.net.log(self.client.name, "sip_received", describe(msg))
-        self.client.raw_received.append(raw)
-        self.client.on_sip(msg)
-
-
 @dataclass
 class MediaRecord:
     sent: list[tuple[int, bytes]] = field(default_factory=list)
@@ -242,8 +180,12 @@ class MediaRecord:
 class SimClient:
     """Scripted user agent: registers, answers calls, talks where it is told.
 
-    Uses one UDP socket for sending and receiving RTP (and one for RTCP), so
-    a relay can learn its public address from its first outbound packet.
+    Its signaling path to the proxy is one connection (TCP) or one flow of
+    datagrams (UDP) from its private SIP port, whose NAT binding every send
+    creates or refreshes; ``external`` is that binding's public address and
+    ``announced`` the one the proxy was last told of.  It uses one UDP socket
+    for sending and receiving RTP (and one for RTCP), so a relay can learn
+    its public address from its first outbound packet.
     """
 
     def __init__(
@@ -268,7 +210,10 @@ class SimClient:
         self.sip_addr = TransportAddress(private_ip, SIP_PORT)
         self.rtp_addr = TransportAddress(private_ip, rtp_port)
         self.rtcp_addr = TransportAddress(private_ip, rtp_port + 1)
-        self.channel = SignalingChannel(net, self)
+        self.transport = net.sip_transport  # "tcp" or "udp"
+        self.external: TransportAddress | None = None
+        self.announced: TransportAddress | None = None  # what the proxy knows
+        self.conn_id = net.add_client(self)
         self.ssrc = sum(ord(c) for c in name) * 65537 % 0xFFFFFFFF
         self.media = MediaRecord()
 
@@ -288,7 +233,7 @@ class SimClient:
 
     def _via(self, branch: str | None = None) -> ViaHeader:
         return ViaHeader(
-            transport=self.channel.via_transport, sent_by=self.sip_addr.ip, branch=branch
+            transport=self.transport.upper(), sent_by=self.sip_addr.ip, branch=branch
         )
 
     def _next_cseq(self) -> int:
@@ -320,7 +265,7 @@ class SimClient:
             request_uri=f"sip:{self.domain}",
             contact=f"sip:{self.user}@{self.sip_addr.ip}",
         )
-        self.channel.client_send(msg)
+        self._send_sip(msg)
 
     def invite(self, callee: "SimClient") -> str:
         self._call_count += 1
@@ -341,7 +286,7 @@ class SimClient:
             content_type="application/sdp",
             body=body,
         )
-        self.channel.client_send(msg)
+        self._send_sip(msg)
         return call_id
 
     def hangup(self) -> None:
@@ -357,7 +302,49 @@ class SimClient:
             method=Method.BYE,
             request_uri=uri_of(self.remote_name_addr) if self.remote_name_addr else self.aor,
         )
-        self.channel.client_send(msg)
+        self._send_sip(msg)
+
+    # -- signaling transport ---------------------------------------------------
+
+    def _send_sip(self, msg: SipMessage) -> None:
+        # Sending creates or refreshes the NAT binding in either transport; the
+        # proxy hears of the external address when it does not hold it.
+        net = self.net
+        external = self.nat.outbound(self.sip_addr, net.sip_addr, net.now, transport=self.transport)
+        if external != self.announced:
+            net.proxy.connection_opened(self.conn_id, external)
+            self.announced = external
+        if self.external is None:
+            net.log(self.name, "connected", f"{self.transport} via {external}")
+        self.external = external
+        raw = serialize_message(msg)
+        net.log(self.name, "sip_sent", describe(msg))
+        net.schedule(LATENCY, lambda: self._deliver_to_proxy(raw))
+
+    def _deliver_to_proxy(self, raw: bytes) -> None:
+        outbound = self.net.proxy.handle_message(self.conn_id, raw, self.net.now)
+        self.net.dispatch_proxy_out(outbound)
+
+    def proxy_send(self, raw: bytes) -> None:
+        """The proxy sends ``raw`` to this client over its signaling path."""
+        self.net.schedule(LATENCY, lambda: self._deliver_to_client(raw))
+
+    def _deliver_to_client(self, raw: bytes) -> None:
+        net = self.net
+        internal = self.nat.inbound(net.sip_addr, self.external, net.now, transport=self.transport)
+        if internal is None:
+            net.log(self.nat_label, "sig_blocked", f"to {self.name} at {self.external}")
+            self.announced = None  # the proxy closes the connection
+            net.dispatch_proxy_out(net.proxy.delivery_failed(self.conn_id, raw, net.now))
+            return
+        try:
+            msg = parse_message(raw)
+        except SipParseError as exc:
+            net.log(self.name, "sip_unparseable", str(exc))
+            return
+        net.log(self.name, "sip_received", describe(msg))
+        self.raw_received.append(raw)
+        self.on_sip(msg)
 
     # -- SIP handling --------------------------------------------------------
 
@@ -380,11 +367,11 @@ class SimClient:
                 content_type="application/sdp",
                 contact=f"sip:{self.user}@{self.sip_addr.ip}",
             )
-            self.channel.client_send(answer)
+            self._send_sip(answer)
         elif msg.method is Method.ACK:
             self.ever_established = True
         elif msg.method is Method.BYE:
-            self.channel.client_send(build_response(msg, 200, "OK"))
+            self._send_sip(build_response(msg, 200, "OK"))
 
     def _on_response(self, msg: SipMessage) -> None:
         if msg.cseq_method is Method.INVITE:
@@ -401,7 +388,7 @@ class SimClient:
                     request_uri=uri_of(msg.to_),
                 )
                 self.ever_established = True
-                self.channel.client_send(ack)
+                self._send_sip(ack)
             elif msg.status_code >= 300:
                 self.call_id = None
 

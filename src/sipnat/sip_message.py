@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .net import InvariantViolation, TransportAddress, is_ascii_digits
+from .net import InvariantViolation, TransportAddress, parse_digits
 
 MAX_HEADER_BYTES = 65536
 MAX_BODY_BYTES = 65536
@@ -245,9 +245,9 @@ def parse_message(raw: bytes) -> SipMessage:
     reason: str | None = None
     if start.startswith("SIP/2.0"):
         parts = start.split(" ", 2)
-        if len(parts) < 2 or parts[0] != "SIP/2.0" or not is_ascii_digits(parts[1]):
+        if len(parts) < 2 or parts[0] != "SIP/2.0":
             raise MalformedStartLine(f"bad status line: {start!r}")
-        status_code = int(parts[1])
+        status_code = parse_digits(parts[1], MalformedStartLine, "status code")
         if not 100 <= status_code <= 699:
             raise MalformedStartLine(f"status code out of range: {status_code}")
         reason = parts[2] if len(parts) > 2 else ""
@@ -297,6 +297,7 @@ def parse_message(raw: bytes) -> SipMessage:
     m = _CSEQ_RE.match(cseq)
     if not m:
         raise MalformedHeader(f"bad CSeq header: {cseq!r}")
+    cseq_num = parse_digits(m.group(1), MalformedHeader, "CSeq number")
     cseq_method = _METHODS.get(m.group(2))
     if cseq_method is None:
         raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
@@ -307,9 +308,7 @@ def parse_message(raw: bytes) -> SipMessage:
 
     length = known.get("content-length")
     if length is not None:
-        if not is_ascii_digits(length):
-            raise MalformedHeader(f"bad Content-Length: {length!r}")
-        declared = int(length)
+        declared = parse_digits(length, MalformedHeader, "Content-Length")
         if declared != len(body):
             raise BodyLengthMismatch(
                 f"Content-Length {declared} but body has {len(body)} bytes"
@@ -318,7 +317,7 @@ def parse_message(raw: bytes) -> SipMessage:
     contact = known.get("contact")
     # Positional, in field order: about half the cost of keywords.
     return SipMessage(
-        via, known["from"], known["to"], call_id, int(m.group(1)), cseq_method,
+        via, known["from"], known["to"], call_id, cseq_num, cseq_method,
         method, request_uri, status_code, reason,
         None if contact is None else uri_of(contact),
         known.get("content-type"), body, tuple(extras),

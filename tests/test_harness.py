@@ -53,11 +53,19 @@ def test_naive_symmetric_pair_blocked():
     assert any(e["event"] == "unroutable" for e in report.events)
 
 
-def test_latched_addresses_equal_nat_mappings():
-    s = scenario(seed=3)
+def run_keeping_session(s):
+    """Run the scenario; return its context and the call's relay session,
+    taken from the call before the script's final hangup releases it."""
     ctx = build_simulation(s)
-    execute_script(ctx, s)
-    session = ctx.proxy.media.session_for(ctx.client_a.call_id)
+    execute_script(ctx, replace(s, script=s.script[:-1]))
+    session = ctx.proxy.calls[ctx.client_a.call_id].media
+    execute_script(ctx, replace(s, script=s.script[-1:]))
+    assert ctx.proxy.media.sessions == {}
+    return ctx, session
+
+
+def test_latched_addresses_equal_nat_mappings():
+    ctx, session = run_keeping_session(scenario(seed=3))
     leg_a, leg_b = session.legs[LEG_A], session.legs[LEG_B]
     proxy_ip = ctx.proxy.config.public_ip
     a_expected = ctx.nat_a.external_for(
@@ -71,10 +79,7 @@ def test_latched_addresses_equal_nat_mappings():
 
 
 def test_forwarding_from_wrong_proxy_port_is_blocked():
-    s = scenario(seed=3)
-    ctx = build_simulation(s)
-    execute_script(ctx, s)
-    session = ctx.proxy.media.session_for(ctx.client_a.call_id)
+    ctx, session = run_keeping_session(scenario(seed=3))
     leg_b = session.legs[LEG_B]
     latched_b = TransportAddress(*leg_b.rtp.latched)
     proxy_ip = ctx.proxy.config.public_ip
@@ -124,20 +129,31 @@ def test_proxy_hears_of_a_signaling_address_only_when_it_changes():
     ctx.proxy.connection_opened = record
     execute_script(ctx, s)
     for client in (ctx.client_a, ctx.client_b):
-        remotes = [remote for conn, remote in opened if conn == client.channel.conn_id]
-        assert len(remotes) == 2 and remotes[0] != remotes[1] == client.channel.external
+        remotes = [remote for conn, remote in opened if conn == client.conn_id]
+        assert len(remotes) == 2 and remotes[0] != remotes[1] == client.external
     assert sorted(e.actor for e in ctx.net.events if e.event == "connected") == ["client_a", "client_b"]
 
 
-def test_declared_addresses_recorded_but_not_used():
-    s = scenario(seed=3)
+def test_latches_are_set_and_not_the_private_addresses():
+    ctx, session = run_keeping_session(scenario(seed=3))
+    for leg, client in ((LEG_A, ctx.client_a), (LEG_B, ctx.client_b)):
+        latched = session.legs[leg].rtp.latched
+        assert latched is not None
+        assert latched != (client.rtp_addr.ip, client.rtp_addr.port)
+
+
+def test_relayed_media_to_an_expired_binding_is_blocked_at_the_nat():
+    script = [ScriptEvent("register"), ScriptEvent("call"), ScriptEvent("talk", packets=3)]
+    s = scenario(PRC, SYM, script=script, seed=1)
     ctx = build_simulation(s)
+    ctx.nat_b.config.udp_binding_ttl = 30.0  # B's media binding expires while A is silent
     execute_script(ctx, s)
-    session = ctx.proxy.media.session_for(ctx.client_a.call_id)
-    assert session.legs[LEG_A].declared == TransportAddress("192.168.1.11", 49570)
-    assert session.legs[LEG_B].declared == TransportAddress("10.0.0.4", 6580)
-    declared = session.legs[LEG_A].declared
-    assert session.legs[LEG_A].rtp.latched != (declared.ip, declared.port)
+    assert len(ctx.client_b.media.received) == 3
+    ctx.net.schedule_at(40.0, lambda: ctx.client_a.send_rtp(3))
+    ctx.net.run()
+    blocked = [(e.actor, e.detail) for e in ctx.net.events if e.event == "media_blocked"]
+    assert blocked == [("nat_b", "200.1.1.1:40002 -> 77.224.10.9:6003")]
+    assert len(ctx.client_b.media.received) == 3
 
 
 def test_relayed_descriptions_only_name_proxy_ports():
@@ -200,7 +216,7 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     nat.outbound(TransportAddress("192.168.1.12", 5060), net.sip_addr, net.now, transport=UDP)
     net.settle_to(60.0)
     nat.expire(net.now)
-    client.channel.proxy_send(client.raw_received[-1])
+    client.proxy_send(client.raw_received[-1])
     net.run()
     assert any(e.event == "delivery_failed" for e in net.events)
     client.register()
@@ -256,7 +272,24 @@ def test_reports_match_the_pinned_bytes():
     assert digest.hexdigest() == PINNED_REPORTS_SHA256
 
 
-# The pin above runs no idle step and meets no expired binding.  This set
+# sha256 over the JSON reports of seeds 0-7 x mode x NAT pairing,
+# default_script(60), in that loop order: the matrix the benchmark runs, over
+# more seeds and longer talks than the pin above.
+PINNED_SEED_MATRIX_SHA256 = "398f5d25ab3bcc2ac4c22bd05007ae2efbd295c691e44b956d29f35433c094e2"
+
+
+def test_seed_matrix_reports_match_the_pinned_bytes():
+    digest = hashlib.sha256()
+    for seed in range(8):
+        for mode in MODES:
+            for nat_a in NatType:
+                for nat_b in NatType:
+                    s = Scenario(nat_a, nat_b, default_script(60), seed=seed, mode=mode)
+                    digest.update(run_scenario(s).to_json().encode())
+    assert digest.hexdigest() == PINNED_SEED_MATRIX_SHA256
+
+
+# The pins above run no idle step and meet no expired binding.  This set
 # does: every talk is (interval in seconds, packets) from _EXPIRY_TALKS, the
 # 61 s idle outlives every UDP binding and, at 45 s, the TCP ones, and
 # scenarios cycle through UDP TTLs, TCP idle TTLs and an extra client.
@@ -345,10 +378,7 @@ def test_pool_returns_to_initial_state_after_hangup():
 
 
 def test_media_conservation_per_leg():
-    s = scenario(seed=4, script=default_script(6))
-    ctx = build_simulation(s)
-    execute_script(ctx, s)
-    session = ctx.proxy.media.session_for(ctx.client_a.call_id)
+    _, session = run_keeping_session(scenario(seed=4, script=default_script(6)))
     for leg in session.legs.values():
         port = leg.rtp
         assert port.received == port.forwarded + port.flushed + port.dropped

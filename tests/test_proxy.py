@@ -269,9 +269,6 @@ def test_forwarded_descriptions_use_proxy_pool_ports():
     answered = parse_sdp(fwd_answer.body)
     assert answered.connection_ip == "200.1.1.1"
     assert answered.media[0].port == session.legs[LEG_A].rtp.port
-    # Declared (private) addresses were recorded, not used for sending.
-    assert session.legs[LEG_A].declared == TransportAddress("10.0.0.4", 6580)
-    assert session.legs[LEG_B].declared == TransportAddress("192.168.1.11", 49570)
 
 
 def test_invite_request_is_stamped_with_source():
@@ -308,6 +305,23 @@ def test_invite_with_multi_media_offer_400_releases_ports():
     conn, msg = only_message(proxy.handle_message(B_CONN, raw, 1.0))
     assert (conn, msg.status_code) == (B_CONN, 400)
     assert proxy.media.pool.free_pairs() == pool_at_rest
+
+
+def test_digit_fields_too_long_for_int_get_400_and_leak_no_ports():
+    proxy = make_proxy()
+    register_both(proxy)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    long_port = "m=audio " + "9" * 5000 + " RTP/AVP 0"
+    body = samples.crlf_body([long_port if l.startswith("m=") else l for l in samples.INVITE_BODY_LINES])
+    raw = samples.make_invite(call_id="call-long@local2.com", body=body)
+    conn, msg = only_message(proxy.handle_message(B_CONN, raw, 1.0))
+    assert (conn, msg.status_code) == (B_CONN, 400)
+    assert proxy.media.pool.free_pairs() == pool_at_rest
+    assert proxy.media.sessions == {} and "call-long@local2.com" not in proxy.calls
+
+    long_cseq = samples.make_register().replace(b"CSeq: 1 ", b"CSeq: " + b"9" * 5000 + b" ")
+    conn, msg = only_message(proxy.handle_message(A_CONN, long_cseq, 2.0))
+    assert (conn, msg.status_code) == (A_CONN, 400)
 
 
 def test_duplicate_invite_400():

@@ -103,6 +103,18 @@ def test_register_over_real_tcp(service):
     client.close()
 
 
+def test_a_digit_field_too_long_for_int_gets_400_and_the_service_keeps_serving(service):
+    register = samples.make_register("ClientA", "local1.com", HOST)
+    first = TcpClient(service.sip_port)
+    first.send(register.replace(b"CSeq: 1 ", b"CSeq: " + b"9" * 5000 + b" "))
+    assert first.recv_message(timeout=2.0).status_code == 400
+    second = TcpClient(service.sip_port)
+    second.send(register)
+    assert second.recv_message(timeout=2.0).status_code == 200
+    first.close()
+    second.close()
+
+
 def test_crlf_before_a_register_and_keepalives_get_no_reply(service):
     register = samples.make_register("ClientA", "local1.com", HOST)
     call_id = parse_message(register).call_id

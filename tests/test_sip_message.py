@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 
 import pytest
 
@@ -167,6 +168,23 @@ def test_malformed_start_line():
         parse_message(b"SIP/2.0 banana OK\r\nVia: SIP/2.0/TCP h\r\n\r\n")
     with pytest.raises(MalformedStartLine):
         parse_message(b"no blank line at all")
+
+
+@pytest.mark.parametrize(
+    "field, error",
+    [
+        (rb"(SIP/2\.0 )200", MalformedStartLine),
+        (rb"(CSeq: )1", MalformedHeader),
+        (rb"(Content-Length: )\d+", MalformedHeader),
+    ],
+    ids=["status_code", "cseq", "content_length"],
+)
+def test_digit_fields_too_long_for_int_are_parse_errors(answer_raw, field, error):
+    # int() refuses more than 4300 digits by default, with a ValueError.
+    raw = re.sub(field, rb"\g<1>" + b"9" * 5000, answer_raw, count=1)
+    assert raw != answer_raw
+    with pytest.raises(error):
+        parse_message(raw)
 
 
 def test_unsupported_method():
@@ -358,8 +376,10 @@ def test_framer_bounds_the_declared_body(invite_raw):
         with pytest.raises(FramingError):
             MessageFramer().feed(at_cap.replace(b"%d", declared))
     # Leading zeros do not count against the cap.
-    padded = at_cap.replace(b"%d", b"0" * 40 + b"2") + b"hi"
-    assert MessageFramer().feed(padded) == [padded]
+    for zeros in (40, 5000):
+        padded = at_cap.replace(b"%d", b"0" * zeros + b"2") + b"hi"
+        assert MessageFramer().feed(padded) == [padded]
+        assert parse_message(padded).body == b"hi"
 
 
 def test_build_response_echoes_identity(invite_raw):
