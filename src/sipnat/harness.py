@@ -19,12 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .nat import NatBox, NatConfig, NatType
 from .proxy import ProxyConfig, SipProxy
-from .simnet import SimClient, SimNetwork
+from .simnet import LogEntry, SimClient, SimNetwork
 
 MODE_ADAPTED = "adapted"
 MODE_NAIVE = "naive"
@@ -258,7 +259,17 @@ class Report:
     sip_messages: int
     allocation_transactions: int
     clients: int
-    events: list[dict] = field(default_factory=list)
+    log: list[LogEntry]
+
+    @cached_property
+    def events(self) -> list[dict]:
+        """The log as JSON objects, built on first read: most runs never read it."""
+        # Entries logged by one event share its time: round each distinct time once.
+        rounded = {t: round(t, 6) for t in {e.time for e in self.log}}
+        return [
+            {"time": rounded[e.time], "actor": e.actor, "event": e.event, "detail": e.detail}
+            for e in self.log
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -370,15 +381,27 @@ def execute_script(ctx: SimContext, scenario: Scenario) -> None:
             caller.invite(callee)
             net.run()
         elif event.kind == "talk":
+            # Each step runs once everything due before it has, and before
+            # anything already queued for its own time, as if it had been
+            # queued when the talk began; so the queue holds only datagrams
+            # in flight.  Both RTCP reports follow every send due at the time
+            # of the middle one.
+            a, b = ctx.client_a, ctx.client_b
             start, interval = net.now, event.interval
+            mid = start + (event.packets // 2) * interval
+            rtcp_due = event.packets > 0
             for k in range(event.packets):
                 when = start + k * interval
-                net.schedule_at(when, lambda k=k, c=ctx.client_a: c.send_rtp(k))
-                net.schedule_at(when, lambda k=k, c=ctx.client_b: c.send_rtp(k))
-            if event.packets:
-                mid = net.now + (event.packets // 2) * event.interval
-                net.schedule_at(mid, ctx.client_a.send_rtcp)
-                net.schedule_at(mid, ctx.client_b.send_rtcp)
+                if rtcp_due and when > mid:
+                    a.send_rtcp()
+                    b.send_rtcp()
+                    rtcp_due = False
+                net.run_before(when)
+                a.send_rtp(k)
+                b.send_rtp(k)
+            if rtcp_due:
+                a.send_rtcp()
+                b.send_rtcp()
             net.run()
         elif event.kind == "hangup":
             actor = ctx.client_a if event.caller == "a" else ctx.client_b
@@ -411,12 +434,6 @@ def run_scenario(scenario: Scenario) -> Report:
     }
 
     clients = [ctx.client_a, ctx.client_b, *ctx.extras]
-    client_names = {c.name for c in clients}
-    sip_messages = sum(
-        1
-        for entry in net.events
-        if entry.actor in client_names and entry.event in ("sip_sent", "sip_received")
-    )
 
     # Both ends must have seen the call complete (caller: 200, callee: ACK).
     established = ctx.client_a.ever_established and ctx.client_b.ever_established
@@ -439,8 +456,7 @@ def run_scenario(scenario: Scenario) -> Report:
                 f"{client.name}: {ALLOCATIONS_PER_CLIENT} transactions",
             )
 
-    # Entries logged by one event share its time: round each distinct time once.
-    rounded = {t: round(t, 6) for t in {e.time for e in net.events}}
+    net.close()
     return Report(
         mode=scenario.mode,
         seed=scenario.seed,
@@ -448,13 +464,10 @@ def run_scenario(scenario: Scenario) -> Report:
         outcome=outcome,
         rtp=rtp,
         rtcp=rtcp,
-        sip_messages=sip_messages,
+        sip_messages=sum(c.sip_messages for c in clients),
         allocation_transactions=allocation_transactions,
         clients=len(clients),
-        events=[
-            {"time": rounded[e.time], "actor": e.actor, "event": e.event, "detail": e.detail}
-            for e in net.events
-        ],
+        log=net.events,
     )
 
 

@@ -1,7 +1,10 @@
 """Single-threaded deterministic network: virtual clock, NATs, proxy, clients.
 
 Everything runs off one event queue (ties broken by insertion order), and
-every event enters it through ``SimNetwork.schedule_at``.  Each
+every event enters it through ``SimNetwork.schedule_at``, except the steps of
+a talk: ``harness.execute_script`` calls each client's send itself, after
+``SimNetwork.run_before`` has run everything due earlier, so the queue holds
+only datagrams in flight however long the talk.  Each
 ``SimClient`` carries its own signaling path to the proxy, under the
 connection id ``SimNetwork.add_client`` gave it.  TCP signaling is modeled as
 an ordered reliable message stream whose NAT binding lasts while the
@@ -13,7 +16,7 @@ The per-packet path builds no address: the relay hands back ``(ip, port)``
 tuples, and ``SimNetwork`` maps each to one interned ``TransportAddress``
 (the relay's ports and the latched client addresses alike), while its
 socket table is keyed by plain tuples.  Log entries keep the raw clock;
-``harness.run_scenario`` rounds each distinct time once, for the report.
+``harness.Report`` rounds it only when its events are read.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ class LogEntry:
     actor: str
     event: str
     detail: str
+
+
+def _ignore_event(event: str, detail: str) -> None:
+    pass
 
 
 def describe(msg: SipMessage) -> str:
@@ -97,12 +104,35 @@ class SimNetwork:
             self.now = when
             fn()
 
+    def run_before(self, when: float) -> None:
+        """Run every event due strictly before ``when``, then set the clock to it.
+
+        An event already queued for ``when`` itself runs after whatever the
+        caller does at ``when``, as if that had been queued first.
+        """
+        if when < self.now:
+            raise ValueError(f"cannot run to {when}, before the clock's {self.now}")
+        queue = self._queue
+        pop = heapq.heappop
+        while queue and queue[0][0] < when:
+            self.now, _, fn = pop(queue)
+            fn()
+        self.now = when
+
     def settle_to(self, when: float) -> None:
         self.run()
         self.now = max(self.now, when)
 
     def log(self, actor: str, event: str, detail: str = "") -> None:
         self.events.append(LogEntry(self.now, actor, event, detail))
+
+    def close(self) -> None:
+        """Break the cycles between the network, its clients and the proxy's
+        event hook, so that reference counting frees a finished world.  The
+        log stays readable; nothing may be sent or run after this."""
+        self._clients.clear()
+        self._udp_sockets.clear()
+        self.proxy.set_event_hook(_ignore_event)
 
     # -- topology ----------------------------------------------------------
 
@@ -223,6 +253,7 @@ class SimClient:
         self._remote_media_text = ""  # str(remote_media), for the per-packet log
         self.remote_name_addr: str | None = None
         self.raw_received: list[bytes] = []
+        self.sip_messages = 0  # sent and received, as logged
         self._cseq = 0
         self._call_count = 0
 
@@ -318,6 +349,7 @@ class SimClient:
             net.log(self.name, "connected", f"{self.transport} via {external}")
         self.external = external
         raw = serialize_message(msg)
+        self.sip_messages += 1
         net.log(self.name, "sip_sent", describe(msg))
         net.schedule(LATENCY, lambda: self._deliver_to_proxy(raw))
 
@@ -342,6 +374,7 @@ class SimClient:
         except SipParseError as exc:
             net.log(self.name, "sip_unparseable", str(exc))
             return
+        self.sip_messages += 1
         net.log(self.name, "sip_received", describe(msg))
         self.raw_received.append(raw)
         self.on_sip(msg)

@@ -315,11 +315,16 @@ def parse_message(raw: bytes) -> SipMessage:
             )
 
     contact = known.get("contact")
+    if contact is not None:
+        contact = uri_of(contact)
+        # No URI holds '<' or '>' (RFC 3986 section 2); a stray one in a bare
+        # URI would come back as a different Contact once serialised.
+        if "<" in contact or ">" in contact:
+            raise MalformedHeader(f"bad Contact header: {known['contact']!r}")
     # Positional, in field order: about half the cost of keywords.
     return SipMessage(
         via, known["from"], known["to"], call_id, cseq_num, cseq_method,
-        method, request_uri, status_code, reason,
-        None if contact is None else uri_of(contact),
+        method, request_uri, status_code, reason, contact,
         known.get("content-type"), body, tuple(extras),
     )
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 from dataclasses import replace
@@ -353,6 +354,70 @@ def test_expiry_reports_match_the_pinned_bytes():
     # The paths the first pin misses; the set must keep reaching them.
     assert {"sig_blocked", "delivery_failed", "registration_dropped", "media_dropped"} <= seen
     assert digest.hexdigest() == PINNED_EXPIRY_REPORTS_SHA256
+
+
+# Talks whose steps fall at the same virtual times as relayed packets, so the
+# order of a step against a datagram due at its own time reaches the report.
+# The 1e-19 s interval is below the clock's resolution after setup: every
+# step of a talk falls at one time, and both RTCP reports follow all of them.
+# sha256 over the JSON reports of the intervals x mode x NAT pairing, seed 3.
+@pytest.mark.parametrize(
+    "intervals, pinned",
+    [
+        (
+            (0.0005, 0.001, 0.002, 0.003, 0.02),
+            "9f918519669a209969949319fa3dee2ff8a9927ca126a9311980404f4010bfa3",
+        ),
+        ((1e-19,), "c0a5dedc9495ed3632a029310bf60d6f07cfc37a20b5fa1a1797189de4b7bd9d"),
+    ],
+)
+def test_short_interval_reports_match_the_pinned_bytes(intervals, pinned):
+    digest = hashlib.sha256()
+    for interval in intervals:
+        script = [
+            ScriptEvent("register"),
+            ScriptEvent("call", caller="a"),
+            ScriptEvent("talk", packets=40, interval=interval),
+            ScriptEvent("idle", seconds=2.0),
+            ScriptEvent("talk", packets=7, interval=interval),
+            ScriptEvent("hangup", caller="a"),
+        ]
+        for mode in MODES:
+            for nat_a in NatType:
+                for nat_b in NatType:
+                    s = Scenario(nat_a, nat_b, script, seed=3, mode=mode)
+                    digest.update(run_scenario(s).to_json().encode())
+    assert digest.hexdigest() == pinned
+
+
+def test_talk_queue_does_not_grow_with_talk_length():
+    s = scenario(script=default_script(2000))
+    ctx = build_simulation(s)
+    net = ctx.net
+    high = 0
+    schedule_at = net.schedule_at
+
+    def recording_schedule_at(when, fn):
+        nonlocal high
+        schedule_at(when, fn)
+        high = max(high, len(net._queue))
+
+    net.schedule_at = recording_schedule_at
+    execute_script(ctx, s)
+    assert len(ctx.client_b.media.received) == 2000
+    assert high <= 8
+
+
+def test_a_finished_scenario_is_freed_without_the_cyclic_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_scenario(scenario(script=default_script(200)))
+        assert report.outcome is Outcome.MEDIA_OK
+        del report
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_delivered_never_exceeds_sent():

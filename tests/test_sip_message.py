@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import samples
 from sipnat.net import TransportAddress
@@ -284,6 +286,54 @@ def test_parser_total_on_fuzz_smoke(invite_raw, answer_raw):
             parse_message(data)
         except SipParseError:
             pass  # typed failure is the contract
+
+
+def test_contact_with_a_stray_angle_bracket_is_rejected(invite_raw):
+    # It used to parse as 'sip:Client@192.168.1.11>' and serialise as
+    # '<sip:Client@192.168.1.11>>', which parses back to a different URI.
+    raw = invite_raw.replace(
+        b"Contact: ClientA <sip:Client@192.168.1.11>", b"Contact: sip:Client@192.168.1.11>"
+    )
+    with pytest.raises(MalformedHeader):
+        parse_message(raw)
+
+
+_SYNTAX_BYTES = b'<>";:, \r\n'
+
+
+@st.composite
+def mutated_samples(draw) -> bytes:
+    """A sample message with one to three header bytes replaced, inserted or
+    deleted.  Edits favour the bytes SIP's syntax turns on, at their own
+    positions and as new bytes; a body edit would only break Content-Length."""
+    data = draw(st.sampled_from([samples.sample_invite(), samples.sample_answer(), samples.make_register()]))
+    for _ in range(draw(st.integers(1, 3))):
+        end = data.find(b"\r\n\r\n")
+        if end == -1:
+            end = len(data)
+        anywhere = st.integers(0, end)
+        syntax = [i for i in range(end) if data[i] in _SYNTAX_BYTES]
+        pos = draw(st.sampled_from(syntax) | anywhere if syntax else anywhere)
+        byte = bytes([draw(st.sampled_from(_SYNTAX_BYTES) | st.integers(0, 255))])
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "replace":
+            data = data[:pos] + byte + data[pos + 1 :]
+        elif kind == "insert":
+            data = data[:pos] + byte + data[pos:]
+        else:
+            data = data[:pos] + data[pos + 1 :]
+    return data
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(mutated_samples())
+def test_serialize_of_parse_is_idempotent_on_mutated_samples(raw):
+    try:
+        msg = parse_message(raw)
+    except SipParseError:
+        return
+    once = serialize_message(msg)
+    assert serialize_message(parse_message(once)) == once
 
 
 # -- TCP framing ---------------------------------------------------------------
