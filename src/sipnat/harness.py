@@ -60,6 +60,7 @@ class ScriptMismatch(Exception):
 
 SCRIPT_EVENTS = ("register", "idle", "call", "talk", "hangup")
 MAX_TALK_PACKETS = 65_536  # one RTP sequence number (16 bits) per packet
+MAX_IDLE_SECONDS = 86_400.0  # one day; idle sweeps once per virtual second
 
 
 def _is_number(value: object) -> bool:
@@ -88,8 +89,10 @@ class ScriptEvent:
     def __post_init__(self) -> None:
         if self.kind not in SCRIPT_EVENTS:
             raise InvalidScenario(f"unknown script event: {self.kind!r}")
-        if not _is_number(self.seconds) or not math.isfinite(self.seconds) or self.seconds < 0:
-            raise InvalidScenario(f"idle needs finite non-negative 'seconds', got {self.seconds!r}")
+        if not _is_number(self.seconds) or not 0 <= self.seconds <= MAX_IDLE_SECONDS:
+            raise InvalidScenario(
+                f"idle needs 'seconds' in 0..{MAX_IDLE_SECONDS:g}, got {self.seconds!r}"
+            )
         if type(self.packets) is not int or not 0 <= self.packets <= MAX_TALK_PACKETS:
             raise InvalidScenario(
                 f"talk needs integer 'packets' in 0..{MAX_TALK_PACKETS}, got {self.packets!r}"
@@ -264,10 +267,8 @@ class Report:
     @cached_property
     def events(self) -> list[dict]:
         """The log as JSON objects, built on first read: most runs never read it."""
-        # Entries logged by one event share its time: round each distinct time once.
-        rounded = {t: round(t, 6) for t in {e.time for e in self.log}}
         return [
-            {"time": rounded[e.time], "actor": e.actor, "event": e.event, "detail": e.detail}
+            {"time": round(e.time, 6), "actor": e.actor, "event": e.event, "detail": e.detail}
             for e in self.log
         ]
 
@@ -368,12 +369,15 @@ def execute_script(ctx: SimContext, scenario: Scenario) -> None:
                 client.register()
             net.run()
         elif event.kind == "idle":
+            # One sweep per virtual second, run like a talk step: after
+            # everything due before it, never through the queue.
             end = net.now + event.seconds
             t = net.now + 1.0
             while t <= end:
-                net.schedule_at(t, lambda: _sweep(ctx))
+                net.run_before(t)
+                _sweep(ctx)
                 t += 1.0
-            net.settle_to(end)
+            net.run_before(end)
         elif event.kind == "call":
             caller, callee = (
                 (ctx.client_a, ctx.client_b) if event.caller == "a" else (ctx.client_b, ctx.client_a)

@@ -2,21 +2,23 @@
 
 Everything runs off one event queue (ties broken by insertion order), and
 every event enters it through ``SimNetwork.schedule_at``, except the steps of
-a talk: ``harness.execute_script`` calls each client's send itself, after
-``SimNetwork.run_before`` has run everything due earlier, so the queue holds
-only datagrams in flight however long the talk.  Each
-``SimClient`` carries its own signaling path to the proxy, under the
-connection id ``SimNetwork.add_client`` gave it.  TCP signaling is modeled as
-an ordered reliable message stream whose NAT binding lasts while the
-connection does; UDP signaling and all media are per-datagram, so every hop
-consults the NAT filter and can be silently dropped.  No real time or real
-sockets are involved.
+a script: ``harness.execute_script`` calls each talk's sends and each idle
+second's sweep itself, after ``SimNetwork.run_before`` has run everything due
+earlier, so the queue holds only messages and datagrams in flight however
+long the talk or the idle.  Each ``SimClient`` carries its own signaling path
+to the proxy, under the connection id ``SimNetwork.add_client`` gave it.  TCP
+signaling is modeled as an ordered reliable message stream whose NAT binding
+lasts while the connection does; UDP signaling and all media are
+per-datagram, so every hop consults the NAT filter and can be silently
+dropped.  No real time or real sockets are involved.
 
 The per-packet path builds no address: the relay hands back ``(ip, port)``
 tuples, and ``SimNetwork`` maps each to one interned ``TransportAddress``
 (the relay's ports and the latched client addresses alike), while its
 socket table is keyed by plain tuples.  Log entries keep the raw clock;
-``harness.Report`` rounds it only when its events are read.
+``harness.Report`` rounds it only when its events are read.  A client logs
+its signaling and any media it cannot send, but no media packet it sends or
+receives: its ``MediaRecord`` holds those, and the report counts them.
 """
 
 from __future__ import annotations
@@ -118,10 +120,6 @@ class SimNetwork:
             self.now, _, fn = pop(queue)
             fn()
         self.now = when
-
-    def settle_to(self, when: float) -> None:
-        self.run()
-        self.now = max(self.now, when)
 
     def log(self, actor: str, event: str, detail: str = "") -> None:
         self.events.append(LogEntry(self.now, actor, event, detail))
@@ -250,7 +248,6 @@ class SimClient:
         self.ever_established = False  # sticky: survives hangup
         self.call_id: str | None = None
         self.remote_media: TransportAddress | None = None
-        self._remote_media_text = ""  # str(remote_media), for the per-packet log
         self.remote_name_addr: str | None = None
         self.raw_received: list[bytes] = []
         self.sip_messages = 0  # sent and received, as logged
@@ -428,7 +425,6 @@ class SimClient:
     def _learn_media(self, body: bytes) -> None:
         session = parse_sdp(body)
         self.remote_media = TransportAddress(session.connection_ip, session.media[0].port)
-        self._remote_media_text = str(self.remote_media)
 
     # -- media ----------------------------------------------------------------
 
@@ -439,7 +435,6 @@ class SimClient:
         payload = f"{self.user}-voice-{seq:04d}".encode()
         data = build_rtp(0, seq, seq * 160, self.ssrc, payload)
         self.media.sent.append((seq, payload))
-        self.net.log(self.name, "rtp_sent", f"seq={seq} to {self._remote_media_text}")
         self.net.send_from_client(self.nat, self.rtp_addr, self.remote_media, data)
 
     def send_rtcp(self) -> None:
@@ -448,7 +443,6 @@ class SimClient:
         destination = TransportAddress(self.remote_media.ip, self.remote_media.port + 1)
         data = b"\x81\xc8\x00\x06" + self.ssrc.to_bytes(4, "big") + b"\x00" * 20
         self.media.rtcp_sent += 1
-        self.net.log(self.name, "rtcp_sent", f"to {destination}")
         self.net.send_from_client(self.nat, self.rtcp_addr, destination, data)
 
     def _on_rtp_datagram(self, src: TransportAddress, data: bytes) -> None:
@@ -457,8 +451,6 @@ class SimClient:
         except RtpParseError:
             return
         self.media.received.append((packet.sequence, packet.payload))
-        self.net.log(self.name, "rtp_received", f"seq={packet.sequence} from {src.ip}:{src.port}")
 
     def _on_rtcp_datagram(self, src: TransportAddress, data: bytes) -> None:
         self.media.rtcp_received += 1
-        self.net.log(self.name, "rtcp_received", f"from {src}")

@@ -65,7 +65,7 @@ def test_run_invalid_scenario_exit_2(tmp_path):
     for field in ("udp_binding_ttl", "tcp_idle_ttl"):
         for value in (float("inf"), float("nan"), True, 0, -1, "60"):
             assert main(["run", "--scenario", str(write_scenario(tmp_path, **{field: value}))]) == 2
-    bad_steps = [{"event": "idle", "seconds": value} for value in (float("inf"), float("nan"), True, -1)]
+    bad_steps = [{"event": "idle", "seconds": value} for value in (float("inf"), float("nan"), True, -1, 86400.5, 1e12)]
     bad_steps += [{"event": "talk", "interval_ms": value} for value in (float("inf"), float("nan"), True, 0)]
     bad_steps += [{"event": "talk", "packets": value} for value in (True, -1, 65537, 70000, 5.0)]
     for step in bad_steps:

@@ -23,6 +23,7 @@ from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.nat import UDP, NatBox, NatConfig, NatType
 from sipnat.net import TransportAddress
 from sipnat.proxy import ProxyConfig, SipProxy
+from sipnat.rtp import parse_rtp
 from sipnat.simnet import SimClient, SimNetwork
 from sipnat.sip_message import parse_message
 
@@ -215,7 +216,7 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     first = TransportAddress("198.51.100.1", 5000)
     assert parse_message(client.raw_received[-1]).via.received == first
     nat.outbound(TransportAddress("192.168.1.12", 5060), net.sip_addr, net.now, transport=UDP)
-    net.settle_to(60.0)
+    net.run_before(60.0)
     nat.expire(net.now)
     client.proxy_send(client.raw_received[-1])
     net.run()
@@ -259,7 +260,7 @@ def test_reports_are_deterministic():
 # pairing, default_script(20), seed 3.  Any change to what a report says, or
 # to the order of its events, changes it; a change that means to alter the
 # reports must update it and say why.
-PINNED_REPORTS_SHA256 = "2f8f840f04af8f4ad338efd757db50f796630e0aa23ba110b5956a7f3c363a29"
+PINNED_REPORTS_SHA256 = "9ed7c8823e9dd1e6d4d9c92ec7681d0dd6b7878e7a23044bdeff3473b4e163bf"
 
 
 def test_reports_match_the_pinned_bytes():
@@ -276,7 +277,7 @@ def test_reports_match_the_pinned_bytes():
 # sha256 over the JSON reports of seeds 0-7 x mode x NAT pairing,
 # default_script(60), in that loop order: the matrix the benchmark runs, over
 # more seeds and longer talks than the pin above.
-PINNED_SEED_MATRIX_SHA256 = "398f5d25ab3bcc2ac4c22bd05007ae2efbd295c691e44b956d29f35433c094e2"
+PINNED_SEED_MATRIX_SHA256 = "9843adb90739a6e792702427c0fd02914d3b67d8276b3195573c0ad58bff301c"
 
 
 def test_seed_matrix_reports_match_the_pinned_bytes():
@@ -302,7 +303,7 @@ _EXPIRY_PAIRINGS = (
     (NatType.RESTRICTED_CONE, NatType.FULL_CONE),
 )
 # sha256 over the JSON reports of _expiry_scenarios(), in order.
-PINNED_EXPIRY_REPORTS_SHA256 = "04f2e1d9adabac3d9656dce579b8b8128905ef25353d55e72f42ed39223399b0"
+PINNED_EXPIRY_REPORTS_SHA256 = "f2c0044ead59007a23e3015dd039f17384068f05a23a0f866da3f90b6647be77"
 
 
 def _expiry_script(interval, packets):
@@ -357,21 +358,42 @@ def test_expiry_reports_match_the_pinned_bytes():
 
 
 # Talks whose steps fall at the same virtual times as relayed packets, so the
-# order of a step against a datagram due at its own time reaches the report.
-# The 1e-19 s interval is below the clock's resolution after setup: every
-# step of a talk falls at one time, and both RTCP reports follow all of them.
-# sha256 over the JSON reports of the intervals x mode x NAT pairing, seed 3.
+# order of a step against a datagram due at its own time matters.  The report
+# logs no delivered packet, so the test records its own trace of every RTP
+# send and receipt, (clock, client, "send" or "recv", sequence number), and
+# hashes it after each report.  The 1e-19 s interval is below the clock's
+# resolution after setup: every step of a talk falls at one time, and both
+# RTCP reports follow all of them.  sha256 over the JSON reports and traces
+# of the intervals x mode x NAT pairing, seed 3.
 @pytest.mark.parametrize(
     "intervals, pinned",
     [
-        (
+        pytest.param(
             (0.0005, 0.001, 0.002, 0.003, 0.02),
-            "9f918519669a209969949319fa3dee2ff8a9927ca126a9311980404f4010bfa3",
+            "6efa3b614b21d4bbaf9a4a4da9362ef7d175123d66486ffd84582b0f32249332",
+            id="mixed",
         ),
-        ((1e-19,), "c0a5dedc9495ed3632a029310bf60d6f07cfc37a20b5fa1a1797189de4b7bd9d"),
+        pytest.param(
+            (1e-19,),
+            "9d4799b4c988de0d64a6b78756aee950fcdae6cb5a8f9aaa9240479cc5975ad6",
+            id="one_instant",
+        ),
     ],
 )
-def test_short_interval_reports_match_the_pinned_bytes(intervals, pinned):
+def test_short_interval_reports_match_the_pinned_bytes(intervals, pinned, monkeypatch):
+    trace = []
+    send_rtp, on_rtp_datagram = SimClient.send_rtp, SimClient._on_rtp_datagram
+
+    def traced_send_rtp(client, seq):
+        trace.append((client.net.now, client.name, "send", seq))
+        send_rtp(client, seq)
+
+    def traced_on_rtp_datagram(client, src, data):
+        trace.append((client.net.now, client.name, "recv", parse_rtp(data).sequence))
+        on_rtp_datagram(client, src, data)
+
+    monkeypatch.setattr(SimClient, "send_rtp", traced_send_rtp)
+    monkeypatch.setattr(SimClient, "_on_rtp_datagram", traced_on_rtp_datagram)
     digest = hashlib.sha256()
     for interval in intervals:
         script = [
@@ -387,11 +409,14 @@ def test_short_interval_reports_match_the_pinned_bytes(intervals, pinned):
                 for nat_b in NatType:
                     s = Scenario(nat_a, nat_b, script, seed=3, mode=mode)
                     digest.update(run_scenario(s).to_json().encode())
+                    digest.update(json.dumps(trace).encode())
+                    trace.clear()
     assert digest.hexdigest() == pinned
 
 
-def test_talk_queue_does_not_grow_with_talk_length():
-    s = scenario(script=default_script(2000))
+def run_recording_queue_high_water(s):
+    """Run the scenario; return its context and the longest the queue grew,
+    read after every ``schedule_at``."""
     ctx = build_simulation(s)
     net = ctx.net
     high = 0
@@ -404,8 +429,28 @@ def test_talk_queue_does_not_grow_with_talk_length():
 
     net.schedule_at = recording_schedule_at
     execute_script(ctx, s)
+    return ctx, high
+
+
+def test_talk_queue_does_not_grow_with_talk_length():
+    ctx, high = run_recording_queue_high_water(scenario(script=default_script(2000)))
     assert len(ctx.client_b.media.received) == 2000
     assert high <= 8
+
+
+def test_idle_queue_does_not_grow_with_idle_length():
+    script = [ScriptEvent("register"), ScriptEvent("idle", seconds=5000.0)]
+    ctx, high = run_recording_queue_high_water(scenario(script=script))
+    # The sweeps ran: both registrations expired while the clients were idle.
+    assert sum(e.event == "registration_expired" for e in ctx.net.events) == 2
+    assert high <= 8
+
+
+def test_a_delivered_packet_adds_no_log_entry():
+    short, long = (run_scenario(scenario(script=default_script(n))) for n in (1, 2000))
+    assert short.outcome is long.outcome is Outcome.MEDIA_OK
+    assert long.rtp["a_to_b"].delivered == 2000
+    assert len(long.log) == len(short.log)
 
 
 def test_a_finished_scenario_is_freed_without_the_cyclic_collector():
@@ -548,6 +593,8 @@ def test_invalid_scenarios_rejected(data):
         {"kind": "idle", "seconds": float("inf")},
         {"kind": "idle", "seconds": float("nan")},
         {"kind": "idle", "seconds": True},
+        {"kind": "idle", "seconds": 86400.5},
+        {"kind": "idle", "seconds": 1e12},
         {"kind": "talk", "packets": 65537},
         {"kind": "talk", "packets": True},
         {"kind": "talk", "interval": float("nan")},
@@ -565,6 +612,7 @@ def test_script_event_limits_are_inclusive():
     assert ScriptEvent("talk", packets=65536).packets == 65536
     assert ScriptEvent("talk", packets=0).packets == 0
     assert ScriptEvent("idle", seconds=0).seconds == 0.0
+    assert ScriptEvent("idle", seconds=86400).seconds == 86400.0
 
 
 @pytest.mark.parametrize(

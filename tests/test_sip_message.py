@@ -412,6 +412,29 @@ def test_framer_ignores_crlf_where_a_message_would_start(invite_raw):
     assert parse_message(raw).body == body
 
 
+@st.composite
+def cut_streams(draw) -> tuple[list[bytes], bytes, list[int]]:
+    """One to three samples, each after zero to two CRLFs, the stream they
+    make end to end, and the sorted points at which to cut that stream."""
+    messages = [
+        draw(st.sampled_from([samples.sample_invite(), samples.sample_answer(), samples.make_register()]))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    stream = b"".join(b"\r\n" * draw(st.integers(0, 2)) + m for m in messages)
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=8)))
+    return messages, stream, cuts
+
+
+@settings(derandomize=True, database=None)
+@given(cut_streams())
+def test_framer_frames_the_same_messages_however_the_stream_is_cut(case):
+    messages, stream, cuts = case
+    assert MessageFramer().feed(stream) == messages
+    framer = MessageFramer()
+    pieces = [stream[i:j] for i, j in zip([0, *cuts], [*cuts, len(stream)])]
+    assert [m for piece in pieces for m in framer.feed(piece)] == messages
+
+
 def test_framer_bounds_the_declared_body(invite_raw):
     head = invite_raw.split(b"\r\n\r\n", 1)[0]
     at_cap = head.replace(b"Content-Length:", b"X-Old-Length:") + b"\r\nContent-Length: %d\r\n\r\n"
