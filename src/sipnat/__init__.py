@@ -32,7 +32,6 @@ from .sip_message import (
     build_response,
     parse_message,
     serialize_message,
-    stamp_received,
 )
 
 __version__ = "0.1.0"
@@ -76,6 +75,5 @@ __all__ = [
     "build_response",
     "parse_message",
     "serialize_message",
-    "stamp_received",
     "__version__",
 ]

@@ -44,7 +44,6 @@ from .sip_message import (
     build_response,
     parse_message,
     serialize_message,
-    stamp_received,
 )
 
 Outbound = tuple[ConnectionId, bytes]
@@ -135,7 +134,7 @@ class SipProxy:
         if msg.is_request:
             source = self._conn_remote.get(conn)
             if source is not None:
-                msg = stamp_received(msg, source)
+                msg.via.received = source  # msg and its Via were parsed just above: ours to change
             if msg.method is Method.REGISTER:
                 return self._on_register(conn, msg, now)
             if msg.method is Method.INVITE:

@@ -38,7 +38,7 @@ class MultipleMediaUnsupported(SdpError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class MediaDesc:
     """One m= line: media type, transport port, profile, payload formats."""
 
@@ -48,7 +48,7 @@ class MediaDesc:
     formats: list[int]
 
 
-@dataclass
+@dataclass(slots=True)
 class SdpSession:
     """Parsed session description.
 
@@ -185,13 +185,9 @@ def rewrite_media(session: SdpSession, relay: TransportAddress) -> SdpSession:
             f"expected exactly one media description, got {len(session.media)}"
         )
     desc = session.media[0]
+    # Positional, in field order, as parse_sdp builds it.
     return SdpSession(
-        version=session.version,
-        origin=session.origin,
-        session_name=session.session_name,
-        connection_ip=relay.ip,
-        timing=session.timing,
-        media=[MediaDesc(desc.media_type, relay.port, desc.proto, list(desc.formats))],
-        attributes=list(session.attributes),
-        extra_lines=list(session.extra_lines),
+        session.version, session.origin, session.session_name, relay.ip, session.timing,
+        [MediaDesc(desc.media_type, relay.port, desc.proto, list(desc.formats))],
+        list(session.attributes), list(session.extra_lines),
     )

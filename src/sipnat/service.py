@@ -58,23 +58,26 @@ class ProxyService:
         self.proxy = SipProxy(config)
         self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((self.host, config.sip_tcp_port))
-        self._listener.listen(16)
-        self._listener.setblocking(False)
-        self.sip_port = self._listener.getsockname()[1]
-        self._selector.register(self._listener, selectors.EVENT_READ, ("accept", None))
-
         self._udp_socks: dict[int, socket.socket] = {}
-        lo, hi = config.media_port_range
-        for port in range(lo, hi + 1):
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.bind((self.host, port))
-            sock.setblocking(False)
-            self._udp_socks[port] = sock
-            self._selector.register(sock, selectors.EVENT_READ, ("media", port))
-
         self._conns: dict[int, _Connection] = {}
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((self.host, config.sip_tcp_port))
+            self._listener.listen(16)
+            self._listener.setblocking(False)
+            self.sip_port = self._listener.getsockname()[1]
+            self._selector.register(self._listener, selectors.EVENT_READ, ("accept", None))
+            lo, hi = config.media_port_range
+            for port in range(lo, hi + 1):
+                sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                self._udp_socks[port] = sock
+                sock.bind((self.host, port))
+                sock.setblocking(False)
+                self._selector.register(sock, selectors.EVENT_READ, ("media", port))
+        except OSError:  # a port already taken: close what is open, then let the caller retry
+            self._close_sockets()
+            raise
+
         # Connections with queued bytes the socket can take now (dict as ordered set).
         self._ready: dict[int, None] = {}
         self._next_conn = 1
@@ -93,6 +96,9 @@ class ProxyService:
         self._running = False
         if self._thread is not None:
             self._thread.join(timeout=5)
+        self._close_sockets()
+
+    def _close_sockets(self) -> None:
         conn_socks = [c.sock for c in self._conns.values()]
         for sock in [self._listener, *self._udp_socks.values(), *conn_socks]:
             try:

@@ -6,7 +6,13 @@ body framed by Content-Length.  Unknown headers are preserved verbatim so
 that ``parse_message(serialize_message(m))`` is field-identical to ``m``.
 
 Input accepts CRLF or bare LF line endings and case-insensitive header
-names; output is always CRLF with canonical header capitalization.
+names; output is always CRLF with canonical header capitalization.  The
+forms this module writes (canonical names, a plain Via, ``<uri>`` Contact)
+are read by shortcuts that return exactly what the general rules return.
+
+``MessageFramer`` splits a TCP stream into messages at a cost linear in the
+bytes received, however the stream is cut: a peer that sends one byte at a
+time costs no more per byte than one that sends whole messages.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ class FramingError(SipError):
     """The TCP stream cannot be split into messages."""
 
 
-@dataclass
+@dataclass(slots=True)
 class ViaHeader:
     """Single Via hop: transport, sent-by host, and optional parameters.
 
@@ -77,17 +83,17 @@ class ViaHeader:
     extra_params: tuple[tuple[str, str | None], ...] = ()
 
     def render(self) -> str:
-        parts = [f"SIP/2.0/{self.transport} {self.sent_by}"]
+        text = f"SIP/2.0/{self.transport} {self.sent_by}"
         if self.branch is not None:
-            parts.append(f";branch={self.branch}")
+            text += f";branch={self.branch}"
         if self.received is not None:
-            parts.append(f";received={self.received}")
+            text += f";received={self.received}"
         for name, value in self.extra_params:
-            parts.append(f";{name}" if value is None else f";{name}={value}")
-        return "".join(parts)
+            text += f";{name}" if value is None else f";{name}={value}"
+        return text
 
 
-@dataclass
+@dataclass(slots=True)
 class SipMessage:
     """One parsed SIP request or response.
 
@@ -138,7 +144,11 @@ class SipMessage:
 
 
 _VIA_RE = re.compile(r"^SIP/2\.0/(TCP|UDP)\s+([^;\s]+)\s*(;.*)?$")
+# The Via a client or this proxy writes, read in one match; any other form
+# takes the general path in _parse_via, which gives the same fields for it.
+_PLAIN_VIA_RE = re.compile(r"SIP/2\.0/(TCP|UDP) ([^;\s]+);branch=([^;\s]+)(?:;received=([^;\s]+))?")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$", re.ASCII)
+_FOLD_RE = re.compile(r"\n[ \t]")
 _CONTENT_LENGTH_RE = re.compile(rb"^content-length\s*:\s*(\d+)\s*$", re.I | re.M)
 _METHODS = {m.value: m for m in Method}  # by wire name: cheaper than Method(name)
 # Headers other than Via that a message may carry at most once, by lower-case name.
@@ -146,10 +156,27 @@ _KNOWN_HEADERS = frozenset(
     ("from", "to", "call-id", "cseq", "contact", "content-type", "content-length")
 )
 _MANDATORY_KNOWN = (("From", "from"), ("To", "to"), ("Call-ID", "call-id"), ("CSeq", "cseq"))
+# Each header's key, for the spelling serialize_message writes; others are stripped and lowered.
+_CANONICAL_KEYS = {
+    name: name.lower()
+    for name in ("Via", "From", "To", "Call-ID", "CSeq", "Contact", "Content-Type", "Content-Length")
+}
+
+
+def _received(text: str | None) -> TransportAddress:
+    """The address in a Via's received parameter; ``text`` is ``None`` when it has no value."""
+    try:
+        return TransportAddress.parse(text or "")
+    except ValueError as exc:
+        raise MalformedHeader(f"bad received parameter: {text!r}") from exc
 
 
 def _parse_via(value: str) -> ViaHeader:
     """Parse a stripped Via header value."""
+    m = _PLAIN_VIA_RE.fullmatch(value)
+    if m:
+        transport, sent_by, branch, received = m.groups()
+        return ViaHeader(transport, sent_by, branch, received and _received(received))
     m = _VIA_RE.match(value)
     if not m:
         raise MalformedHeader(f"bad Via header: {value!r}")
@@ -168,10 +195,7 @@ def _parse_via(value: str) -> ViaHeader:
         if lname == "branch":
             branch = value_part or ""
         elif lname == "received":
-            try:
-                received = TransportAddress.parse(value_part or "")
-            except ValueError as exc:
-                raise MalformedHeader(f"bad received parameter: {value_part!r}") from exc
+            received = _received(value_part)
         else:
             extras.append((name, value_part))
     return ViaHeader(transport, sent_by, branch, received, tuple(extras))
@@ -230,7 +254,7 @@ def parse_message(raw: bytes) -> SipMessage:
 
     # Unfold continuation lines (leading whitespace joins the previous header;
     # right after the start line it does not, and the line stands alone).
-    if "\n " in text or "\n\t" in text:
+    if _FOLD_RE.search(text):
         unfolded: list[str] = lines[:2]
         for line in lines[2:]:
             if line[:1] in (" ", "\t"):
@@ -269,20 +293,23 @@ def parse_message(raw: bytes) -> SipMessage:
             if line.strip():
                 raise MalformedHeader(f"bad header line: {line!r}")
             continue  # whitespace only
-        name = name.strip()
-        if not name:
-            raise MalformedHeader(f"bad header line: {line!r}")
-        lname = name.lower()
-        if lname in _KNOWN_HEADERS:
-            if lname in known:
-                raise MalformedHeader(f"duplicate {name} header")
-            known[lname] = value.strip()
-        elif lname == "via":
+        lname = _CANONICAL_KEYS.get(name)
+        if lname is None:
+            name = name.strip()
+            if not name:
+                raise MalformedHeader(f"bad header line: {line!r}")
+            lname = name.lower()
+            if lname not in _KNOWN_HEADERS and lname != "via":
+                extras.append((name, value.strip()))
+                continue
+        if lname == "via":
             if via is not None:
                 raise MalformedHeader("multiple Via headers are not supported")
             via = _parse_via(value.strip())
+        elif lname in known:
+            raise MalformedHeader(f"duplicate {name} header")
         else:
-            extras.append((name, value.strip()))
+            known[lname] = value.strip()
 
     if via is None:
         raise MissingMandatoryHeader("Via")
@@ -294,13 +321,18 @@ def parse_message(raw: bytes) -> SipMessage:
         raise MissingMandatoryHeader("Call-ID")
 
     cseq = known["cseq"]
-    m = _CSEQ_RE.match(cseq)
-    if not m:
-        raise MalformedHeader(f"bad CSeq header: {cseq!r}")
-    cseq_num = parse_digits(m.group(1), MalformedHeader, "CSeq number")
-    cseq_method = _METHODS.get(m.group(2))
-    if cseq_method is None:
-        raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
+    num, _, method_name = cseq.partition(" ")
+    cseq_method = _METHODS.get(method_name)
+    if cseq_method is not None and num.isascii() and num.isdigit():
+        cseq_num = parse_digits(num, MalformedHeader, "CSeq number")
+    else:  # any other form, by the general rule and in its order of checks
+        m = _CSEQ_RE.match(cseq)
+        if not m:
+            raise MalformedHeader(f"bad CSeq header: {cseq!r}")
+        cseq_num = parse_digits(m.group(1), MalformedHeader, "CSeq number")
+        cseq_method = _METHODS.get(m.group(2))
+        if cseq_method is None:
+            raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
     if method is not None and cseq_method is not method:
         raise MalformedHeader(
             f"CSeq method {cseq_method.value} does not match request method {method.value}"
@@ -316,7 +348,11 @@ def parse_message(raw: bytes) -> SipMessage:
 
     contact = known.get("contact")
     if contact is not None:
-        contact = uri_of(contact)
+        uri = contact[1:-1]
+        if contact[:1] == "<" and contact[-1:] == ">" and ">" not in uri:
+            contact = uri.strip()  # what uri_of returns for a plain <uri>
+        else:
+            contact = uri_of(contact)
         # No URI holds '<' or '>' (RFC 3986 section 2); a stray one in a bare
         # URI would come back as a different Contact once serialised.
         if "<" in contact or ">" in contact:
@@ -332,44 +368,25 @@ def parse_message(raw: bytes) -> SipMessage:
 def serialize_message(msg: SipMessage) -> bytes:
     """Emit CRLF wire text; Content-Length is always recomputed from the body."""
     msg.check_invariants()
-    if msg.is_request:
+    if msg.method is not None:
         start = f"{msg.method.value} {msg.request_uri} SIP/2.0"
     else:
         start = f"SIP/2.0 {msg.status_code} {msg.reason or ''}".rstrip()
-    lines = [
-        start,
-        f"Via: {msg.via.render()}",
-        f"From: {msg.from_}",
-        f"To: {msg.to_}",
-        f"Call-ID: {msg.call_id}",
-        f"CSeq: {msg.cseq_num} {msg.cseq_method.value}",
-    ]
+    head = (
+        f"{start}\r\nVia: {msg.via.render()}\r\nFrom: {msg.from_}\r\nTo: {msg.to_}\r\n"
+        f"Call-ID: {msg.call_id}\r\nCSeq: {msg.cseq_num} {msg.cseq_method.value}\r\n"
+    )
     if msg.contact is not None:
-        lines.append(f"Contact: <{msg.contact}>")
+        head += f"Contact: <{msg.contact}>\r\n"
     for name, value in msg.extra_headers:
-        lines.append(f"{name}: {value}")
+        head += f"{name}: {value}\r\n"
     if msg.content_type is not None:
-        lines.append(f"Content-Type: {msg.content_type}")
-    lines.append(f"Content-Length: {len(msg.body)}")
+        head += f"Content-Type: {msg.content_type}\r\n"
+    head += f"Content-Length: {len(msg.body)}\r\n\r\n"
     try:
-        head = "\r\n".join(lines).encode("latin-1")
+        return head.encode("latin-1") + msg.body
     except UnicodeEncodeError as exc:
         raise InvariantViolation(f"header contains non latin-1 text: {exc}") from exc
-    return head + b"\r\n\r\n" + msg.body
-
-
-def stamp_received(msg: SipMessage, source: TransportAddress) -> SipMessage:
-    """Return a copy of a received request with via.received set to its source.
-
-    Idempotent: stamping twice with the same source yields an equal message.
-    """
-    via = msg.via
-    if via.received == source:
-        return msg
-    stamped = object.__new__(SipMessage)  # a shallow copy, at a quarter of copy.copy's cost
-    stamped.__dict__.update(msg.__dict__)
-    stamped.via = ViaHeader(via.transport, via.sent_by, via.branch, source, via.extra_params)
-    return stamped
 
 
 def build_response(
@@ -402,10 +419,16 @@ class MessageFramer:
     Framing rule: skip CR and LF where a message would start (RFC 3261
     section 7.5), read headers up to the blank line, then exactly
     Content-Length body bytes (0 if the header is absent).
+
+    The blank-line search resumes where the previous read's stopped, and
+    each header section is searched for Content-Length once, however the
+    stream is cut, so framing work is linear in the bytes received.
     """
 
     def __init__(self) -> None:
-        self._buffer = b""
+        self._buffer = bytearray()
+        self._scan = 0  # the blank-line search resumes here
+        self._total = 0  # end of the message whose headers are read, 0 if none
 
     def feed(self, data: bytes) -> list[bytes]:
         """Append stream bytes; return every complete raw message now available.
@@ -413,32 +436,66 @@ class MessageFramer:
         Raises ``FramingError`` when the unframed tail is a header section
         longer than ``MAX_HEADER_BYTES`` or declares a body longer than
         ``MAX_BODY_BYTES``, but only from a call that framed no message, so
-        messages that arrived ahead of it are returned first.
+        messages that arrived ahead of it are returned first.  A call that
+        raises keeps none of its bytes.
         """
-        buffer = self._buffer + data
+        kept = len(self._buffer)
+        if kept:
+            buffer = self._buffer
+            buffer += data
+        else:
+            buffer = bytes(data)  # whole messages in one read are sliced from it uncopied
         messages: list[bytes] = []
         start = 0
+        scan = self._scan
+        total = self._total
         while True:
-            while buffer[start : start + 1] in (b"\r", b"\n"):
-                start += 1
-            split = _header_end(buffer, start)
-            if split is None:
-                if len(buffer) - start > MAX_HEADER_BYTES and not messages:
-                    raise FramingError("header section exceeds maximum size")
-                break
-            header_end, body_start = split
-            m = _CONTENT_LENGTH_RE.search(buffer[start:header_end])
-            digits = m.group(1).lstrip(b"0") if m else b""
-            # Ten digits are far past the cap, and int() refuses thousands of them.
-            length = int(digits or b"0") if len(digits) < 10 else MAX_BODY_BYTES + 1
-            if length > MAX_BODY_BYTES:
-                if not messages:
-                    raise FramingError("declared body exceeds maximum size")
-                break
-            total = body_start + length
+            if not total:
+                while buffer[start : start + 1] in (b"\r", b"\n"):
+                    start += 1
+                split = _header_end(buffer, max(start, scan))
+                if split is None:
+                    if len(buffer) - start > MAX_HEADER_BYTES and not messages:
+                        self._fail(kept, "header section exceeds maximum size")
+                    # A blank line may begin in the last three bytes searched.
+                    scan = max(start, len(buffer) - 3)
+                    break
+                header_end, body_start = split
+                length = _declared_length(buffer, start, header_end)
+                if length > MAX_BODY_BYTES:
+                    if not messages:
+                        self._fail(kept, "declared body exceeds maximum size")
+                    break
+                total = body_start + length
             if len(buffer) < total:
                 break
-            messages.append(buffer[start:total])
+            messages.append(bytes(buffer[start:total]))
             start = total
-        self._buffer = buffer[start:]
+            total = 0
+        if buffer is self._buffer:
+            del buffer[:start]
+        else:
+            self._buffer += buffer[start:]
+        self._scan = scan - start if scan > start else 0
+        self._total = total - start if total else 0
         return messages
+
+    def _fail(self, kept: int, reason: str) -> None:
+        del self._buffer[kept:]
+        raise FramingError(reason)
+
+
+def _declared_length(buffer: bytes | bytearray, start: int, header_end: int) -> int:
+    """The Content-Length of the header section ``buffer[start:header_end]``,
+    0 if it has none, and past ``MAX_BODY_BYTES`` if it has ten significant digits or more."""
+    head = buffer[start:header_end].lower()
+    at = head.find(b"content-length")
+    m = None
+    while at != -1:
+        m = _CONTENT_LENGTH_RE.match(head, at)
+        if m:
+            break
+        at = head.find(b"content-length", at + 1)
+    digits = m.group(1).lstrip(b"0") if m else b""
+    # Ten digits are far past the cap, and int() refuses thousands of them.
+    return int(digits or b"0") if len(digits) < 10 else MAX_BODY_BYTES + 1

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import samples
 from sipnat.net import TransportAddress
@@ -8,6 +10,7 @@ from sipnat.sdp import (
     BadAddress,
     BadPort,
     InvariantViolation,
+    SdpError,
     MissingLine,
     MultipleMediaUnsupported,
     SdpParseError,
@@ -184,3 +187,57 @@ def test_parser_total_on_fuzz_smoke():
             parse_sdp(data)
         except SdpParseError:
             pass
+
+
+_SDP_SYNTAX_BYTES = b"=\r\n .:0123456789"
+
+
+@st.composite
+def mutated_bodies(draw) -> bytes:
+    """A sample session description with one to three bytes replaced,
+    inserted or deleted, favouring the bytes its syntax turns on."""
+    data = draw(st.sampled_from([samples.sample_invite_body(), samples.sample_answer_body()]))
+    for _ in range(draw(st.integers(1, 3))):
+        syntax = [i for i in range(len(data)) if data[i] in _SDP_SYNTAX_BYTES]
+        pos = draw(st.sampled_from(syntax) | st.integers(0, len(data)))
+        byte = bytes([draw(st.sampled_from(_SDP_SYNTAX_BYTES) | st.integers(0, 255))])
+        kind = draw(st.sampled_from(("replace", "insert", "delete")))
+        if kind == "replace":
+            data = data[:pos] + byte + data[pos + 1 :]
+        elif kind == "insert":
+            data = data[:pos] + byte + data[pos:]
+        else:
+            data = data[:pos] + data[pos + 1 :]
+    return data
+
+
+@settings(max_examples=300)
+@given(mutated_bodies() | st.binary(max_size=300))
+def test_parser_raises_only_its_own_errors(data):
+    try:
+        parse_sdp(data)
+    except SdpError:
+        pass
+
+
+relays = st.builds(TransportAddress, st.ip_addresses(v=4).map(str), st.integers(1, 65535))
+
+
+@settings(max_examples=300)
+@given(mutated_bodies(), relays)
+def test_rewrite_changes_only_the_connection_address_and_the_media_port(data, relay):
+    try:
+        session = parse_sdp(data)
+    except SdpError:
+        return
+    before = serialize_sdp(session).decode("latin-1").split("\r\n")
+    after = serialize_sdp(rewrite_media(session, relay)).decode("latin-1").split("\r\n")
+    expected = []
+    for line in before:
+        if line.startswith("c="):
+            line = f"c=IN IP4 {relay.ip}"
+        elif line.startswith("m="):
+            fields = line.split(" ")
+            line = " ".join([fields[0], str(relay.port), *fields[2:]])
+        expected.append(line)
+    assert after == expected

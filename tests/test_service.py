@@ -1,7 +1,10 @@
 """End-to-end exercise of the real-socket adapter on loopback."""
 
+import gc
+import os
 import socket
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import pytest
@@ -92,6 +95,29 @@ def service():
 def signaling_service():
     """No media relay, so the small relay pool never limits how many calls are placed."""
     yield from running_service(media_relay=False)
+
+
+def _open_fds() -> int | None:
+    fd_dir = "/proc/self/fd"
+    return len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+
+
+def test_a_taken_relay_port_fails_construction_without_leaking_sockets():
+    lo, hi = find_media_range()
+    taken = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        taken.bind((HOST, hi))  # the last port: the listener and the ports below it are open by then
+        config = ProxyConfig(public_ip=HOST, sip_tcp_port=0, media_port_range=(lo, hi))
+        before = _open_fds()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(OSError):
+                ProxyService(config, host=HOST)
+            gc.collect()
+        assert _open_fds() == before
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    finally:
+        taken.close()
 
 
 def test_register_over_real_tcp(service):
