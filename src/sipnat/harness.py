@@ -19,13 +19,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 
 from .nat import NatBox, NatConfig, NatType
 from .proxy import ProxyConfig, SipProxy
-from .simnet import LogEntry, SimClient, SimNetwork
+from .simnet import DirectionStats, LogEntry, SimClient, SimNetwork
 
 MODE_ADAPTED = "adapted"
 MODE_NAIVE = "naive"
@@ -236,20 +236,6 @@ class Scenario:
 
 
 @dataclass
-class DirectionStats:
-    sent: int = 0
-    delivered: int = 0
-    payload_mismatches: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "sent": self.sent,
-            "delivered": self.delivered,
-            "payload_mismatches": self.payload_mismatches,
-        }
-
-
-@dataclass
 class Report:
     """Machine-readable outcome of one scenario run."""
 
@@ -278,8 +264,8 @@ class Report:
             "seed": self.seed,
             "script_digest": self.script_digest,
             "outcome": self.outcome.value,
-            "rtp": {k: v.to_dict() for k, v in self.rtp.items()},
-            "rtcp": {k: v.to_dict() for k, v in self.rtcp.items()},
+            "rtp": {k: asdict(v) for k, v in self.rtp.items()},
+            "rtcp": {k: asdict(v) for k, v in self.rtcp.items()},
             "sip_messages": self.sip_messages,
             "allocation_transactions": self.allocation_transactions,
             "clients": self.clients,
@@ -334,6 +320,8 @@ def build_simulation(scenario: Scenario) -> SimContext:
     user_b, domain_b, ip_b, rtp_b = CLIENT_B
     client_a = SimClient(net, "client_a", user_a, domain_a, nat_a, "nat_a", ip_a, rtp_a)
     client_b = SimClient(net, "client_b", user_b, domain_b, nat_b, "nat_b", ip_b, rtp_b)
+    client_a.hear(client_b)
+    client_b.hear(client_a)
 
     extras = []
     for i in range(scenario.extra_clients):
@@ -413,29 +401,13 @@ def execute_script(ctx: SimContext, scenario: Scenario) -> None:
             net.run()
 
 
-def _direction_stats(sender: SimClient, receiver: SimClient) -> DirectionStats:
-    stats = DirectionStats(sent=len(sender.media.sent), delivered=len(receiver.media.received))
-    sent_by_seq = dict(sender.media.sent)
-    for seq, payload in receiver.media.received:
-        if sent_by_seq.get(seq) != payload:
-            stats.payload_mismatches += 1
-    return stats
-
-
 def run_scenario(scenario: Scenario) -> Report:
     """Execute one scenario deterministically and summarize it."""
     ctx = build_simulation(scenario)
     execute_script(ctx, scenario)
     net = ctx.net
-
-    rtp = {
-        "a_to_b": _direction_stats(ctx.client_a, ctx.client_b),
-        "b_to_a": _direction_stats(ctx.client_b, ctx.client_a),
-    }
-    rtcp = {
-        "a_to_b": DirectionStats(ctx.client_a.media.rtcp_sent, ctx.client_b.media.rtcp_received),
-        "b_to_a": DirectionStats(ctx.client_b.media.rtcp_sent, ctx.client_a.media.rtcp_received),
-    }
+    rtp = {"a_to_b": ctx.client_a.rtp_out, "b_to_a": ctx.client_b.rtp_out}
+    rtcp = {"a_to_b": ctx.client_a.rtcp_out, "b_to_a": ctx.client_b.rtcp_out}
 
     clients = [ctx.client_a, ctx.client_b, *ctx.extras]
 
@@ -496,6 +468,8 @@ def run_matrix(
     modes: list[str], seed: int = 0, packets: int = 50
 ) -> tuple[dict, list[str]]:
     """Run every NAT pairing in each mode; returns (summary, assertion failures)."""
+    if type(packets) is not int or packets < 1:  # a silent talk is media_ok, naive or not
+        raise InvalidScenario(f"matrix talks need integer 'packets' of at least 1, got {packets!r}")
     summary: dict = {}
     failures: list[str] = []
     for mode in modes:
@@ -515,7 +489,7 @@ def run_matrix(
                 key = f"{nat_a.value}+{nat_b.value}"
                 mode_summary[key] = {
                     "outcome": report.outcome.value,
-                    "rtp": {k: v.to_dict() for k, v in report.rtp.items()},
+                    "rtp": {k: asdict(v) for k, v in report.rtp.items()},
                     "sip_messages": report.sip_messages,
                     "allocation_transactions": report.allocation_transactions,
                 }

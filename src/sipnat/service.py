@@ -223,7 +223,7 @@ class ProxyService:
         """Relay one datagram through the proxy."""
         try:
             data, peer = sock.recvfrom(65536)
-        except (BlockingIOError, InterruptedError, OSError):
+        except OSError:
             return
         for send in self.proxy.handle_media(port, peer, data):
             try:

@@ -18,13 +18,14 @@ tuples, and ``SimNetwork`` maps each to one interned ``TransportAddress``
 socket table is keyed by plain tuples.  Log entries keep the raw clock;
 ``harness.Report`` rounds it only when its events are read.  A client logs
 its signaling and any media it cannot send, but no media packet it sends or
-receives: its ``MediaRecord`` holds those, and the report counts them.
+receives: each packet only adds to the ``DirectionStats`` of its direction,
+as it moves, so a talk's memory does not grow with its length.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
@@ -197,12 +198,19 @@ class SimNetwork:
         self.schedule(LATENCY, lambda: self._route_public(src, dst, send.payload))
 
 
-@dataclass
-class MediaRecord:
-    sent: list[tuple[int, bytes]] = field(default_factory=list)
-    received: list[tuple[int, bytes]] = field(default_factory=list)
-    rtcp_sent: int = 0
-    rtcp_received: int = 0
+@dataclass(slots=True)
+class DirectionStats:
+    """One direction's media counts: its sender adds to ``sent``, its
+    receiver to ``delivered`` and ``payload_mismatches``."""
+
+    sent: int = 0
+    delivered: int = 0
+    payload_mismatches: int = 0  # delivered, but not what the sender built
+
+
+def voice_payload(user: bytes, seq: int) -> bytes:
+    """The RTP payload the client named ``user`` sends with sequence number ``seq``."""
+    return b"%b-voice-%04d" % (user, seq)
 
 
 class SimClient:
@@ -243,7 +251,13 @@ class SimClient:
         self.announced: TransportAddress | None = None  # what the proxy knows
         self.conn_id = net.add_client(self)
         self.ssrc = sum(ord(c) for c in name) * 65537 % 0xFFFFFFFF
-        self.media = MediaRecord()
+        # What it hears adds to its sender's counters, once ``hear`` names them.
+        self.voice_name = user.encode()  # bytes, which format faster than str
+        self.rtp_out = DirectionStats()
+        self.rtcp_out = DirectionStats()
+        self._rtp_in = DirectionStats()
+        self._rtcp_in = DirectionStats()
+        self._peer_voice_name = b""
 
         self.ever_established = False  # sticky: survives hangup
         self.call_id: str | None = None
@@ -256,6 +270,13 @@ class SimClient:
 
         net.bind_udp(nat, self.rtp_addr, self._on_rtp_datagram)
         net.bind_udp(nat, self.rtcp_addr, self._on_rtcp_datagram)
+
+    def hear(self, sender: "SimClient") -> None:
+        """Count the media arriving here as ``sender``'s.  Only its counters and
+        user name are kept: clients that referenced each other would make a cycle."""
+        self._rtp_in = sender.rtp_out
+        self._rtcp_in = sender.rtcp_out
+        self._peer_voice_name = sender.voice_name
 
     # -- SIP building -------------------------------------------------------
 
@@ -432,9 +453,8 @@ class SimClient:
         if self.remote_media is None:
             self.net.log(self.name, "rtp_skipped", "no media destination")
             return
-        payload = f"{self.user}-voice-{seq:04d}".encode()
-        data = build_rtp(0, seq, seq * 160, self.ssrc, payload)
-        self.media.sent.append((seq, payload))
+        data = build_rtp(0, seq, seq * 160, self.ssrc, voice_payload(self.voice_name, seq))
+        self.rtp_out.sent += 1
         self.net.send_from_client(self.nat, self.rtp_addr, self.remote_media, data)
 
     def send_rtcp(self) -> None:
@@ -442,7 +462,7 @@ class SimClient:
             return
         destination = TransportAddress(self.remote_media.ip, self.remote_media.port + 1)
         data = b"\x81\xc8\x00\x06" + self.ssrc.to_bytes(4, "big") + b"\x00" * 20
-        self.media.rtcp_sent += 1
+        self.rtcp_out.sent += 1
         self.net.send_from_client(self.nat, self.rtcp_addr, destination, data)
 
     def _on_rtp_datagram(self, src: TransportAddress, data: bytes) -> None:
@@ -450,7 +470,10 @@ class SimClient:
             packet = parse_rtp(data)
         except RtpParseError:
             return
-        self.media.received.append((packet.sequence, packet.payload))
+        stats = self._rtp_in
+        stats.delivered += 1
+        if packet.payload != voice_payload(self._peer_voice_name, packet.sequence):
+            stats.payload_mismatches += 1
 
     def _on_rtcp_datagram(self, src: TransportAddress, data: bytes) -> None:
-        self.media.rtcp_received += 1
+        self._rtcp_in.delivered += 1

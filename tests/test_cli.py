@@ -98,7 +98,9 @@ def test_matrix_unknown_mode_exit_2():
 
 
 def test_matrix_packets_beyond_the_rtp_sequence_space_exit_2(capsys):
-    assert main(["matrix", "--modes", "adapted", "--packets", "70000"]) == 2
-    assert main(["matrix", "--modes", "adapted", "--packets", "-1"]) == 2
-    assert "packets" in capsys.readouterr().err
+    # A talk of no packets would be media_ok even in naive mode, so 0 is refused too.
+    for packets in ("70000", "-1", "0"):
+        assert main(["matrix", "--modes", "adapted,naive", "--packets", packets]) == 2
+        out, err = capsys.readouterr()
+        assert "packets" in err and out == ""
 

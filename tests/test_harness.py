@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -23,8 +24,8 @@ from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.nat import UDP, NatBox, NatConfig, NatType
 from sipnat.net import TransportAddress
 from sipnat.proxy import ProxyConfig, SipProxy
-from sipnat.rtp import parse_rtp
-from sipnat.simnet import SimClient, SimNetwork
+from sipnat.rtp import build_rtp, parse_rtp
+from sipnat.simnet import DirectionStats, SimClient, SimNetwork, voice_payload
 from sipnat.sip_message import parse_message
 
 SYM = NatType.SYMMETRIC
@@ -150,12 +151,12 @@ def test_relayed_media_to_an_expired_binding_is_blocked_at_the_nat():
     ctx = build_simulation(s)
     ctx.nat_b.config.udp_binding_ttl = 30.0  # B's media binding expires while A is silent
     execute_script(ctx, s)
-    assert len(ctx.client_b.media.received) == 3
+    assert ctx.client_a.rtp_out.delivered == 3
     ctx.net.schedule_at(40.0, lambda: ctx.client_a.send_rtp(3))
     ctx.net.run()
     blocked = [(e.actor, e.detail) for e in ctx.net.events if e.event == "media_blocked"]
     assert blocked == [("nat_b", "200.1.1.1:40002 -> 77.224.10.9:6003")]
-    assert len(ctx.client_b.media.received) == 3
+    assert ctx.client_a.rtp_out.delivered == 3
 
 
 def test_relayed_descriptions_only_name_proxy_ports():
@@ -434,7 +435,7 @@ def run_recording_queue_high_water(s):
 
 def test_talk_queue_does_not_grow_with_talk_length():
     ctx, high = run_recording_queue_high_water(scenario(script=default_script(2000)))
-    assert len(ctx.client_b.media.received) == 2000
+    assert ctx.client_a.rtp_out.delivered == 2000
     assert high <= 8
 
 
@@ -451,6 +452,39 @@ def test_a_delivered_packet_adds_no_log_entry():
     assert short.outcome is long.outcome is Outcome.MEDIA_OK
     assert long.rtp["a_to_b"].delivered == 2000
     assert len(long.log) == len(short.log)
+
+
+def traced_peak_bytes(s):
+    """The most memory Python held at once while ``run_scenario(s)`` ran."""
+    tracemalloc.start()
+    try:
+        run_scenario(s)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_talk_memory_does_not_grow_with_talk_length():
+    # Every packet only adds to its direction's counts: nothing is kept per packet.
+    short = traced_peak_bytes(scenario(script=default_script(256)))
+    long = traced_peak_bytes(scenario(script=default_script(4096)))
+    assert long < short + 32 * 1024
+
+
+def test_a_payload_the_peer_did_not_build_counts_one_mismatch_and_one_delivery():
+    ctx = build_simulation(scenario())
+    a, b = ctx.client_a, ctx.client_b
+    relay = TransportAddress("200.1.1.1", 40002)
+
+    def arrive_at_b(seq, payload):
+        b._on_rtp_datagram(relay, build_rtp(0, seq, seq * 160, a.ssrc, payload))
+        return a.rtp_out.delivered, a.rtp_out.payload_mismatches
+
+    assert arrive_at_b(7, voice_payload(a.voice_name, 7)) == (1, 0)
+    assert arrive_at_b(7, b"not a voice payload") == (2, 1)
+    assert arrive_at_b(7, voice_payload(b.voice_name, 7)) == (3, 2)  # b's own packet, reflected
+    assert arrive_at_b(8, voice_payload(a.voice_name, 7)) == (4, 3)  # a's payload, wrong sequence
+    assert a.rtp_out.sent == 0 and b.rtp_out == DirectionStats()
 
 
 def test_a_finished_scenario_is_freed_without_the_cyclic_collector():
