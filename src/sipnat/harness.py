@@ -61,6 +61,7 @@ class ScriptMismatch(Exception):
 SCRIPT_EVENTS = ("register", "idle", "call", "talk", "hangup")
 MAX_TALK_PACKETS = 65_536  # one RTP sequence number (16 bits) per packet
 MAX_IDLE_SECONDS = 86_400.0  # one day; idle sweeps once per virtual second
+MAX_EXTRA_CLIENTS = 255  # each sits behind its own NAT at 99.0.0.{1..255}
 
 
 def _is_number(value: object) -> bool:
@@ -166,8 +167,8 @@ class Scenario:
         for name in ("seed", "extra_clients"):
             if type(getattr(self, name)) is not int:  # bool is an int subclass
                 raise InvalidScenario(f"{name} must be an integer")
-        if self.extra_clients < 0:
-            raise InvalidScenario("extra_clients must be >= 0")
+        if not 0 <= self.extra_clients <= MAX_EXTRA_CLIENTS:
+            raise InvalidScenario(f"extra_clients must be in 0..{MAX_EXTRA_CLIENTS}")
         if not _is_finite_positive(self.udp_binding_ttl):
             raise InvalidScenario("udp_binding_ttl must be a finite positive number")
         if self.tcp_idle_ttl is not None and not _is_finite_positive(self.tcp_idle_ttl):

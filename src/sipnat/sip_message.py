@@ -277,7 +277,7 @@ def parse_message(raw: bytes) -> SipMessage:
         reason = parts[2] if len(parts) > 2 else ""
     else:
         parts = start.split(" ")
-        if len(parts) != 3 or parts[2] != "SIP/2.0":
+        if len(parts) != 3 or not parts[1] or parts[2] != "SIP/2.0":
             raise MalformedStartLine(f"bad request line: {start!r}")
         method = _METHODS.get(parts[0])
         if method is None:

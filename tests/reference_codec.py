@@ -2,9 +2,10 @@
 
 ``parse_message``, its helpers, ``serialize_message`` and ``MessageFramer``
 are copied unchanged from the version that parsed every header by the general
-path and re-scanned the framer's whole buffer on each read; only
-``ViaHeader.render`` became the function ``render_via``.  The properties in
-``test_sip_message.py`` require the library's codec to return what this one
+path and re-scanned the framer's whole buffer on each read.  Two things
+differ: ``ViaHeader.render`` became the function ``render_via``, and a request
+line with an empty Request-URI is refused, as in the library.  The properties
+in ``test_sip_message.py`` require the library's codec to return what this one
 returns, raise the same error (class and text) where it raises, and write the
 same bytes.
 """
@@ -155,7 +156,7 @@ def parse_message(raw: bytes) -> SipMessage:
         reason = parts[2] if len(parts) > 2 else ""
     else:
         parts = start.split(" ")
-        if len(parts) != 3 or parts[2] != "SIP/2.0":
+        if len(parts) != 3 or not parts[1] or parts[2] != "SIP/2.0":
             raise MalformedStartLine(f"bad request line: {start!r}")
         method = _METHODS.get(parts[0])
         if method is None:

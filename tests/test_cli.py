@@ -59,6 +59,7 @@ def test_run_invalid_scenario_exit_2(tmp_path):
     for field in ("seed", "extra_clients"):
         for value in ("x", None, 1.5, True):
             assert main(["run", "--scenario", str(write_scenario(tmp_path, **{field: value}))]) == 2
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, extra_clients=256))]) == 2
     for field in ("nat_a", "nat_b", "expect"):
         for value in ([], ["x"], {}):
             assert main(["run", "--scenario", str(write_scenario(tmp_path, **{field: value}))]) == 2

@@ -385,6 +385,20 @@ def test_bye_from_a_non_party_connection_gets_481_and_leaves_the_call():
     assert call.phase is Phase.TERMINATED
 
 
+def test_a_party_bye_with_an_empty_request_uri_gets_400_and_leaves_the_call():
+    proxy = make_proxy()
+    register_both(proxy)
+    ack = establish_call(proxy)
+    free = proxy.media.pool.free_pairs()
+    raw = serialize_message(as_bye(ack)).replace(f"BYE {ack.request_uri} ".encode(), b"BYE  ", 1)
+    conn, msg = only_message(proxy.handle_message(B_CONN, raw, 2.0))
+    assert (conn, msg.status_code) == (B_CONN, 400)
+    call = proxy.calls["call-1@local2.com"]
+    assert call.phase is Phase.ESTABLISHED
+    assert call.media is not None and call.call_id in proxy.media.sessions
+    assert proxy.media.pool.free_pairs() == free
+
+
 def test_ack_from_a_non_party_connection_is_dropped():
     proxy = make_proxy()
     register_both(proxy)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 import samples
-from sipnat.proxy import ProxyConfig
+from sipnat.proxy import Phase, ProxyConfig
 from sipnat.rtp import build_rtp, parse_rtp
 from sipnat.sdp import parse_sdp
 from sipnat.service import ProxyService
@@ -319,6 +319,19 @@ def test_full_call_with_real_media_relay(service):
     wait_until(lambda: service.proxy.media.pool.allocated_count == 0)
     assert service.proxy.media.pool.allocated_count == 0
     assert service.proxy.calls == {}
+    call.close()
+
+
+def test_a_party_bye_with_an_empty_request_uri_gets_400_and_the_service_keeps_serving(service):
+    call = establish_call(service)
+    bye = serialize_message(replace(call.ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2))
+    call.client_b.send(bye.replace(f"BYE {call.ack.request_uri} ".encode(), b"BYE  ", 1))
+    assert call.client_b.recv_message(timeout=2.0).status_code == 400
+    other = TcpClient(service.sip_port)
+    other.send(samples.make_register("ClientC", "local3.com", HOST))
+    assert other.recv_message(timeout=2.0).status_code == 200
+    assert service.proxy.calls[call.ack.call_id].phase is Phase.ESTABLISHED
+    other.close()
     call.close()
 
 

@@ -135,6 +135,8 @@ def test_malformed_start_line():
         parse_message(b"SIP/2.0 banana OK\r\nVia: SIP/2.0/TCP h\r\n\r\n")
     with pytest.raises(MalformedStartLine):
         parse_message(b"no blank line at all")
+    with pytest.raises(MalformedStartLine, match="bad request line"):
+        parse_message(b"BYE  SIP/2.0\r\nVia: SIP/2.0/TCP h\r\n\r\n")  # empty Request-URI
 
 
 @pytest.mark.parametrize(
@@ -299,6 +301,40 @@ def test_serialize_of_parse_is_idempotent_on_mutated_samples(raw):
         return
     once = serialize_message(msg)
     assert serialize_message(parse_message(once)) == once
+
+
+@st.composite
+def start_lines_over_samples(draw) -> bytes:
+    """A start line of drawn words and runs of spaces over a sample's header
+    block: the sample's own method or a status line, an empty URI included."""
+    data, method = draw(
+        st.sampled_from(
+            [
+                (samples.sample_invite(), "INVITE"),
+                (samples.sample_answer(), "INVITE"),
+                (samples.make_register(), "REGISTER"),
+            ]
+        )
+    )
+    words = [
+        draw(st.sampled_from([method, "SIP/2.0"])),
+        draw(st.sampled_from(["sip:ClientA@local1.com", "", "200"])),
+        draw(st.sampled_from(["SIP/2.0", "OK", ""])),
+    ]
+    spaces = st.sampled_from([" ", "", "  "])
+    start = draw(spaces) + "".join(word + draw(spaces) for word in words)
+    return start.encode() + data[data.index(b"\r\n") :]
+
+
+@settings(max_examples=300)
+@given(start_lines_over_samples())
+def test_every_message_the_parser_accepts_serializes(raw):
+    try:
+        msg = parse_message(raw)
+    except SipParseError:
+        return
+    msg.check_invariants()
+    serialize_message(msg)
 
 
 def _outcome(function, argument, errors):
