@@ -471,11 +471,14 @@ def run_matrix(
     """Run every NAT pairing in each mode; returns (summary, assertion failures)."""
     if type(packets) is not int or packets < 1:  # a silent talk is media_ok, naive or not
         raise InvalidScenario(f"matrix talks need integer 'packets' of at least 1, got {packets!r}")
-    summary: dict = {}
-    failures: list[str] = []
+    if not modes or len(set(modes)) < len(modes):  # the summary keeps one entry per mode
+        raise InvalidScenario(f"matrix needs one or more distinct modes, got {modes!r}")
     for mode in modes:
         if mode not in MODES:
             raise InvalidScenario(f"unknown mode: {mode!r}")
+    summary: dict = {}
+    failures: list[str] = []
+    for mode in modes:
         mode_summary = {}
         for nat_a in NatType:
             for nat_b in NatType:

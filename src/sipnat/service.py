@@ -14,6 +14,10 @@ Every media datagram goes to ``SipProxy.handle_media`` with the ``(ip,
 port)`` source that ``recvfrom`` returned, and each datagram it answers with
 goes out of its relay port's socket, so the service builds no address object
 per packet and the relay rules are the simulator's.
+
+An exception that escapes the proxy is logged and costs only what raised it:
+the connection whose message raised is closed, the datagram is dropped, the
+tick is skipped, and the loop keeps serving everyone else.
 """
 
 from __future__ import annotations
@@ -124,7 +128,10 @@ class ProxyService:
             now = time.monotonic()
             if now - self._last_tick >= TICK_INTERVAL:
                 self._last_tick = now
-                self.proxy.tick(now)
+                try:
+                    self.proxy.tick(now)
+                except Exception:
+                    logger.exception("proxy tick failed")
 
     # -- TCP signaling -------------------------------------------------------
 
@@ -162,7 +169,12 @@ class ProxyService:
             self._close_conn(conn)
             return
         for raw in messages:
-            outbound = self.proxy.handle_message(conn, raw, time.monotonic())
+            try:
+                outbound = self.proxy.handle_message(conn, raw, time.monotonic())
+            except Exception:
+                logger.exception("handling a message on connection %d failed, closing", conn)
+                self._close_conn(conn)
+                return
             self._transmit(outbound)
 
     def _transmit(self, outbound: list[tuple[int, bytes]]) -> None:
@@ -225,7 +237,12 @@ class ProxyService:
             data, peer = sock.recvfrom(65536)
         except OSError:
             return
-        for send in self.proxy.handle_media(port, peer, data):
+        try:
+            sends = self.proxy.handle_media(port, peer, data)
+        except Exception:
+            logger.exception("relaying a datagram on port %d failed, dropping it", port)
+            return
+        for send in sends:
             try:
                 self._udp_socks[send.from_port].sendto(send.payload, send.to)
             except OSError:

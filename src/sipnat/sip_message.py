@@ -6,9 +6,9 @@ body framed by Content-Length.  Unknown headers are preserved verbatim so
 that ``parse_message(serialize_message(m))`` is field-identical to ``m``.
 
 Input accepts CRLF or bare LF line endings and case-insensitive header
-names; output is always CRLF with canonical header capitalization.  The
-forms this module writes (canonical names, a plain Via, ``<uri>`` Contact)
-are read by shortcuts that return exactly what the general rules return.
+names; output is always CRLF with canonical header capitalization.  Each
+header is read by one rule (RFC 3261 section 7.3), whether it arrives in the
+form this module writes or in any other form the rule accepts.
 
 ``MessageFramer`` splits a TCP stream into messages at a cost linear in the
 bytes received, however the stream is cut: a peer that sends one byte at a
@@ -144,9 +144,6 @@ class SipMessage:
 
 
 _VIA_RE = re.compile(r"^SIP/2\.0/(TCP|UDP)\s+([^;\s]+)\s*(;.*)?$")
-# The Via a client or this proxy writes, read in one match; any other form
-# takes the general path in _parse_via, which gives the same fields for it.
-_PLAIN_VIA_RE = re.compile(r"SIP/2\.0/(TCP|UDP) ([^;\s]+);branch=([^;\s]+)(?:;received=([^;\s]+))?")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$", re.ASCII)
 _FOLD_RE = re.compile(r"\n[ \t]")
 _CONTENT_LENGTH_RE = re.compile(rb"^content-length\s*:\s*(\d+)\s*$", re.I | re.M)
@@ -156,27 +153,10 @@ _KNOWN_HEADERS = frozenset(
     ("from", "to", "call-id", "cseq", "contact", "content-type", "content-length")
 )
 _MANDATORY_KNOWN = (("From", "from"), ("To", "to"), ("Call-ID", "call-id"), ("CSeq", "cseq"))
-# Each header's key, for the spelling serialize_message writes; others are stripped and lowered.
-_CANONICAL_KEYS = {
-    name: name.lower()
-    for name in ("Via", "From", "To", "Call-ID", "CSeq", "Contact", "Content-Type", "Content-Length")
-}
-
-
-def _received(text: str | None) -> TransportAddress:
-    """The address in a Via's received parameter; ``text`` is ``None`` when it has no value."""
-    try:
-        return TransportAddress.parse(text or "")
-    except ValueError as exc:
-        raise MalformedHeader(f"bad received parameter: {text!r}") from exc
 
 
 def _parse_via(value: str) -> ViaHeader:
     """Parse a stripped Via header value."""
-    m = _PLAIN_VIA_RE.fullmatch(value)
-    if m:
-        transport, sent_by, branch, received = m.groups()
-        return ViaHeader(transport, sent_by, branch, received and _received(received))
     m = _VIA_RE.match(value)
     if not m:
         raise MalformedHeader(f"bad Via header: {value!r}")
@@ -185,17 +165,22 @@ def _parse_via(value: str) -> ViaHeader:
     received: TransportAddress | None = None
     extras: list[tuple[str, str | None]] = []
     for chunk in param_text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
         name, eq, value_part = chunk.partition("=")
         name = name.strip()
-        value_part = value_part.strip() if eq else None
+        if eq:
+            value_part = value_part.strip()
+        elif name:
+            value_part = None
+        else:
+            continue  # a blank chunk
         lname = name.lower()
         if lname == "branch":
             branch = value_part or ""
         elif lname == "received":
-            received = _received(value_part)
+            try:
+                received = TransportAddress.parse(value_part or "")
+            except ValueError as exc:
+                raise MalformedHeader(f"bad received parameter: {value_part!r}") from exc
         else:
             extras.append((name, value_part))
     return ViaHeader(transport, sent_by, branch, received, tuple(extras))
@@ -293,23 +278,20 @@ def parse_message(raw: bytes) -> SipMessage:
             if line.strip():
                 raise MalformedHeader(f"bad header line: {line!r}")
             continue  # whitespace only
-        lname = _CANONICAL_KEYS.get(name)
-        if lname is None:
-            name = name.strip()
-            if not name:
-                raise MalformedHeader(f"bad header line: {line!r}")
-            lname = name.lower()
-            if lname not in _KNOWN_HEADERS and lname != "via":
-                extras.append((name, value.strip()))
-                continue
-        if lname == "via":
+        name = name.strip()
+        if not name:
+            raise MalformedHeader(f"bad header line: {line!r}")
+        lname = name.lower()
+        if lname in _KNOWN_HEADERS:
+            if lname in known:
+                raise MalformedHeader(f"duplicate {name} header")
+            known[lname] = value.strip()
+        elif lname == "via":
             if via is not None:
                 raise MalformedHeader("multiple Via headers are not supported")
             via = _parse_via(value.strip())
-        elif lname in known:
-            raise MalformedHeader(f"duplicate {name} header")
         else:
-            known[lname] = value.strip()
+            extras.append((name, value.strip()))
 
     if via is None:
         raise MissingMandatoryHeader("Via")
@@ -321,18 +303,13 @@ def parse_message(raw: bytes) -> SipMessage:
         raise MissingMandatoryHeader("Call-ID")
 
     cseq = known["cseq"]
-    num, _, method_name = cseq.partition(" ")
-    cseq_method = _METHODS.get(method_name)
-    if cseq_method is not None and num.isascii() and num.isdigit():
-        cseq_num = parse_digits(num, MalformedHeader, "CSeq number")
-    else:  # any other form, by the general rule and in its order of checks
-        m = _CSEQ_RE.match(cseq)
-        if not m:
-            raise MalformedHeader(f"bad CSeq header: {cseq!r}")
-        cseq_num = parse_digits(m.group(1), MalformedHeader, "CSeq number")
-        cseq_method = _METHODS.get(m.group(2))
-        if cseq_method is None:
-            raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
+    m = _CSEQ_RE.match(cseq)
+    if not m:
+        raise MalformedHeader(f"bad CSeq header: {cseq!r}")
+    cseq_num = parse_digits(m.group(1), MalformedHeader, "CSeq number")
+    cseq_method = _METHODS.get(m.group(2))
+    if cseq_method is None:
+        raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
     if method is not None and cseq_method is not method:
         raise MalformedHeader(
             f"CSeq method {cseq_method.value} does not match request method {method.value}"
@@ -348,11 +325,7 @@ def parse_message(raw: bytes) -> SipMessage:
 
     contact = known.get("contact")
     if contact is not None:
-        uri = contact[1:-1]
-        if contact[:1] == "<" and contact[-1:] == ">" and ">" not in uri:
-            contact = uri.strip()  # what uri_of returns for a plain <uri>
-        else:
-            contact = uri_of(contact)
+        contact = uri_of(contact)
         # No URI holds '<' or '>' (RFC 3986 section 2); a stray one in a bare
         # URI would come back as a different Contact once serialised.
         if "<" in contact or ">" in contact:

@@ -1,10 +1,11 @@
-"""The SIP codec as it stood before its fast paths: a test-only reference.
+"""The SIP codec in its plainest form: a test-only reference.
 
 ``parse_message``, its helpers, ``serialize_message`` and ``MessageFramer``
-are copied unchanged from the version that parsed every header by the general
-path and re-scanned the framer's whole buffer on each read.  Two things
-differ: ``ViaHeader.render`` became the function ``render_via``, and a request
-line with an empty Request-URI is refused, as in the library.  The properties
+are copied unchanged from the version that re-scanned the framer's whole
+buffer on each read and joined the wire text from a list of lines; it reads
+each header by the one rule the library reads it by.  Two things differ:
+``ViaHeader.render`` became the function ``render_via``, and a request line
+with an empty Request-URI is refused, as in the library.  The properties
 in ``test_sip_message.py`` require the library's codec to return what this one
 returns, raise the same error (class and text) where it raises, and write the
 same bytes.

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+from sipnat import harness
 from sipnat.cli import main
 
 
@@ -94,8 +96,24 @@ def test_matrix_report_and_exit_code(tmp_path, capsys):
     assert "symmetric+symmetric" in out
 
 
-def test_matrix_unknown_mode_exit_2():
-    assert main(["matrix", "--modes", "warp"]) == 2
+def refuse_to_run(scenario):
+    raise AssertionError(f"ran a scenario in mode {scenario.mode!r}")
+
+
+def test_matrix_unknown_mode_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "run_scenario", refuse_to_run)  # a known mode ahead of it runs neither
+    for modes in ("warp", "adapted,warp"):
+        assert main(["matrix", "--modes", modes]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: unknown mode: 'warp'\n" and out == ""
+
+
+def test_matrix_empty_or_repeated_modes_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "run_scenario", refuse_to_run)
+    for modes in (",", "", " , ", "adapted,adapted", "naive,adapted, naive"):
+        assert main(["matrix", "--modes", modes]) == 2, modes
+        out, err = capsys.readouterr()
+        assert err.startswith("error: matrix needs one or more distinct modes") and out == ""
 
 
 def test_matrix_packets_beyond_the_rtp_sequence_space_exit_2(capsys):
@@ -105,3 +123,13 @@ def test_matrix_packets_beyond_the_rtp_sequence_space_exit_2(capsys):
         out, err = capsys.readouterr()
         assert "packets" in err and out == ""
 
+
+def test_the_readme_scenario_runs_and_meets_its_expect(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = [part.split("```", 1)[0] for part in readme.split("```json\n")[1:]]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(block)
+    report_path = tmp_path / "report.json"
+    assert main(["run", "--scenario", str(scenario), "--report", str(report_path)]) == 0
+    expect = json.loads(block)["expect"]
+    assert json.loads(report_path.read_text())["outcome"] == expect == "media_ok"

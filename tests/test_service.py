@@ -1,6 +1,7 @@
 """End-to-end exercise of the real-socket adapter on loopback."""
 
 import gc
+import logging
 import os
 import socket
 import time
@@ -10,6 +11,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 import samples
+from sipnat import service as service_module
 from sipnat.proxy import Phase, ProxyConfig
 from sipnat.rtp import build_rtp, parse_rtp
 from sipnat.sdp import parse_sdp
@@ -24,6 +26,32 @@ from sipnat.sip_message import (
 )
 
 HOST = "127.0.0.1"
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def service_errors():
+    """The ERROR records the service logs, from any thread, while the test runs.
+
+    The loop's boundary logs what escapes the proxy and carries on, so a test
+    that saw none of it would still pass; a test that expects such a record
+    takes it out of this list, and any record left fails the test.
+    """
+    handler = _Records()
+    log = logging.getLogger("sipnat.service")
+    log.addHandler(handler)
+    yield handler.records
+    log.removeHandler(handler)
+    if handler.records:
+        pytest.fail("sipnat.service logged: " + "; ".join(r.getMessage() for r in handler.records))
 
 
 def find_media_range(size: int = 4, start: int = 47600) -> tuple[int, int]:
@@ -333,6 +361,64 @@ def test_a_party_bye_with_an_empty_request_uri_gets_400_and_the_service_keeps_se
     assert service.proxy.calls[call.ack.call_id].phase is Phase.ESTABLISHED
     other.close()
     call.close()
+
+
+def test_a_message_the_proxy_raises_on_closes_its_connection_and_the_service_keeps_serving(
+    service, service_errors, monkeypatch
+):
+    handle_message = service.proxy.handle_message
+
+    def raising(conn, raw, now):
+        if parse_message(raw).call_id == "reg-ClientA@local1.com":
+            raise RuntimeError("proxy bug")
+        return handle_message(conn, raw, now)
+
+    monkeypatch.setattr(service.proxy, "handle_message", raising)
+    first = TcpClient(service.sip_port)
+    first.send(samples.make_register("ClientA", "local1.com", HOST))
+    with pytest.raises(ConnectionError):
+        first.recv_message(timeout=2.0)
+    second = TcpClient(service.sip_port)
+    second.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert second.recv_message(timeout=2.0).status_code == 200
+    assert service._thread.is_alive()
+    assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
+    assert [r.getMessage() for r in service_errors] == [
+        "handling a message on connection 1 failed, closing"
+    ]
+    assert service_errors[0].exc_info[0] is RuntimeError
+    service_errors.clear()
+    first.close()
+    second.close()
+
+
+def test_a_datagram_or_tick_the_proxy_raises_on_is_dropped_and_the_service_keeps_serving(
+    service, service_errors, monkeypatch
+):
+    tick = service.proxy.tick
+
+    def raising(*args):
+        raise RuntimeError("proxy bug")
+
+    def tick_raising_once(now):
+        service.proxy.tick = tick
+        raise RuntimeError("proxy bug")
+
+    monkeypatch.setattr(service.proxy, "handle_media", raising)
+    monkeypatch.setattr(service.proxy, "tick", tick_raising_once)
+    monkeypatch.setattr(service_module, "TICK_INTERVAL", 0.0)
+    media = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    lo = service.config.media_port_range[0]
+    media.sendto(b"rtp", (HOST, lo))
+    wait_until(lambda: len(service_errors) == 2)
+    client = TcpClient(service.sip_port)
+    client.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert client.recv_message(timeout=2.0).status_code == 200
+    messages = {r.getMessage() for r in service_errors}
+    assert messages == {f"relaying a datagram on port {lo} failed, dropping it", "proxy tick failed"}
+    service_errors.clear()
+    media.close()
+    client.close()
 
 
 def test_every_media_datagram_goes_through_handle_media(service, monkeypatch):
