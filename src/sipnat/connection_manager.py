@@ -9,6 +9,7 @@ private, possibly expired) UDP addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .sip_message import Method, SipMessage, uri_of
 
@@ -86,18 +87,14 @@ class ConnectionManager:
 
     def on_connection_closed(self, conn: ConnectionId) -> list[str]:
         """Invalidate every registration bound to a closed connection."""
-        removed = [
-            aor for aor, reg in self._registrations.items() if reg.connection == conn
-        ]
-        for aor in removed:
-            del self._registrations[aor]
-        return removed
+        return self._remove(lambda reg: reg.connection == conn)
 
     def expire(self, now: float) -> list[str]:
         """Drop registrations past their expiry; return their AORs."""
-        removed = [
-            aor for aor, reg in self._registrations.items() if now >= reg.expires_at
-        ]
+        return self._remove(lambda reg: now >= reg.expires_at)
+
+    def _remove(self, doomed: Callable[[Registration], bool]) -> list[str]:
+        removed = [aor for aor, reg in self._registrations.items() if doomed(reg)]
         for aor in removed:
             del self._registrations[aor]
         return removed

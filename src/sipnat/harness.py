@@ -109,17 +109,20 @@ class ScriptEvent:
     def from_dict(cls, data: dict) -> "ScriptEvent":
         if not isinstance(data, dict) or "event" not in data:
             raise InvalidScenario(f"script entry must be an object with 'event': {data!r}")
-        kind = data["event"]
+        rest = dict(data)  # each key read is taken out; one left over is a typo
+        kind = rest.pop("event")
         fields: dict = {}
         if kind == "idle":
-            fields["seconds"] = data.get("seconds")
+            fields["seconds"] = rest.pop("seconds", None)
         elif kind == "talk":
-            interval_ms = data.get("interval_ms", 20)
-            fields["packets"] = data.get("packets", 50)
+            interval_ms = rest.pop("interval_ms", 20)
+            fields["packets"] = rest.pop("packets", 50)
             # Only a number converts to seconds; anything else reaches the check as it is.
             fields["interval"] = interval_ms / 1000.0 if _is_number(interval_ms) else interval_ms
         elif kind in ("call", "hangup"):
-            fields["caller"] = str(data.get("caller", "a")).lower()
+            fields["caller"] = str(rest.pop("caller", "a")).lower()
+        if rest:
+            raise InvalidScenario(f"unknown key in a {kind!r} step: {next(iter(rest))!r}")
         return cls(kind, **fields)
 
     def to_dict(self) -> dict:
@@ -182,6 +185,9 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        unknown = [key for key in data if key not in cls.__dataclass_fields__]
+        if unknown:
+            raise InvalidScenario(f"unknown key in the scenario: {unknown[0]!r}")
         try:
             nat_a = _NAT_TYPE_NAMES[data["nat_a"]]
             nat_b = _NAT_TYPE_NAMES[data["nat_b"]]
@@ -190,18 +196,9 @@ class Scenario:
         script_data = data.get("script")
         if not isinstance(script_data, list) or not script_data:
             raise InvalidScenario("scenario needs a non-empty 'script' array")
-        return cls(
-            nat_a=nat_a,
-            nat_b=nat_b,
-            script=[ScriptEvent.from_dict(e) for e in script_data],
-            seed=data.get("seed", 0),
-            mode=data.get("mode", MODE_ADAPTED),
-            signaling=data.get("signaling", SIGNALING_TCP),
-            udp_binding_ttl=data.get("udp_binding_ttl", 60.0),
-            tcp_idle_ttl=data.get("tcp_idle_ttl"),
-            extra_clients=data.get("extra_clients", 0),
-            expect=data.get("expect"),
-        )
+        # Every key is a field by now, and a key left out takes the field's default.
+        script = [ScriptEvent.from_dict(e) for e in script_data]
+        return cls(**{**data, "nat_a": nat_a, "nat_b": nat_b, "script": script})
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":

@@ -8,11 +8,11 @@ two connections act on it: a BYE from any other connection gets 481, and
 an ACK or response from one is dropped with a ``non_party_message`` event.
 
 A call that one party hangs up once established leaves ``SipProxy.calls``
-as soon as the other party's final response to that BYE is relayed.  Calls
-that end any other way (rejected, timed out, undeliverable, a BYE while
-inviting, BYEs from both sides, or a BYE never answered) stay ``TERMINATED``
-for ``INVITE_GUARD`` seconds, so late messages for them are still relayed,
-and ``tick`` then drops them.
+as soon as the other party's final response to that BYE is relayed.  A
+connection that closes or fails a delivery ends every call it is a party
+of; a caller ringing a callee on it gets 404.  Calls that end any way but
+an answered BYE stay ``TERMINATED`` for ``INVITE_GUARD`` seconds, so late
+messages for them are still relayed, and ``tick`` then drops them.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ class CallState:
     caller_conn: ConnectionId
     callee_conn: ConnectionId
     invited_at: float
+    invite: SipMessage  # as forwarded: a 404 for a callee that goes away answers it
     phase: Phase = Phase.INVITING
     media: MediaSession | None = None
     ended_at: float | None = None
@@ -114,12 +115,28 @@ class SipProxy:
     def connection_opened(self, conn: ConnectionId, remote: TransportAddress) -> None:
         self._conn_remote[conn] = remote
 
-    def connection_closed(self, conn: ConnectionId) -> list[str]:
+    def connection_closed(self, conn: ConnectionId, now: float) -> list[Outbound]:
+        """``conn`` is gone: drop its registrations and end the calls it carried."""
+        self._drop_registrations(conn)
+        return self._end_calls_on(conn, now)
+
+    def _drop_registrations(self, conn: ConnectionId) -> list[str]:
         self._conn_remote.pop(conn, None)
         removed = self.registrar.on_connection_closed(conn)
         for aor in removed:
             self._on_event("registration_dropped", aor)
         return removed
+
+    def _end_calls_on(self, conn: ConnectionId, now: float) -> list[Outbound]:
+        """Terminate every live call ``conn`` is a party of; a ringing caller gets 404."""
+        outbound = []
+        for call in self.calls.values():
+            if call.phase is Phase.INVITING and call.callee_conn == conn:
+                failure = build_response(call.invite, 404, "Not Found")
+                outbound.append((call.caller_conn, serialize_message(failure)))
+            if call.is_party(conn):
+                self._terminate(call, now)
+        return outbound
 
     # -- signaling -----------------------------------------------------------
 
@@ -186,6 +203,7 @@ class SipProxy:
             caller_conn=conn,
             callee_conn=callee_conn,
             invited_at=now,
+            invite=msg,
             media=session,
         )
         self._on_event("invite_forwarded", f"{aor_of(msg.from_)} -> {callee} ({call_id})")
@@ -260,28 +278,14 @@ class SipProxy:
 
     # -- failure and time ----------------------------------------------------
 
-    def delivery_failed(self, conn: ConnectionId, raw: bytes, now: float) -> list[Outbound]:
+    def delivery_failed(self, conn: ConnectionId, now: float) -> list[Outbound]:
         """The transport could not deliver an outbound message on ``conn``.
 
-        The connection is treated as dead: its registrations are dropped,
-        and an undeliverable forwarded INVITE is answered 404 toward the
-        caller.
+        The connection is treated as dead, as in ``connection_closed``.
         """
-        removed = self.connection_closed(conn)
+        removed = self._drop_registrations(conn)
         self._on_event("delivery_failed", f"connection {conn} ({', '.join(removed) or 'no registrations'})")
-        try:
-            msg = parse_message(raw)
-        except SipParseError:
-            return []
-        call = self.calls.get(msg.call_id)
-        if call is None:
-            return []
-        if msg.is_request and msg.method is Method.INVITE and call.phase is Phase.INVITING:
-            self._terminate(call, now)
-            failure = build_response(msg, 404, "Not Found")
-            return [(call.caller_conn, serialize_message(failure))]
-        self._terminate(call, now)
-        return []
+        return self._end_calls_on(conn, now)
 
     def tick(self, now: float) -> None:
         """Expire registrations, time out unanswered calls and forget ended ones.

@@ -182,8 +182,7 @@ class ProxyService:
         for conn, raw in outbound:
             connection = self._conns.get(conn)
             if connection is None:
-                self._transmit(self.proxy.delivery_failed(conn, raw, time.monotonic()))
-                continue
+                continue  # closed: the proxy ended its calls when it closed
             if not connection.outbox:
                 # A non-empty queue is already ready or waiting for EVENT_WRITE.
                 self._ready[conn] = None
@@ -192,9 +191,9 @@ class ProxyService:
     def _flush(self) -> None:
         """Write each ready queue with one sendmsg; keep what the kernel refuses.
 
-        A send error closes the connection, which reports its unsent
-        messages as delivery failures; the replies that produces (a 404 to a
-        caller) are queued and written in this same pass.
+        A send error closes the connection, dropping what is still queued on
+        it; the replies the proxy makes as it ends that connection's calls (a
+        404 to a caller) are queued and written in this same pass.
         """
         while self._ready:
             ready, self._ready = self._ready, {}
@@ -221,13 +220,11 @@ class ProxyService:
             self._selector.modify(connection.sock, events, ("tcp", conn))
 
     def _close_conn(self, conn: int) -> None:
-        """Close a connection and report each message still queued on it as undeliverable."""
+        """Close a connection, drop its queue, and queue the proxy's replies as its calls end."""
         connection = self._conns.pop(conn)
         self._selector.unregister(connection.sock)
         connection.sock.close()
-        self.proxy.connection_closed(conn)
-        for raw in connection.outbox:
-            self._transmit(self.proxy.delivery_failed(conn, raw, time.monotonic()))
+        self._transmit(self.proxy.connection_closed(conn, time.monotonic()))
 
     # -- UDP media -------------------------------------------------------------
 

@@ -385,7 +385,7 @@ class SimClient:
         if internal is None:
             net.log(self.nat_label, "sig_blocked", f"to {self.name} at {self.external}")
             self.announced = None  # the proxy closes the connection
-            net.dispatch_proxy_out(net.proxy.delivery_failed(self.conn_id, raw, net.now))
+            net.dispatch_proxy_out(net.proxy.delivery_failed(self.conn_id, net.now))
             return
         try:
             msg = parse_message(raw)

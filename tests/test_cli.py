@@ -53,7 +53,7 @@ def test_run_prints_report_to_stdout(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "media_ok"
 
 
-def test_run_invalid_scenario_exit_2(tmp_path):
+def test_run_invalid_scenario_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"nat_a\": \"symmetric\"}")
     assert main(["run", "--scenario", str(bad)]) == 2
@@ -71,6 +71,17 @@ def test_run_invalid_scenario_exit_2(tmp_path):
     bad_steps = [{"event": "idle", "seconds": value} for value in (float("inf"), float("nan"), True, -1, 86400.5, 1e12)]
     bad_steps += [{"event": "talk", "interval_ms": value} for value in (float("inf"), float("nan"), True, 0)]
     bad_steps += [{"event": "talk", "packets": value} for value in (True, -1, 65537, 70000, 5.0)]
+    # A misspelt key is refused by name, not run with its default.
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, udp_binding_tll=5))]) == 2
+    assert "'udp_binding_tll'" in capsys.readouterr().err
+    bad_steps += [
+        {"event": "talk", "packet": 3},
+        {"event": "talk", "packets": 3, "interval": 5},
+        {"event": "idle", "seconds": 1, "second": 2},
+        {"event": "call", "callee": "b"},
+        {"event": "hangup", "caller": "a", "packets": 1},
+        {"event": "register", "caller": "a"},
+    ]
     for step in bad_steps:
         script = [{"event": "register"}, {"event": "call"}, step]
         assert main(["run", "--scenario", str(write_scenario(tmp_path, script=script))]) == 2, step

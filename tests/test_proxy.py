@@ -234,7 +234,7 @@ def test_late_answer_for_an_ended_call_is_relayed_unrewritten(ended_by):
     elif ended_by == "invite_timeout":
         proxy.tick(1.0 + INVITE_GUARD)
     else:
-        proxy.delivery_failed(A_CONN, serialize_message(fwd_invite), 1.1)
+        proxy.delivery_failed(A_CONN, 1.1)
         register_both(proxy, 1.1)
     old = proxy.calls["old@x"]
     assert old.phase is Phase.TERMINATED
@@ -527,10 +527,11 @@ def test_delivery_failure_of_invite_yields_404_to_caller():
     outbound = proxy.handle_message(B_CONN, invite_from_b(), 1.0)
     (conn, raw), = outbound
     assert conn == A_CONN
-    followup = proxy.delivery_failed(A_CONN, raw, 1.1)
+    followup = proxy.delivery_failed(A_CONN, 1.1)
     (fail_conn, fail_raw), = followup
     assert fail_conn == B_CONN
-    assert parse_message(fail_raw).status_code == 404
+    # The 404 answers the INVITE as it was forwarded, byte for byte.
+    assert fail_raw == serialize_message(build_response(parse_message(raw), 404, "Not Found"))
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
     assert proxy.media.pool.free_pairs() == pool_at_rest
     with pytest.raises(Exception):
@@ -542,9 +543,27 @@ def test_delivery_failure_of_invite_yields_404_to_caller():
 def test_connection_close_invalidates_registrations():
     proxy = make_proxy()
     register_both(proxy)
-    assert proxy.connection_closed(A_CONN) == ["sip:ClientA@local1.com"]
+    assert proxy.connection_closed(A_CONN, 0.5) == []
+    assert proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
     conn, msg = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
     assert (conn, msg.status_code) == (B_CONN, 404)
+
+
+def test_closed_connections_end_their_calls_and_free_the_whole_pool():
+    proxy = make_proxy()  # 100 ports: 50 pairs, two per call
+    register_both(proxy)
+    for n in range(25):
+        establish_call(proxy, f"call-{n}@local2.com")
+    assert proxy.media.pool.free_pairs() == frozenset()
+    now = 10000.0
+    # Both parties are gone; no BYE ever comes.
+    assert proxy.connection_closed(A_CONN, now) == []
+    assert proxy.connection_closed(B_CONN, now) == []
+    proxy.tick(now + INVITE_GUARD)
+    assert proxy.calls == {}
+    assert proxy.media.sessions == {}
+    assert proxy.media.ports == {}
+    assert len(proxy.media.pool.free_pairs()) == proxy.media.pool.pairs == 50
 
 
 def test_relay_disabled_forwards_bodies_untouched():

@@ -111,7 +111,19 @@ def running_service(**config):
     svc = ProxyService(config, host=HOST)
     svc.start()
     yield svc
-    svc.stop()
+    # Leak guard: once every client has closed, no call may hold relay ports
+    # and no registration may outlive its connection.
+    proxy = svc.proxy
+    pool = proxy.media.pool
+
+    def leftovers():
+        return proxy.media.sessions, proxy.registrar.live_aors(), pool.pairs - len(pool.free_pairs())
+
+    try:
+        wait_until(lambda: leftovers() == ({}, [], 0), timeout=3.0)
+        assert leftovers() == ({}, [], 0)
+    finally:
+        svc.stop()
 
 
 @pytest.fixture
@@ -467,7 +479,24 @@ def test_closing_connection_unregisters(service):
     assert service.proxy.registrar.live_aors() == []
 
 
-def test_send_error_reports_each_unsent_message_in_order(signaling_service):
+def test_the_caller_gets_a_404_at_once_when_a_ringing_callees_connection_closes(service):
+    callee = TcpClient(service.sip_port)
+    callee.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert callee.recv_message().status_code == 200
+    caller = TcpClient(service.sip_port)
+    caller.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert caller.recv_message().status_code == 200
+    caller.send(samples.make_invite(call_id="ringing@local2.com"))
+    assert callee.recv_message().method is Method.INVITE
+
+    callee.close()
+    reply = caller.recv_message(timeout=2.0)
+    assert (reply.status_code, reply.cseq_method, reply.call_id) == (404, Method.INVITE, "ringing@local2.com")
+    assert service.proxy.calls["ringing@local2.com"].phase is Phase.TERMINATED
+    caller.close()
+
+
+def test_send_error_ends_each_ringing_call_with_a_404_in_order(signaling_service):
     service = signaling_service
     callee = TcpClient(service.sip_port)
     callee.send(samples.make_register("ClientA", "local1.com", HOST))
