@@ -224,7 +224,8 @@ class SipProxy:
 
     def _on_bye(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         call = self.calls.get(msg.call_id)
-        if call is None or not call.is_party(conn):
+        # A peer whose connection closed cannot answer, and its call ended as it closed.
+        if call is None or not call.is_party(conn) or call.peer_conn(conn) not in self._conn_remote:
             return self._reply(conn, msg, 481, "Call/Transaction Does Not Exist")
         if call.phase is Phase.ESTABLISHED:
             call.retire_on = (call.peer_conn(conn), msg.cseq_num)

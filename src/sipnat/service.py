@@ -6,9 +6,9 @@ everything into the same SipProxy the simulator drives.
 
 Signaling sockets run with TCP_NODELAY, so a message forwarded right behind
 another on the same connection is not held back waiting for the peer's
-delayed ACK.  Outbound messages are queued per connection and written once
-per loop pass; what the kernel does not take stays queued and goes out when
-the socket reports writable, so a slow reader never loses its connection.
+delayed ACK.  Each connection's outbound bytes share one buffer, written
+with one send per loop pass; what the kernel does not take stays queued
+and goes out when the socket reports writable, so no slow reader is cut off.
 
 Every media datagram goes to ``SipProxy.handle_media`` with the ``(ip,
 port)`` source that ``recvfrom`` returned, and each datagram it answers with
@@ -16,8 +16,8 @@ goes out of its relay port's socket, so the service builds no address object
 per packet and the relay rules are the simulator's.
 
 An exception that escapes the proxy is logged and costs only what raised it:
-the connection whose message raised is closed, the datagram is dropped, the
-tick is skipped, and the loop keeps serving everyone else.
+a message's connection is closed, a datagram dropped, a tick skipped, a
+closing connection's replies lost.  The loop keeps serving everyone else.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .net import TransportAddress
 from .proxy import ProxyConfig, SipProxy
@@ -40,17 +38,15 @@ logger = logging.getLogger(__name__)
 TICK_INTERVAL = 1.0
 READ = selectors.EVENT_READ
 READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
-MAX_IOVECS = 1024  # buffers per sendmsg; IOV_MAX on Linux and macOS
 
 
 @dataclass
 class _Connection:
-    """One accepted signaling socket with its inbound framer and outbound queue."""
+    """One accepted signaling socket and its byte buffers: the framer's in, ``outbox`` out."""
 
     sock: socket.socket
     framer: MessageFramer = field(default_factory=MessageFramer)
-    outbox: deque[bytes] = field(default_factory=deque)
-    head_sent: int = 0  # bytes of outbox[0] already written
+    outbox: bytearray = field(default_factory=bytearray)
 
 
 class ProxyService:
@@ -178,22 +174,21 @@ class ProxyService:
             self._transmit(outbound)
 
     def _transmit(self, outbound: list[tuple[int, bytes]]) -> None:
-        """Queue each message on its connection; ``_flush`` writes the queues."""
+        """Append each message to its connection's outbox; ``_flush`` writes them."""
         for conn, raw in outbound:
             connection = self._conns.get(conn)
             if connection is None:
                 continue  # closed: the proxy ended its calls when it closed
             if not connection.outbox:
-                # A non-empty queue is already ready or waiting for EVENT_WRITE.
+                # A non-empty outbox is already ready or waiting for EVENT_WRITE.
                 self._ready[conn] = None
-            connection.outbox.append(raw)
+            connection.outbox += raw
 
     def _flush(self) -> None:
-        """Write each ready queue with one sendmsg; keep what the kernel refuses.
+        """Write each ready outbox with one send; keep what the kernel refuses.
 
-        A send error closes the connection, dropping what is still queued on
-        it; the replies the proxy makes as it ends that connection's calls (a
-        404 to a caller) are queued and written in this same pass.
+        A send error closes the connection, dropping its unsent bytes; the replies
+        its closing makes (a 404 to a caller) are queued and written in this pass.
         """
         while self._ready:
             ready, self._ready = self._ready, {}
@@ -204,27 +199,29 @@ class ProxyService:
 
     def _send_queued(self, conn: int, connection: _Connection) -> None:
         outbox = connection.outbox
-        buffers = [memoryview(outbox[0])[connection.head_sent :], *islice(outbox, 1, MAX_IOVECS)]
         try:
-            sent = connection.head_sent + connection.sock.sendmsg(buffers)
+            sent = connection.sock.send(outbox)
         except (BlockingIOError, InterruptedError):
-            sent = connection.head_sent
+            sent = 0
         except OSError:
             self._close_conn(conn)
             return
-        while outbox and sent >= len(outbox[0]):
-            sent -= len(outbox.popleft())
-        connection.head_sent = sent
+        del outbox[:sent]  # CPython advances a bytearray's start: no backlog copy per send
         events = READ_WRITE if outbox else READ
         if self._selector.get_key(connection.sock).events != events:
             self._selector.modify(connection.sock, events, ("tcp", conn))
 
     def _close_conn(self, conn: int) -> None:
-        """Close a connection, drop its queue, and queue the proxy's replies as its calls end."""
+        """Close a connection, drop its outbox, and queue the proxy's replies as its calls end."""
         connection = self._conns.pop(conn)
         self._selector.unregister(connection.sock)
         connection.sock.close()
-        self._transmit(self.proxy.connection_closed(conn, time.monotonic()))
+        try:
+            outbound = self.proxy.connection_closed(conn, time.monotonic())
+        except Exception:
+            logger.exception("closing connection %d in the proxy failed", conn)
+            return
+        self._transmit(outbound)
 
     # -- UDP media -------------------------------------------------------------
 

@@ -412,12 +412,9 @@ class MessageFramer:
         messages that arrived ahead of it are returned first.  A call that
         raises keeps none of its bytes.
         """
-        kept = len(self._buffer)
-        if kept:
-            buffer = self._buffer
-            buffer += data
-        else:
-            buffer = bytes(data)  # whole messages in one read are sliced from it uncopied
+        buffer = self._buffer
+        kept = len(buffer)
+        buffer += data
         messages: list[bytes] = []
         start = 0
         scan = self._scan
@@ -445,10 +442,7 @@ class MessageFramer:
             messages.append(bytes(buffer[start:total]))
             start = total
             total = 0
-        if buffer is self._buffer:
-            del buffer[:start]
-        else:
-            self._buffer += buffer[start:]
+        del buffer[:start]
         self._scan = scan - start if scan > start else 0
         self._total = total - start if total else 0
         return messages
@@ -458,7 +452,7 @@ class MessageFramer:
         raise FramingError(reason)
 
 
-def _declared_length(buffer: bytes | bytearray, start: int, header_end: int) -> int:
+def _declared_length(buffer: bytearray, start: int, header_end: int) -> int:
     """The Content-Length of the header section ``buffer[start:header_end]``,
     0 if it has none, and past ``MAX_BODY_BYTES`` if it has ten significant digits or more."""
     head = buffer[start:header_end].lower()

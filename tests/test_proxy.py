@@ -1,6 +1,9 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import samples
 from sipnat.connection_manager import REGISTRATION_TTL
@@ -8,7 +11,7 @@ from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.net import TransportAddress
 from sipnat.proxy import INVITE_GUARD, Phase, ProxyConfig, SipProxy
 from sipnat.sdp import parse_sdp
-from sipnat.sip_message import Method, build_response, parse_message, serialize_message
+from sipnat.sip_message import Method, SipMessage, build_response, parse_message, serialize_message
 
 A_CONN, B_CONN = 1, 2
 A_REMOTE = TransportAddress("68.92.25.44", 4325)
@@ -566,6 +569,18 @@ def test_closed_connections_end_their_calls_and_free_the_whole_pool():
     assert len(proxy.media.pool.free_pairs()) == proxy.media.pool.pairs == 50
 
 
+def test_a_bye_to_a_peer_whose_connection_closed_gets_481_and_is_not_forwarded():
+    proxy = make_proxy()
+    register_both(proxy)
+    ack = establish_call(proxy)
+    assert proxy.connection_closed(A_CONN, 5.0) == []
+    conn, msg = only_message(proxy.handle_message(B_CONN, serialize_message(as_bye(ack)), 6.0))
+    assert (conn, msg.status_code, msg.cseq_method) == (B_CONN, 481, Method.BYE)
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+    proxy.tick(5.0 + INVITE_GUARD)
+    assert proxy.calls == {}
+
+
 def test_relay_disabled_forwards_bodies_untouched():
     proxy = make_proxy(media_relay=False)
     register_both(proxy)
@@ -708,3 +723,159 @@ def test_call_exchange_wire_output_is_pinned():
     ]
     assert proxy.calls == {}
     assert proxy.media.pool.allocated_count == 0
+
+
+# -- leak invariants under random interleavings ---------------------------------
+
+MACHINE_CONNS = (1, 2, 3, 4)
+STRANGER = ("6.6.6.6", 666)
+
+
+@dataclass
+class PlacedCall:
+    """A call the proxy forwarded: who placed it, where it went, and the INVITE as forwarded."""
+
+    caller: int
+    callee: int
+    invite: SipMessage
+
+
+class LeakFreeLifecycle(RuleBasedStateMachine):
+    """Random calls, hangups, closes, ticks and media over one ``SipProxy``.
+
+    After every step no relay pair is lost or held by an ended call, and once
+    every connection closes and the guard time passes nothing is left.  A
+    closed connection never sends again, as in the service.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.proxy = SipProxy(ProxyConfig(public_ip="200.1.1.1", media_port_range=(40000, 40009)))
+        self.now = 0.0
+        self.open = list(MACHINE_CONNS)
+        for conn in MACHINE_CONNS:
+            self.proxy.connection_opened(conn, TransportAddress(f"10.9.0.{conn}", 5060))
+            self.register_on(conn)
+        self.placed: list[PlacedCall] = []
+        self.byes: list[tuple[int, SipMessage]] = []  # forwarded BYEs and who received them
+
+    def send(self, conn, msg) -> list:
+        raw = msg if isinstance(msg, bytes) else serialize_message(msg)
+        return self.proxy.handle_message(conn, raw, self.now)
+
+    def recent_call(self, data) -> PlacedCall:
+        """One of the last three calls placed, so a call's steps often follow one another."""
+        return data.draw(st.sampled_from(self.placed[-3:]))
+
+    def register_on(self, conn):
+        self.send(conn, samples.make_register(f"U{conn}", "sm.test", f"192.168.0.{conn}"))
+
+    @rule(data=st.data())
+    def register(self, data):
+        self.register_on(data.draw(st.sampled_from(self.open)))
+
+    @rule(data=st.data(), callee=st.sampled_from(MACHINE_CONNS))
+    def invite(self, data, callee):
+        caller = data.draw(st.sampled_from(self.open))
+        invite = samples.make_invite(
+            caller=f"U{caller}", caller_domain="sm.test", caller_host=f"192.168.0.{caller}",
+            callee=f"U{callee}", callee_domain="sm.test", call_id=f"sm-{len(self.placed)}",
+        )
+        for dest, raw in self.send(caller, invite):
+            msg = parse_message(raw)
+            if msg.is_request:
+                self.placed.append(PlacedCall(caller, dest, msg))
+
+    @precondition(lambda self: self.placed)
+    @rule(data=st.data(), accept=st.booleans())
+    def answer(self, data, accept):
+        call = self.recent_call(data)
+        if call.callee in self.open:
+            if accept:
+                answer = build_response(
+                    call.invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+                )
+            else:
+                answer = build_response(call.invite, 486, "Busy Here")
+            self.send(call.callee, answer)
+
+    @precondition(lambda self: self.placed)
+    @rule(data=st.data())
+    def ack(self, data):
+        call = self.recent_call(data)
+        if call.caller in self.open:
+            self.send(call.caller, replace(
+                call.invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+                contact=None,
+            ))
+
+    @precondition(lambda self: self.placed)
+    @rule(data=st.data())
+    def bye(self, data):
+        call = self.recent_call(data)
+        senders = [party for party in (call.caller, call.callee) if party in self.open]
+        if senders:
+            sender = data.draw(st.sampled_from(senders))
+            bye = replace(
+                call.invite, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2, body=b"",
+                content_type=None, contact=None,
+            )
+            for dest, raw in self.send(sender, bye):
+                msg = parse_message(raw)
+                if msg.is_request:
+                    assert dest in self.open  # a closed peer gets no BYE: the sender gets 481
+                    self.byes.append((dest, msg))
+
+    @precondition(lambda self: self.byes)
+    @rule(data=st.data())
+    def bye_answer(self, data):
+        receiver, bye = data.draw(st.sampled_from(self.byes[-3:]))
+        if receiver in self.open:
+            self.send(receiver, build_response(bye, 200, "OK"))
+
+    @precondition(lambda self: len(self.open) > 1)
+    @rule(data=st.data())
+    def close(self, data):
+        conn = data.draw(st.sampled_from(self.open))
+        self.open.remove(conn)
+        self.proxy.connection_closed(conn, self.now)
+
+    @rule(seconds=st.sampled_from([1.0, INVITE_GUARD]))
+    def tick(self, seconds):
+        self.now += seconds
+        self.proxy.tick(self.now)
+
+    @precondition(lambda self: self.proxy.media.ports)
+    @rule(data=st.data(), source=st.sampled_from(MACHINE_CONNS + (0,)))
+    def media(self, data, source):
+        port = data.draw(st.sampled_from(list(self.proxy.media.ports)))
+        src = (f"10.9.0.{source}", 7000) if source else STRANGER
+        self.proxy.handle_media(port, src, b"rtp")
+
+    @invariant()
+    def every_pair_is_free_or_held_by_a_live_call(self):
+        media = self.proxy.media
+        assert len(media.pool.free_pairs()) + 2 * len(media.sessions) == media.pool.pairs
+        for call in self.proxy.calls.values():
+            if call.phase is Phase.TERMINATED:
+                assert call.call_id not in media.sessions  # every placed call has its own Call-ID
+        live_ports = {
+            relay_port.port: relay_port
+            for session in media.sessions.values()
+            for leg in session.legs.values()
+            for relay_port in (leg.rtp, leg.rtcp)
+        }
+        assert media.ports == live_ports
+
+    def teardown(self):
+        for conn in self.open:
+            self.proxy.connection_closed(conn, self.now)
+        self.proxy.tick(self.now + INVITE_GUARD)
+        media = self.proxy.media
+        assert (self.proxy.calls, media.sessions, media.ports) == ({}, {}, {})
+        assert self.proxy.registrar.live_aors() == []
+        assert len(media.pool.free_pairs()) == media.pool.pairs
+
+
+TestLeakFreeLifecycle = LeakFreeLifecycle.TestCase
+TestLeakFreeLifecycle.settings = settings(max_examples=50, stateful_step_count=40, deadline=None)

@@ -404,6 +404,33 @@ def test_a_message_the_proxy_raises_on_closes_its_connection_and_the_service_kee
     second.close()
 
 
+def test_a_close_the_proxy_raises_on_is_logged_and_the_service_keeps_serving(
+    service, service_errors, monkeypatch
+):
+    connection_closed = service.proxy.connection_closed
+
+    def raising_once(conn, now):
+        service.proxy.connection_closed = connection_closed
+        connection_closed(conn, now)
+        raise RuntimeError("proxy bug")
+
+    monkeypatch.setattr(service.proxy, "connection_closed", raising_once)
+    first = TcpClient(service.sip_port)
+    first.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert first.recv_message().status_code == 200
+    first.close()
+    wait_until(lambda: service_errors)
+    second = TcpClient(service.sip_port)
+    second.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert second.recv_message(timeout=2.0).status_code == 200
+    assert service._thread.is_alive()
+    assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
+    assert [r.getMessage() for r in service_errors] == ["closing connection 1 in the proxy failed"]
+    assert service_errors[0].exc_info[0] is RuntimeError
+    service_errors.clear()
+    second.close()
+
+
 def test_a_datagram_or_tick_the_proxy_raises_on_is_dropped_and_the_service_keeps_serving(
     service, service_errors, monkeypatch
 ):
