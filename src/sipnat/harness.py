@@ -36,10 +36,10 @@ SIGNALING_TCP = "tcp"
 SIGNALING_UDP = "udp"
 
 PROXY_IP = "200.1.1.1"
-NAT_A_IP = "68.92.25.44"
-NAT_B_IP = "77.224.10.9"
-CLIENT_A = ("ClientA", "local1.com", "192.168.1.11", 49570)
-CLIENT_B = ("ClientB", "local2.com", "10.0.0.4", 6580)
+# Each client's row: (label, NAT public IP, NAT's lowest port, user, domain,
+# private IP, RTP port).  Client and NAT are named client_<label>, nat_<label>.
+CLIENT_A = ("a", "68.92.25.44", 4325, "ClientA", "local1.com", "192.168.1.11", 49570)
+CLIENT_B = ("b", "77.224.10.9", 6000, "ClientB", "local2.com", "10.0.0.4", 6580)
 
 ALLOCATIONS_PER_CLIENT = 2  # one for signaling, one for media reception
 
@@ -296,48 +296,40 @@ def build_simulation(scenario: Scenario) -> SimContext:
         )
     )
     net = SimNetwork(proxy, sip_transport=scenario.signaling)
-
-    def nat_box(nat_type: NatType, public_ip: str, lo: int, seed: int) -> NatBox:
-        return NatBox(
-            NatConfig(
-                nat_type=nat_type,
-                public_ip=public_ip,
-                udp_binding_ttl=scenario.udp_binding_ttl,
-                tcp_idle_ttl=scenario.tcp_idle_ttl,
-                port_range=(lo, lo + 999),
-            ),
-            seed=seed,
-        )
-
-    nat_a = nat_box(scenario.nat_a, NAT_A_IP, 4325, scenario.seed)
-    nat_b = nat_box(scenario.nat_b, NAT_B_IP, 6000, scenario.seed + 1)
-    net.add_nat("nat_a", nat_a)
-    net.add_nat("nat_b", nat_b)
-
-    user_a, domain_a, ip_a, rtp_a = CLIENT_A
-    user_b, domain_b, ip_b, rtp_b = CLIENT_B
-    client_a = SimClient(net, "client_a", user_a, domain_a, nat_a, "nat_a", ip_a, rtp_a)
-    client_b = SimClient(net, "client_b", user_b, domain_b, nat_b, "nat_b", ip_b, rtp_b)
-    client_a.hear(client_b)
-    client_b.hear(client_a)
-
-    extras = []
-    for i in range(scenario.extra_clients):
-        nat = nat_box(NatType.FULL_CONE, f"99.0.0.{i + 1}", 20000, scenario.seed + 2 + i)
-        net.add_nat(f"nat_x{i + 1}", nat)
-        extras.append(
-            SimClient(
-                net,
-                f"client_x{i + 1}",
-                f"Client{i + 3}",
-                f"local{i + 3}.com",
-                nat,
-                f"nat_x{i + 1}",
-                f"172.16.0.{i + 1}",
+    # a and b behind the scenario's NATs, then each extra behind a full cone.
+    rows = [(scenario.nat_a, *CLIENT_A), (scenario.nat_b, *CLIENT_B)]
+    for i in range(1, scenario.extra_clients + 1):
+        rows.append(
+            (
+                NatType.FULL_CONE,
+                f"x{i}",
+                f"99.0.0.{i}",
+                20000,
+                f"Client{i + 2}",
+                f"local{i + 2}.com",
+                f"172.16.0.{i}",
                 50000,
             )
         )
-    return SimContext(net, proxy, nat_a, nat_b, client_a, client_b, extras)
+    clients = []
+    for index, row in enumerate(rows):
+        nat_type, label, public_ip, lo, user, domain, private_ip, rtp_port = row
+        nat_config = NatConfig(
+            nat_type=nat_type,
+            public_ip=public_ip,
+            udp_binding_ttl=scenario.udp_binding_ttl,
+            tcp_idle_ttl=scenario.tcp_idle_ttl,
+            port_range=(lo, lo + 999),
+        )
+        nat = NatBox(nat_config, seed=scenario.seed + index)
+        net.add_nat(f"nat_{label}", nat)
+        clients.append(
+            SimClient(net, f"client_{label}", user, domain, nat, f"nat_{label}", private_ip, rtp_port)
+        )
+    client_a, client_b, *extras = clients
+    client_a.hear(client_b)
+    client_b.hear(client_a)
+    return SimContext(net, proxy, client_a.nat, client_b.nat, client_a, client_b, extras)
 
 
 def _sweep(ctx: SimContext) -> None:

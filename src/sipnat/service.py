@@ -8,7 +8,8 @@ Signaling sockets run with TCP_NODELAY, so a message forwarded right behind
 another on the same connection is not held back waiting for the peer's
 delayed ACK.  Each connection's outbound bytes share one buffer, written
 with one send per loop pass; what the kernel does not take stays queued
-and goes out when the socket reports writable, so no slow reader is cut off.
+and goes out when the socket reports writable.  A reader slow enough to
+leave more than ``MAX_OUTBOX_BYTES`` unsent is cut off, and its calls end.
 
 Every media datagram goes to ``SipProxy.handle_media`` with the ``(ip,
 port)`` source that ``recvfrom`` returned, and each datagram it answers with
@@ -36,6 +37,7 @@ from .sip_message import FramingError, MessageFramer
 logger = logging.getLogger(__name__)
 
 TICK_INTERVAL = 1.0
+MAX_OUTBOX_BYTES = 8 * 1024 * 1024  # unsent bytes a connection may hold after a send
 READ = selectors.EVENT_READ
 READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
 
@@ -174,21 +176,28 @@ class ProxyService:
             self._transmit(outbound)
 
     def _transmit(self, outbound: list[tuple[int, bytes]]) -> None:
-        """Append each message to its connection's outbox; ``_flush`` writes them."""
+        """Append each message to its connection's outbox; ``_flush`` writes them.
+
+        An outbox over ``MAX_OUTBOX_BYTES`` is made ready, so this loop pass
+        decides whether to close its connection; closing it here would leave
+        a batch being read from it still to be handled.
+        """
         for conn, raw in outbound:
             connection = self._conns.get(conn)
             if connection is None:
                 continue  # closed: the proxy ended its calls when it closed
-            if not connection.outbox:
-                # A non-empty outbox is already ready or waiting for EVENT_WRITE.
+            outbox = connection.outbox
+            # A non-empty outbox under the cap is already ready or waiting for EVENT_WRITE.
+            if not outbox or len(outbox) + len(raw) > MAX_OUTBOX_BYTES:
                 self._ready[conn] = None
-            connection.outbox += raw
+            outbox += raw
 
     def _flush(self) -> None:
         """Write each ready outbox with one send; keep what the kernel refuses.
 
-        A send error closes the connection, dropping its unsent bytes; the replies
-        its closing makes (a 404 to a caller) are queued and written in this pass.
+        A send error, or an outbox still over ``MAX_OUTBOX_BYTES`` after its
+        send, closes the connection, dropping its unsent bytes; the replies its
+        closing makes (a 404 to a caller) are queued and written in this pass.
         """
         while self._ready:
             ready, self._ready = self._ready, {}
@@ -198,6 +207,8 @@ class ProxyService:
                     self._send_queued(conn, connection)
 
     def _send_queued(self, conn: int, connection: _Connection) -> None:
+        """Send the outbox once; close the connection on a send error, or if
+        more than ``MAX_OUTBOX_BYTES`` are still unsent after the send."""
         outbox = connection.outbox
         try:
             sent = connection.sock.send(outbox)
@@ -207,6 +218,10 @@ class ProxyService:
             self._close_conn(conn)
             return
         del outbox[:sent]  # CPython advances a bytearray's start: no backlog copy per send
+        if len(outbox) > MAX_OUTBOX_BYTES:
+            logger.warning("connection %d holds %d unsent bytes, closing", conn, len(outbox))
+            self._close_conn(conn)
+            return
         events = READ_WRITE if outbox else READ
         if self._selector.get_key(connection.sock).events != events:
             self._selector.modify(connection.sock, events, ("tcp", conn))

@@ -280,15 +280,6 @@ class SimClient:
 
     # -- SIP building -------------------------------------------------------
 
-    def _via(self, branch: str | None = None) -> ViaHeader:
-        return ViaHeader(
-            transport=self.transport.upper(), sent_by=self.sip_addr.ip, branch=branch
-        )
-
-    def _next_cseq(self) -> int:
-        self._cseq += 1
-        return self._cseq
-
     def build_sdp(self) -> SdpSession:
         """Offer/answer naming this client's private media address."""
         return SdpSession(
@@ -302,56 +293,65 @@ class SimClient:
             extra_lines=[],
         )
 
-    def register(self) -> None:
+    def _request(
+        self,
+        method: Method,
+        request_uri: str,
+        to_: str,
+        call_id: str,
+        cseq_num: int | None = None,
+        branch: str | None = None,
+        **fields,
+    ) -> None:
+        """Send a request from this client, under the next CSeq unless given one."""
+        if cseq_num is None:
+            self._cseq += 1
+            cseq_num = self._cseq
+        via = ViaHeader(transport=self.transport.upper(), sent_by=self.sip_addr.ip, branch=branch)
         msg = SipMessage(
-            via=self._via(),
+            via=via,
             from_=self.name_addr,
-            to_=self.name_addr,
-            call_id=f"reg-{self.user}@{self.domain}",
-            cseq_num=self._next_cseq(),
-            cseq_method=Method.REGISTER,
-            method=Method.REGISTER,
-            request_uri=f"sip:{self.domain}",
-            contact=f"sip:{self.user}@{self.sip_addr.ip}",
+            to_=to_,
+            call_id=call_id,
+            cseq_num=cseq_num,
+            cseq_method=method,
+            method=method,
+            request_uri=request_uri,
+            **fields,
         )
         self._send_sip(msg)
+
+    def register(self) -> None:
+        self._request(
+            Method.REGISTER,
+            f"sip:{self.domain}",
+            self.name_addr,
+            f"reg-{self.user}@{self.domain}",
+            contact=f"sip:{self.user}@{self.sip_addr.ip}",
+        )
 
     def invite(self, callee: "SimClient") -> str:
         self._call_count += 1
         call_id = f"call-{self._call_count}-{self.user.lower()}@{self.domain}"
         self.call_id = call_id
         self.remote_name_addr = callee.name_addr
-        body = serialize_sdp(self.build_sdp())
-        msg = SipMessage(
-            via=self._via(branch=f"z9hG4bK{self.user}{self._call_count}"),
-            from_=self.name_addr,
-            to_=callee.name_addr,
-            call_id=call_id,
-            cseq_num=self._next_cseq(),
-            cseq_method=Method.INVITE,
-            method=Method.INVITE,
-            request_uri=callee.aor,
+        self._request(
+            Method.INVITE,
+            callee.aor,
+            callee.name_addr,
+            call_id,
+            branch=f"z9hG4bK{self.user}{self._call_count}",
             contact=f"sip:{self.user}@{self.sip_addr.ip}",
             content_type="application/sdp",
-            body=body,
+            body=serialize_sdp(self.build_sdp()),
         )
-        self._send_sip(msg)
         return call_id
 
     def hangup(self) -> None:
         if self.call_id is None:
             return
-        msg = SipMessage(
-            via=self._via(),
-            from_=self.name_addr,
-            to_=self.remote_name_addr or self.name_addr,
-            call_id=self.call_id,
-            cseq_num=self._next_cseq(),
-            cseq_method=Method.BYE,
-            method=Method.BYE,
-            request_uri=uri_of(self.remote_name_addr) if self.remote_name_addr else self.aor,
-        )
-        self._send_sip(msg)
+        remote = self.remote_name_addr  # set with call_id, by either side's INVITE
+        self._request(Method.BYE, uri_of(remote), remote, self.call_id)
 
     # -- signaling transport ---------------------------------------------------
 
@@ -428,18 +428,8 @@ class SimClient:
         if msg.cseq_method is Method.INVITE:
             if msg.status_code == 200:
                 self._learn_media(msg.body)
-                ack = SipMessage(
-                    via=self._via(),
-                    from_=msg.from_,
-                    to_=msg.to_,
-                    call_id=msg.call_id,
-                    cseq_num=msg.cseq_num,
-                    cseq_method=Method.ACK,
-                    method=Method.ACK,
-                    request_uri=uri_of(msg.to_),
-                )
                 self.ever_established = True
-                self._send_sip(ack)
+                self._request(Method.ACK, uri_of(msg.to_), msg.to_, msg.call_id, msg.cseq_num)
             elif msg.status_code >= 300:
                 self.call_id = None
 

@@ -415,6 +415,59 @@ def test_short_interval_reports_match_the_pinned_bytes(intervals, pinned, monkey
     assert digest.hexdigest() == pinned
 
 
+# The report pins log only each message's method, URI and Call-ID; this one
+# pins every byte the clients send.  Two calls, one placed and hung up by
+# each side, so each client sends every request it can build, under every
+# signaling transport x mode x NAT pairing with 0 or 3 extra clients, seed
+# 5, then one scenario with the most extra clients.  sha256 over each
+# (connection, clock, bytes) SipProxy.handle_message received and each
+# (connection, bytes) it returned, in order.
+PINNED_WIRE_SHA256 = "9c07c1cf1dd10095de280035e23b929a34839764184e52f8e10e6d22339f0ee9"
+
+
+def _wire_scenarios():
+    script = [
+        ScriptEvent("register"),
+        ScriptEvent("call", caller="a"),
+        ScriptEvent("talk", packets=1),
+        ScriptEvent("hangup", caller="a"),
+        ScriptEvent("call", caller="b"),
+        ScriptEvent("hangup", caller="a"),
+        ScriptEvent("register"),
+    ]
+    for signaling in ("tcp", "udp"):
+        for mode in MODES:
+            for nat_a in NatType:
+                for nat_b in NatType:
+                    for extra_clients in (0, 3):
+                        yield Scenario(
+                            nat_a,
+                            nat_b,
+                            script,
+                            seed=5,
+                            mode=mode,
+                            signaling=signaling,
+                            extra_clients=extra_clients,
+                        )
+    yield Scenario(SYM, PRC, script, seed=6, extra_clients=255)
+
+
+def test_wire_bytes_match_the_pinned_bytes(monkeypatch):
+    digest = hashlib.sha256()
+    handle_message = SipProxy.handle_message
+
+    def hashed_handle_message(proxy, conn, raw, now):
+        digest.update(repr((conn, now, raw)).encode())
+        outbound = handle_message(proxy, conn, raw, now)
+        digest.update(repr(outbound).encode())
+        return outbound
+
+    monkeypatch.setattr(SipProxy, "handle_message", hashed_handle_message)
+    for s in _wire_scenarios():
+        run_scenario(s)
+    assert digest.hexdigest() == PINNED_WIRE_SHA256
+
+
 def run_recording_queue_high_water(s):
     """Run the scenario; return its context and the longest the queue grew,
     read after every ``schedule_at``."""

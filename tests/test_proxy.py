@@ -481,6 +481,20 @@ def test_error_response_to_invite_terminates_and_forwards():
     assert proxy.calls == {}
 
 
+def test_an_answer_whose_description_will_not_parse_gets_the_caller_a_500():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    events = []
+    proxy.set_event_hook(lambda event, detail: events.append(event))
+    answer = build_response(fwd_invite, 200, "OK", body=b"garbage", content_type="application/sdp")
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
+    assert (conn, msg.status_code, msg.reason) == (B_CONN, 500, "Server Internal Error")
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+    assert len(proxy.media.pool.free_pairs()) == proxy.media.pool.pairs == 50
+    assert events == ["media_released", "bad_answer"]
+
+
 def tick_events(proxy, now):
     """The events one ``tick`` sends to the event hook, as (event, detail)."""
     events = []
@@ -729,6 +743,12 @@ def test_call_exchange_wire_output_is_pinned():
 
 MACHINE_CONNS = (1, 2, 3, 4)
 STRANGER = ("6.6.6.6", 666)
+# The callee's answers: accept, refuse, or accept with a description that will not parse.
+MACHINE_ANSWERS = (
+    (200, "OK", samples.sample_invite_body()),
+    (486, "Busy Here", b""),
+    (200, "OK", b"garbage"),
+)
 
 
 @dataclass
@@ -787,17 +807,15 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
                 self.placed.append(PlacedCall(caller, dest, msg))
 
     @precondition(lambda self: self.placed)
-    @rule(data=st.data(), accept=st.booleans())
-    def answer(self, data, accept):
+    @rule(data=st.data(), answer=st.sampled_from(MACHINE_ANSWERS))
+    def answer(self, data, answer):
         call = self.recent_call(data)
+        code, reason, body = answer
         if call.callee in self.open:
-            if accept:
-                answer = build_response(
-                    call.invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
-                )
-            else:
-                answer = build_response(call.invite, 486, "Busy Here")
-            self.send(call.callee, answer)
+            self.send(
+                call.callee,
+                build_response(call.invite, code, reason, body=body, content_type="application/sdp"),
+            )
 
     @precondition(lambda self: self.placed)
     @rule(data=st.data())

@@ -43,6 +43,14 @@ def test_missing_mandatory_line(line_type):
     assert err.value.line_type == line_type
 
 
+@pytest.mark.parametrize("line_type", ["o", "s", "c", "t"])
+def test_duplicate_session_line_rejected(line_type):
+    (line,) = [l for l in samples.INVITE_BODY_LINES if l.startswith(f"{line_type}=")]
+    lines = [*samples.INVITE_BODY_LINES[:-2], line, *samples.INVITE_BODY_LINES[-2:]]
+    with pytest.raises(SdpParseError, match=f"duplicate {line_type}= line"):
+        parse_sdp(samples.crlf_body(lines))
+
+
 def test_timing_line_is_optional():
     lines = [l for l in samples.INVITE_BODY_LINES if not l.startswith("t=")]
     session = parse_sdp(samples.crlf_body(lines))

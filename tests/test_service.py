@@ -4,6 +4,7 @@ import gc
 import logging
 import os
 import socket
+import threading
 import time
 import warnings
 from dataclasses import dataclass, replace
@@ -197,6 +198,24 @@ def test_crlf_before_a_register_and_keepalives_get_no_reply(service):
     response = client.recv_message()
     assert (response.status_code, response.call_id) == (200, call_id)
     client.close()
+
+
+def test_an_unframeable_stream_is_closed_and_the_service_keeps_serving(service, caplog):
+    first = TcpClient(service.sip_port)
+    # A REGISTER, then more header bytes than the framer holds, with no blank line.
+    first.send(samples.make_register("ClientA", "local1.com", HOST) + b"X-Filler: " + b"x" * 70000)
+    assert first.recv_message().status_code == 200
+    with pytest.raises(ConnectionError):
+        first.recv_message(timeout=2.0)
+    wait_until(lambda: not service.proxy.registrar.live_aors())
+    assert service.proxy.registrar.live_aors() == []
+    second = TcpClient(service.sip_port)
+    second.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert second.recv_message().status_code == 200
+    logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING]
+    assert logged == [(logging.WARNING, "unframeable stream on connection 1, closing")]
+    first.close()
+    second.close()
 
 
 def test_signaling_sockets_disable_nagle(service):
@@ -569,3 +588,54 @@ def test_slow_reader_keeps_connection_and_gets_every_message(signaling_service):
     assert service.proxy.registrar.route_to("sip:ClientA@local1.com") == 1
     slow.close()
     caller.close()
+
+
+def test_a_slow_reader_over_the_outbox_cap_is_closed_and_its_calls_end(
+    signaling_service, monkeypatch, caplog
+):
+    service = signaling_service
+    monkeypatch.setattr(service_module, "MAX_OUTBOX_BYTES", 64 * 1024)
+    slow = TcpClient(service.sip_port, rcvbuf=4096)
+    slow.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert slow.recv_message().status_code == 200
+    caller = TcpClient(service.sip_port)
+    caller.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert caller.recv_message().status_code == 200
+
+    # The caller reads its replies while a thread sends the INVITEs on a
+    # duplicate of its socket: they start coming back before the last is sent.
+    call_ids = [f"slow-{i}@local2.com" for i in range(SLOW_READER_INVITES)]
+    sender = caller.sock.dup()
+    invites = b"".join(samples.make_invite(call_id=call_id) for call_id in call_ids)
+    thread = threading.Thread(target=sender.sendall, args=(invites,))
+    thread.start()
+    replies = [caller.recv_message(timeout=20) for _ in call_ids]
+    thread.join()
+    sender.close()
+    assert [(msg.status_code, msg.call_id) for msg in replies] == [(404, c) for c in call_ids]
+    assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
+    assert {call.phase for call in service.proxy.calls.values()} <= {Phase.TERMINATED}
+    assert "connection 1 holds" in caplog.text
+    slow.close()
+    caller.close()
+
+
+PIPELINED_REGISTERS = 30000
+
+
+def test_a_client_pipelining_without_reading_is_closed_at_the_outbox_cap(
+    service, monkeypatch, caplog
+):
+    monkeypatch.setattr(service_module, "MAX_OUTBOX_BYTES", 64 * 1024)
+    client = TcpClient(service.sip_port, rcvbuf=4096)
+    register = samples.make_register("ClientA", "local1.com", HOST)
+    try:
+        client.send(register * PIPELINED_REGISTERS)
+    except OSError:
+        pass  # the service closed the connection with requests still unread
+    wait_until(lambda: not service.proxy.registrar.live_aors())
+    assert service.proxy.registrar.live_aors() == []
+    assert service._conns == {}
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and warnings[0].startswith("connection 1 holds")
+    client.close()

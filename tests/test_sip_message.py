@@ -119,10 +119,17 @@ def test_line_endings_and_folds_give_exact_fields():
     assert msg.body == b"\r\n"
 
 
-@pytest.mark.parametrize("header", ["Via", "From", "To", "Call-ID", "CSeq"])
-def test_missing_mandatory_header(header, invite_raw):
+@pytest.mark.parametrize(
+    "header, value",
+    [("Via", None), ("From", None), ("To", None), ("Call-ID", None), ("CSeq", None), ("Call-ID", "")],
+    ids=["Via", "From", "To", "Call-ID", "CSeq", "empty_Call-ID"],
+)
+def test_missing_mandatory_header(header, value, invite_raw):
+    # The header is left out, or its one line holds ``value``: an empty Call-ID counts as none.
     lines = invite_raw.split(b"\r\n")
     filtered = [l for l in lines if not l.lower().startswith(header.lower().encode() + b":")]
+    if value is not None:
+        filtered.insert(1, f"{header}: {value}".encode())
     with pytest.raises(MissingMandatoryHeader) as err:
         parse_message(b"\r\n".join(filtered))
     assert err.value.header == header
@@ -137,6 +144,9 @@ def test_malformed_start_line():
         parse_message(b"no blank line at all")
     with pytest.raises(MalformedStartLine, match="bad request line"):
         parse_message(b"BYE  SIP/2.0\r\nVia: SIP/2.0/TCP h\r\n\r\n")  # empty Request-URI
+    for code in (b"99", b"700"):
+        with pytest.raises(MalformedStartLine, match="status code out of range"):
+            parse_message(b"SIP/2.0 " + code + b" OK\r\nVia: SIP/2.0/TCP h\r\n\r\n")
 
 
 @pytest.mark.parametrize(
@@ -153,6 +163,14 @@ def test_digit_fields_too_long_for_int_are_parse_errors(answer_raw, field, error
     raw = re.sub(field, rb"\g<1>" + b"9" * 5000, answer_raw, count=1)
     assert raw != answer_raw
     with pytest.raises(error):
+        parse_message(raw)
+
+
+@pytest.mark.parametrize("header", ["From", "To", "Call-ID", "CSeq"])
+def test_duplicate_header_rejected(header, answer_raw):
+    (line,) = [l for l in answer_raw.split(b"\r\n") if l.startswith(header.encode() + b":")]
+    raw = answer_raw.replace(line, line + b"\r\n" + line, 1)
+    with pytest.raises(MalformedHeader, match=f"duplicate {header} header"):
         parse_message(raw)
 
 
