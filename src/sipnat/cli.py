@@ -3,7 +3,8 @@
     sipnat run --scenario call.json --mode adapted --seed 1 --report out.json
     sipnat matrix --modes adapted,naive --report matrix.json
 
-Exit code 0 only when every asserted outcome holds.
+Exit code 0 only when every asserted outcome holds, 1 when one fails, and 2
+when an input cannot be read or is invalid, or the report cannot be written.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ from .harness import (
 )
 
 
+def _write_report(path: str, text: str) -> bool:
+    """Write ``text`` and a newline to ``path``; False, with an error printed, if it cannot."""
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         scenario = Scenario.from_json(Path(args.scenario).read_text())
@@ -39,10 +50,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     report = run_scenario(scenario)
     text = report.to_json()
-    if args.report:
-        Path(args.report).write_text(text + "\n")
-    else:
+    if not args.report:
         print(text)
+    elif not _write_report(args.report, text):
+        return 2
 
     ok = scenario.expect is None or report.outcome.value == scenario.expect
     summary = f"outcome={report.outcome.value}"
@@ -59,8 +70,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     except InvalidScenario as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.report:
-        Path(args.report).write_text(json.dumps(summary, indent=2) + "\n")
+    if args.report and not _write_report(args.report, json.dumps(summary, indent=2)):
+        return 2
 
     for mode, pairings in summary.items():
         print(f"mode: {mode}")

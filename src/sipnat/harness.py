@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 
-from .nat import NatBox, NatConfig, NatType
+from .nat import TCP, UDP, NatBox, NatConfig, NatType
 from .proxy import ProxyConfig, SipProxy
 from .simnet import DirectionStats, LogEntry, SimClient, SimNetwork
 
@@ -31,9 +31,6 @@ MODE_ADAPTED = "adapted"
 MODE_NAIVE = "naive"
 MODE_BASELINE = "baseline"
 MODES = (MODE_ADAPTED, MODE_NAIVE, MODE_BASELINE)
-
-SIGNALING_TCP = "tcp"
-SIGNALING_UDP = "udp"
 
 PROXY_IP = "200.1.1.1"
 # Each client's row: (label, NAT public IP, NAT's lowest port, user, domain,
@@ -156,7 +153,7 @@ class Scenario:
     script: list[ScriptEvent]
     seed: int = 0
     mode: str = MODE_ADAPTED
-    signaling: str = SIGNALING_TCP
+    signaling: str = TCP
     udp_binding_ttl: float = 60.0
     tcp_idle_ttl: float | None = None
     extra_clients: int = 0
@@ -165,7 +162,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise InvalidScenario(f"unknown mode: {self.mode!r}")
-        if self.signaling not in (SIGNALING_TCP, SIGNALING_UDP):
+        if self.signaling not in (TCP, UDP):
             raise InvalidScenario(f"unknown signaling transport: {self.signaling!r}")
         for name in ("seed", "extra_clients"):
             if type(getattr(self, name)) is not int:  # bool is an int subclass
@@ -276,15 +273,14 @@ class Report:
 
 @dataclass
 class SimContext:
-    """Everything a scenario run builds; kept for white-box assertions."""
+    """Everything a scenario run builds; kept for white-box assertions.
+    ``clients`` holds a, b, then the extras, each behind its own ``nat``."""
 
     net: SimNetwork
     proxy: SipProxy
-    nat_a: NatBox
-    nat_b: NatBox
     client_a: SimClient
     client_b: SimClient
-    extras: list[SimClient]
+    clients: list[SimClient]
 
 
 def build_simulation(scenario: Scenario) -> SimContext:
@@ -322,20 +318,17 @@ def build_simulation(scenario: Scenario) -> SimContext:
             port_range=(lo, lo + 999),
         )
         nat = NatBox(nat_config, seed=scenario.seed + index)
-        net.add_nat(f"nat_{label}", nat)
-        clients.append(
-            SimClient(net, f"client_{label}", user, domain, nat, f"nat_{label}", private_ip, rtp_port)
-        )
-    client_a, client_b, *extras = clients
+        clients.append(SimClient(net, label, user, domain, nat, private_ip, rtp_port))
+    client_a, client_b = clients[:2]
     client_a.hear(client_b)
     client_b.hear(client_a)
-    return SimContext(net, proxy, client_a.nat, client_b.nat, client_a, client_b, extras)
+    return SimContext(net, proxy, client_a, client_b, clients)
 
 
 def _sweep(ctx: SimContext) -> None:
     ctx.proxy.tick(ctx.net.now)
-    ctx.nat_a.expire(ctx.net.now)
-    ctx.nat_b.expire(ctx.net.now)
+    for client in ctx.clients:
+        client.nat.expire(ctx.net.now)
 
 
 def execute_script(ctx: SimContext, scenario: Scenario) -> None:
@@ -343,7 +336,7 @@ def execute_script(ctx: SimContext, scenario: Scenario) -> None:
     net = ctx.net
     for event in scenario.script:
         if event.kind == "register":
-            for client in [ctx.client_a, ctx.client_b, *ctx.extras]:
+            for client in ctx.clients:
                 client.register()
             net.run()
         elif event.kind == "idle":
@@ -398,8 +391,7 @@ def run_scenario(scenario: Scenario) -> Report:
     net = ctx.net
     rtp = {"a_to_b": ctx.client_a.rtp_out, "b_to_a": ctx.client_b.rtp_out}
     rtcp = {"a_to_b": ctx.client_a.rtcp_out, "b_to_a": ctx.client_b.rtcp_out}
-
-    clients = [ctx.client_a, ctx.client_b, *ctx.extras]
+    clients = ctx.clients
 
     # Both ends must have seen the call complete (caller: 200, callee: ACK).
     established = ctx.client_a.ever_established and ctx.client_b.ever_established

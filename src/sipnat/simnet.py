@@ -5,17 +5,18 @@ every event enters it through ``SimNetwork.schedule_at``, except the steps of
 a script: ``harness.execute_script`` calls each talk's sends and each idle
 second's sweep itself, after ``SimNetwork.run_before`` has run everything due
 earlier, so the queue holds only messages and datagrams in flight however
-long the talk or the idle.  Each ``SimClient`` carries its own signaling path
-to the proxy, under the connection id ``SimNetwork.add_client`` gave it.  TCP
-signaling is modeled as an ordered reliable message stream whose NAT binding
-lasts while the connection does; UDP signaling and all media are
-per-datagram, so every hop consults the NAT filter and can be silently
-dropped.  No real time or real sockets are involved.
+long the talk or the idle.  Each ``SimClient`` sits behind its own NAT, with
+its own signaling path to the proxy under the connection id ``add_client``
+gave it.  TCP signaling is modeled as an ordered reliable message stream
+whose NAT binding lasts while the connection does; UDP signaling and all
+media are per-datagram, so every hop consults the NAT filter and can be
+silently dropped.  No real time or real sockets are involved.
 
 The per-packet path builds no address: the relay hands back ``(ip, port)``
 tuples, and ``SimNetwork`` maps each to one interned ``TransportAddress``
-(the relay's ports and the latched client addresses alike), while its
-socket table is keyed by plain tuples.  Log entries keep the raw clock;
+(the relay's ports and the latched client addresses alike).  A datagram for
+a NAT's public IP goes to the client behind it, whose NAT passes it to its
+RTP or RTCP handler by internal address.  Log entries keep the raw clock;
 ``harness.Report`` rounds it only when its events are read.  A client logs
 its signaling and any media it cannot send, but no media packet it sends or
 receives: each packet only adds to the ``DirectionStats`` of its direction,
@@ -69,7 +70,8 @@ def describe(msg: SipMessage) -> str:
 
 
 class SimNetwork:
-    """Event queue plus the public-internet routing fabric."""
+    """Event queue plus the public-internet routing fabric, which knows each
+    client by its signaling connection id and by its NAT's public IP."""
 
     def __init__(self, proxy: SipProxy, sip_transport: str = TCP):
         self.proxy = proxy
@@ -80,12 +82,9 @@ class SimNetwork:
         self.events: list[LogEntry] = []
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = count()
-        self._nats: dict[str, NatBox] = {}
-        self._nat_labels: dict[str, str] = {}
-        # (NAT public IP, internal IP, internal port) -> datagram handler
-        self._udp_sockets: dict[tuple[str, str, int], Callable] = {}
         self._addresses: dict[tuple[str, int], TransportAddress] = {}
         self._clients: dict[int, SimClient] = {}  # by signaling connection id
+        self._behind: dict[str, SimClient] = {}  # by its NAT's public IP
         proxy.set_event_hook(lambda event, detail: self.log("proxy", event, detail))
 
     # -- clock and queue -------------------------------------------------
@@ -130,21 +129,17 @@ class SimNetwork:
         event hook, so that reference counting frees a finished world.  The
         log stays readable; nothing may be sent or run after this."""
         self._clients.clear()
-        self._udp_sockets.clear()
+        self._behind.clear()
         self.proxy.set_event_hook(_ignore_event)
 
     # -- topology ----------------------------------------------------------
 
-    def add_nat(self, label: str, nat: NatBox) -> None:
-        self._nats[nat.config.public_ip] = nat
-        self._nat_labels[nat.config.public_ip] = label
-
-    def bind_udp(self, nat: NatBox, internal: TransportAddress, handler: Callable) -> None:
-        """Register a private UDP socket so NAT-delivered datagrams reach it."""
-        self._udp_sockets[(nat.config.public_ip, internal.ip, internal.port)] = handler
-
     def add_client(self, client: SimClient) -> int:
-        """Give a client its signaling connection id, numbered from 1."""
+        """Put a client alone behind its NAT's public IP; number its connection from 1."""
+        public_ip = client.nat.config.public_ip
+        if public_ip in self._behind:
+            raise ValueError(f"NAT {public_ip} already has a client behind it")
+        self._behind[public_ip] = client
         conn = len(self._clients) + 1
         self._clients[conn] = client
         return conn
@@ -170,20 +165,22 @@ class SimNetwork:
             for send in self.proxy.handle_media(dst.port, (src.ip, src.port), data):
                 self._send_from_proxy(send)
             return
-        nat = self._nats.get(dst.ip)
-        if nat is None:
+        client = self._behind.get(dst.ip)
+        if client is None:
             self.log("net", "unroutable", f"{src.ip}:{src.port} -> {dst.ip}:{dst.port}")
             return
-        internal = nat.inbound(src, dst, self.now, transport=UDP)
+        internal = client.nat.inbound(src, dst, self.now, transport=UDP)
         if internal is None:
-            label = self._nat_labels[dst.ip]
-            self.log(label, "media_blocked", f"{src.ip}:{src.port} -> {dst.ip}:{dst.port}")
+            self.log(client.nat_label, "media_blocked", f"{src.ip}:{src.port} -> {dst.ip}:{dst.port}")
             return
-        handler = self._udp_sockets.get((dst.ip, internal.ip, internal.port))
-        if handler is None:
-            self.log(self._nat_labels[dst.ip], "no_socket", str(internal))
-            return
-        handler(src, data)
+        # Field by field: a dataclass ``==`` would cost a Python call per datagram.
+        rtp = client.rtp_addr
+        if internal.ip == rtp.ip and internal.port == rtp.port:
+            client._on_rtp_datagram(src, data)
+        elif internal.ip == rtp.ip and internal.port == client.rtcp_addr.port:
+            client._on_rtcp_datagram(src, data)
+        else:
+            self.log(client.nat_label, "no_socket", str(internal))
 
     def _intern(self, key: tuple[str, int]) -> TransportAddress:
         address = self._addresses[key] = TransportAddress(*key)
@@ -216,7 +213,8 @@ def voice_payload(user: bytes, seq: int) -> bytes:
 class SimClient:
     """Scripted user agent: registers, answers calls, talks where it is told.
 
-    Its signaling path to the proxy is one connection (TCP) or one flow of
+    It is ``client_<label>``, alone behind the NAT ``nat_<label>``.  Its
+    signaling path to the proxy is one connection (TCP) or one flow of
     datagrams (UDP) from its private SIP port, whose NAT binding every send
     creates or refreshes; ``external`` is that binding's public address and
     ``announced`` the one the proxy was last told of.  It uses one UDP socket
@@ -227,20 +225,19 @@ class SimClient:
     def __init__(
         self,
         net: SimNetwork,
-        name: str,
+        label: str,
         user: str,
         domain: str,
         nat: NatBox,
-        nat_label: str,
         private_ip: str,
         rtp_port: int,
     ):
         self.net = net
-        self.name = name
+        self.name = f"client_{label}"
+        self.nat_label = f"nat_{label}"
         self.user = user
         self.domain = domain
         self.nat = nat
-        self.nat_label = nat_label
         self.aor = f"sip:{user}@{domain}"
         self.name_addr = f"{user} <sip:{user}@{domain}>"
         self.sip_addr = TransportAddress(private_ip, SIP_PORT)
@@ -250,7 +247,7 @@ class SimClient:
         self.external: TransportAddress | None = None
         self.announced: TransportAddress | None = None  # what the proxy knows
         self.conn_id = net.add_client(self)
-        self.ssrc = sum(ord(c) for c in name) * 65537 % 0xFFFFFFFF
+        self.ssrc = sum(ord(c) for c in self.name) * 65537 % 0xFFFFFFFF
         # What it hears adds to its sender's counters, once ``hear`` names them.
         self.voice_name = user.encode()  # bytes, which format faster than str
         self.rtp_out = DirectionStats()
@@ -267,9 +264,6 @@ class SimClient:
         self.sip_messages = 0  # sent and received, as logged
         self._cseq = 0
         self._call_count = 0
-
-        net.bind_udp(nat, self.rtp_addr, self._on_rtp_datagram)
-        net.bind_udp(nat, self.rtcp_addr, self._on_rtcp_datagram)
 
     def hear(self, sender: "SimClient") -> None:
         """Count the media arriving here as ``sender``'s.  Only its counters and

@@ -107,6 +107,21 @@ def test_matrix_report_and_exit_code(tmp_path, capsys):
     assert "symmetric+symmetric" in out
 
 
+def test_run_report_that_cannot_be_written_exit_2(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, expect="media_ok")
+    unwritable = tmp_path / "no-such-dir" / "report.json"
+    assert main(["run", "--scenario", str(scenario), "--report", str(unwritable)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write report: ") and str(unwritable) in err and out == ""
+
+
+def test_matrix_report_that_cannot_be_written_exit_2(tmp_path, capsys):
+    unwritable = tmp_path / "no-such-dir" / "matrix.json"
+    assert main(["matrix", "--modes", "adapted", "--packets", "1", "--report", str(unwritable)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write report: ") and str(unwritable) in err and out == ""
+
+
 def refuse_to_run(scenario):
     raise AssertionError(f"ran a scenario in mode {scenario.mode!r}")
 

@@ -71,10 +71,10 @@ def test_latched_addresses_equal_nat_mappings():
     ctx, session = run_keeping_session(scenario(seed=3))
     leg_a, leg_b = session.legs[LEG_A], session.legs[LEG_B]
     proxy_ip = ctx.proxy.config.public_ip
-    a_expected = ctx.nat_a.external_for(
+    a_expected = ctx.client_a.nat.external_for(
         ctx.client_a.rtp_addr, TransportAddress(proxy_ip, leg_a.rtp.port)
     )
-    b_expected = ctx.nat_b.external_for(
+    b_expected = ctx.client_b.nat.external_for(
         ctx.client_b.rtp_addr, TransportAddress(proxy_ip, leg_b.rtp.port)
     )
     assert leg_a.rtp.latched == (a_expected.ip, a_expected.port)
@@ -89,8 +89,8 @@ def test_forwarding_from_wrong_proxy_port_is_blocked():
     now = ctx.net.now
     right_port = TransportAddress(proxy_ip, leg_b.rtp.port)
     wrong_port = TransportAddress(proxy_ip, leg_b.rtp.port + 10)
-    assert ctx.nat_b.inbound(right_port, latched_b, now) == ctx.client_b.rtp_addr
-    assert ctx.nat_b.inbound(wrong_port, latched_b, now) is None
+    assert ctx.client_b.nat.inbound(right_port, latched_b, now) == ctx.client_b.rtp_addr
+    assert ctx.client_b.nat.inbound(wrong_port, latched_b, now) is None
 
 
 def test_received_stamp_matches_nat_oracle():
@@ -107,7 +107,7 @@ def test_received_stamp_matches_nat_oracle():
         if raw.startswith(b"INVITE")
     ]
     assert invites
-    expected = ctx.nat_a.external_for(ctx.client_a.sip_addr, ctx.net.sip_addr, transport=TCP)
+    expected = ctx.client_a.nat.external_for(ctx.client_a.sip_addr, ctx.net.sip_addr, transport=TCP)
     assert invites[0].via.received == expected
 
 
@@ -149,7 +149,7 @@ def test_relayed_media_to_an_expired_binding_is_blocked_at_the_nat():
     script = [ScriptEvent("register"), ScriptEvent("call"), ScriptEvent("talk", packets=3)]
     s = scenario(PRC, SYM, script=script, seed=1)
     ctx = build_simulation(s)
-    ctx.nat_b.config.udp_binding_ttl = 30.0  # B's media binding expires while A is silent
+    ctx.client_b.nat.config.udp_binding_ttl = 30.0  # B's media binding expires while A is silent
     execute_script(ctx, s)
     assert ctx.client_a.rtp_out.delivered == 3
     ctx.net.schedule_at(40.0, lambda: ctx.client_a.send_rtp(3))
@@ -210,8 +210,7 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     proxy = SipProxy(ProxyConfig(public_ip="203.0.113.1"))
     net = SimNetwork(proxy, sip_transport=UDP)
     nat = NatBox(NatConfig(SYM, "198.51.100.1", udp_binding_ttl=30.0, port_range=(5000, 5001)))
-    net.add_nat("nat_a", nat)
-    client = SimClient(net, "client_a", "ClientA", "local1.com", nat, "nat_a", "192.168.1.11", 8000)
+    client = SimClient(net, "a", "ClientA", "local1.com", nat, "192.168.1.11", 8000)
     client.register()
     net.run()
     first = TransportAddress("198.51.100.1", 5000)
@@ -227,6 +226,37 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     reply = parse_message(client.raw_received[-1])
     assert reply.status_code == 200
     assert reply.via.received == first
+
+
+def test_a_datagram_for_a_host_with_no_client_socket_is_logged_as_no_socket():
+    # A second host behind nat_a, not a client: the full cone NAT delivers to
+    # it, and the network has no socket there to hand the datagram to.
+    ctx = build_simulation(scenario(NatType.FULL_CONE, NatType.FULL_CONE))
+    net, a, b = ctx.net, ctx.client_a, ctx.client_b
+    host = TransportAddress("192.168.1.12", 5060)
+    external = a.nat.outbound(host, net.sip_addr, net.now)
+    net.send_from_client(b.nat, b.rtp_addr, external, b"stray")
+    net.run()
+    assert [(e.actor, e.event, e.detail) for e in net.events] == [
+        ("nat_a", "no_socket", "192.168.1.12:5060")
+    ]
+    assert a.rtp_out == b.rtp_out == DirectionStats()
+
+
+def test_idle_expires_every_clients_nat_bindings():
+    # The extras' UDP signaling bindings go at the sweep, like a's and b's,
+    # not only when a datagram next tries them.
+    s = scenario(script=[ScriptEvent("register"), ScriptEvent("idle", seconds=61.0)],
+                 signaling="udp", extra_clients=2)
+    ctx = build_simulation(s)
+    execute_script(ctx, s)
+    assert [client.nat.bindings for client in ctx.clients] == [[]] * 4
+
+
+def test_a_second_client_behind_one_nat_is_refused():
+    ctx = build_simulation(scenario())
+    with pytest.raises(ValueError, match="68.92.25.44"):
+        SimClient(ctx.net, "c", "ClientC", "local3.com", ctx.client_a.nat, "192.168.1.12", 8000)
 
 
 def test_udp_signaling_works_without_idle():

@@ -784,8 +784,15 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         return self.proxy.handle_message(conn, raw, self.now)
 
     def recent_call(self, data) -> PlacedCall:
-        """One of the last three calls placed, so a call's steps often follow one another."""
-        return data.draw(st.sampled_from(self.placed[-3:]))
+        """A call the proxy still holds live, when there is one, so that answers,
+        ACKs and BYEs reach the calls they can still change; else one of the
+        last three calls placed."""
+        calls = self.proxy.calls
+        live = [
+            call for call in self.placed
+            if call.invite.call_id in calls and calls[call.invite.call_id].phase is not Phase.TERMINATED
+        ]
+        return data.draw(st.sampled_from(live or self.placed[-3:]))
 
     def register_on(self, conn):
         self.send(conn, samples.make_register(f"U{conn}", "sm.test", f"192.168.0.{conn}"))
