@@ -17,8 +17,9 @@ latched source whose peer has latched too forwards at once.  Client
 addresses are ``(ip, port)`` tuples, as sockets report and take them, so
 relaying a packet builds no address object.
 
-Because relay addresses are handed out inside the signaling exchange, no
-client-visible allocation transaction exists at all.
+``relay_description`` aims each offer and answer the proxy forwards at
+the receiving party's relay port, so relay addresses are handed out inside
+the signaling exchange and no client-visible allocation transaction exists.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .net import TransportAddress
-from .sdp import SdpSession, rewrite_media
+from .sdp import parse_sdp, rewrite_media, serialize_sdp
 
 LEG_A = "A"  # offerer (caller) leg
 LEG_B = "B"  # answerer (callee) leg
@@ -176,14 +177,11 @@ class MediaController:
         self.sessions[call_id] = session
         return session
 
-    def process_offer(self, session: MediaSession, sdp: SdpSession) -> SdpSession:
-        """Aim the offer at the answerer's relay port, so the answerer sends
-        media to the relay."""
-        return rewrite_media(sdp, TransportAddress(self.public_ip, session.legs[LEG_B].rtp.port))
-
-    def process_answer(self, session: MediaSession, sdp: SdpSession) -> SdpSession:
-        """Aim the answer at the offerer's relay port."""
-        return rewrite_media(sdp, TransportAddress(self.public_ip, session.legs[LEG_A].rtp.port))
+    def relay_description(self, session: MediaSession, leg: str, body: bytes) -> bytes:
+        """``body`` aimed at the relay RTP port of ``leg``, the receiving party's
+        (``LEG_B`` for an offer, ``LEG_A`` for its answer); raises ``SdpError``."""
+        relay = TransportAddress(self.public_ip, session.legs[leg].rtp.port)
+        return serialize_sdp(rewrite_media(parse_sdp(body), relay))
 
     def on_media_packet(
         self, relay_port: int, src: tuple[str, int], datagram: bytes

@@ -1,18 +1,21 @@
 """Proxy/registrar tying signaling connections and the media relay together.
 
-REGISTER binds the client to the TCP connection it arrived on; INVITE and
-its answer get their session descriptions rewritten to relay ports before
-forwarding; ACK establishes; BYE tears the relay session down.  Request
-failures come back as SIP error responses, never silence.  Only the call's
-two connections act on it: a BYE from any other connection gets 481, and
-an ACK or response from one is dropped with a ``non_party_message`` event.
+REGISTER binds the client to the TCP connection it arrived on; the media
+controller rewrites the session description of an INVITE and of its answer
+to relay ports before forwarding; ACK establishes; BYE tears the relay
+session down.  Request failures come back as SIP error responses, never
+silence.  Only the call's two connections act on it: a BYE from any other
+connection gets 481, and an ACK or response from one is dropped with a
+``non_party_message`` event.
 
 A call that one party hangs up once established leaves ``SipProxy.calls``
 as soon as the other party's final response to that BYE is relayed.  A
 connection that closes or fails a delivery ends every call it is a party
-of; a caller ringing a callee on it gets 404.  Calls that end any way but
-an answered BYE stay ``TERMINATED`` for ``INVITE_GUARD`` seconds, so late
-messages for them are still relayed, and ``tick`` then drops them.
+of; a caller ringing a callee on it gets 404.  Nothing is addressed to a
+closed connection: an ACK, response or 404 for one is dropped with a
+``peer_gone`` event.  Calls that end any way but an answered BYE stay
+``TERMINATED`` for ``INVITE_GUARD`` seconds, so late messages for them are
+still relayed, and ``tick`` then drops them.
 """
 
 from __future__ import annotations
@@ -29,13 +32,15 @@ from .connection_manager import (
     aor_of,
 )
 from .media_controller import (
+    LEG_A,
+    LEG_B,
     MediaController,
     MediaSession,
     PoolExhausted,
     RelaySend,
 )
 from .net import TransportAddress
-from .sdp import SdpError, parse_sdp, serialize_sdp
+from .sdp import SdpError
 from .sip_message import (
     Method,
     SipMessage,
@@ -133,7 +138,7 @@ class SipProxy:
         for call in self.calls.values():
             if call.phase is Phase.INVITING and call.callee_conn == conn:
                 failure = build_response(call.invite, 404, "Not Found")
-                outbound.append((call.caller_conn, serialize_message(failure)))
+                outbound += self._forward(call.caller_conn, failure)
             if call.is_party(conn):
                 self._terminate(call, now)
         return outbound
@@ -188,15 +193,13 @@ class SipProxy:
         if self.config.media_relay:
             try:
                 session = self.media.allocate_session(call_id)
+                # msg was parsed in handle_message: ours to change
+                msg.body = self.media.relay_description(session, LEG_B, msg.body)
             except PoolExhausted:
                 return self._reply(conn, msg, 503, "Service Unavailable (media ports exhausted)")
-            try:
-                offer = parse_sdp(msg.body)
-                rewritten = self.media.process_offer(session, offer)
             except SdpError as exc:
                 self.media.release_session(call_id)
                 return self._reply(conn, msg, 400, f"Bad Request ({exc})")
-            msg.body = serialize_sdp(rewritten)  # msg was parsed in handle_message: ours to change
 
         self.calls[call_id] = CallState(
             call_id=call_id,
@@ -220,7 +223,7 @@ class SipProxy:
         if call.phase is Phase.INVITING:
             call.phase = Phase.ESTABLISHED
             self._on_event("call_established", msg.call_id)
-        return [(call.peer_conn(conn), serialize_message(msg))]
+        return self._forward(call.peer_conn(conn), msg)
 
     def _on_bye(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         call = self.calls.get(msg.call_id)
@@ -250,20 +253,25 @@ class SipProxy:
                 # An ended call's ports may be another call's by now: relay its answer untouched.
                 if call.media is not None and call.phase is not Phase.TERMINATED:
                     try:
-                        answer = parse_sdp(msg.body)
-                        rewritten = self.media.process_answer(call.media, answer)
+                        msg.body = self.media.relay_description(call.media, LEG_A, msg.body)
                     except SdpError as exc:
                         self._terminate(call, now)
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         failure = build_response(msg, 500, "Server Internal Error")
                         return [(dest, serialize_message(failure))]
-                    msg.body = serialize_sdp(rewritten)  # parsed in handle_message: ours to change
                 self._on_event("answer_forwarded", msg.call_id)
             elif msg.status_code >= 300:
                 self._terminate(call, now)
         elif msg.cseq_method is Method.BYE and msg.status_code >= 200:
             if call.retire_on == (conn, msg.cseq_num):
                 del self.calls[msg.call_id]
+        return self._forward(dest, msg)
+
+    def _forward(self, dest: ConnectionId, msg: SipMessage) -> list[Outbound]:
+        """``msg`` for ``dest``, or nothing and a ``peer_gone`` event once ``dest`` has closed."""
+        if dest not in self._conn_remote:
+            self._on_event("peer_gone", f"{msg.status_code or msg.method.value} for {msg.call_id}")
+            return []
         return [(dest, serialize_message(msg))]
 
     # -- media ---------------------------------------------------------------

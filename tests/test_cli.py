@@ -3,6 +3,7 @@ from pathlib import Path
 
 from sipnat import harness
 from sipnat.cli import main
+from sipnat.nat import NatType
 
 
 def write_scenario(tmp_path, **overrides):
@@ -105,6 +106,21 @@ def test_matrix_report_and_exit_code(tmp_path, capsys):
     assert len(summary["adapted"]) == 16
     out = capsys.readouterr().out
     assert "symmetric+symmetric" in out
+
+
+def test_matrix_with_a_failed_assertion_exits_1_and_names_it(capsys, monkeypatch):
+    expected = harness.matrix_expected_outcome
+
+    def blocked_symmetric_pair(nat_a, nat_b, mode):
+        if nat_a is nat_b is NatType.SYMMETRIC:
+            return harness.Outcome.MEDIA_BLOCKED
+        return expected(nat_a, nat_b, mode)
+
+    monkeypatch.setattr(harness, "matrix_expected_outcome", blocked_symmetric_pair)
+    assert main(["matrix", "--modes", "adapted", "--packets", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert "symmetric+symmetric" in out
+    assert err == "ASSERTION FAILED: adapted symmetric+symmetric: expected media_blocked, got media_ok\n"
 
 
 def test_run_report_that_cannot_be_written_exit_2(tmp_path, capsys):

@@ -142,8 +142,7 @@ def test_released_sessions_are_freed_without_the_cycle_collector():
 def test_offer_rewritten_toward_answerer_leg():
     ctl = controller()
     session = ctl.allocate_session("call-1")
-    offer = parse_sdp(samples.sample_invite_body())
-    rewritten = ctl.process_offer(session, offer)
+    rewritten = parse_sdp(ctl.relay_description(session, LEG_B, samples.sample_invite_body()))
     # The answerer must send its media to its own (leg B) relay port.
     assert rewritten.connection_ip == PROXY_IP
     assert rewritten.media[0].port == session.legs[LEG_B].rtp.port
@@ -152,8 +151,7 @@ def test_offer_rewritten_toward_answerer_leg():
 def test_answer_rewritten_toward_offerer_leg():
     ctl = controller()
     session = ctl.allocate_session("call-1")
-    answer = parse_sdp(samples.sample_answer_body())
-    rewritten = ctl.process_answer(session, answer)
+    rewritten = parse_sdp(ctl.relay_description(session, LEG_A, samples.sample_answer_body()))
     assert rewritten.connection_ip == PROXY_IP
     assert rewritten.media[0].port == session.legs[LEG_A].rtp.port
 
@@ -163,7 +161,7 @@ def test_multi_media_offer_rejected():
     session = ctl.allocate_session("call-1")
     body = samples.crlf_body(samples.INVITE_BODY_LINES + ["m=video 50000 RTP/AVP 96"])
     with pytest.raises(MultipleMediaUnsupported):
-        ctl.process_offer(session, parse_sdp(body))
+        ctl.relay_description(session, LEG_B, body)
 
 
 # -- relay forwarding -------------------------------------------------------------

@@ -134,6 +134,18 @@ def test_staleness_checked_lazily_without_expire():
     assert nat.inbound(DEST, external, now=60.0) is None  # no expire() sweep ran
 
 
+@pytest.mark.parametrize("nat_type", [NatType.FULL_CONE, NatType.SYMMETRIC])
+def test_outbound_on_a_stale_binding_maps_a_fresh_port(nat_type):
+    nat = make_nat(nat_type)
+    first = nat.outbound(LOCAL, DEST, now=0.0)
+    assert nat.outbound(LOCAL, DEST, now=59.5) == first  # idle just under the TTL: kept
+    fresh = nat.outbound(LOCAL, DEST, now=119.5)  # idle exactly the TTL: dropped, remapped
+    assert fresh.port != first.port
+    assert [b.external for b in nat.bindings] == [fresh]
+    assert nat.inbound(DEST, first, now=119.5) is None
+    assert nat.inbound(DEST, fresh, now=119.5) == LOCAL
+
+
 def test_keepalive_every_59_seconds_sustains_binding():
     nat = make_nat(NatType.PORT_RESTRICTED_CONE)
     external = nat.outbound(LOCAL, DEST, now=0.0)

@@ -361,12 +361,16 @@ def test_bye_for_unknown_call_481():
 C_CONN = 3  # a third registered connection, party to no call
 
 
-def with_third_party(proxy):
-    proxy.connection_opened(C_CONN, TransportAddress("6.6.6.6", 5060))
-    proxy.handle_message(C_CONN, samples.make_register("ClientC", "local3.com", "172.16.0.1"), 0.0)
+def record_events(proxy):
     events = []
     proxy.set_event_hook(lambda event, detail: events.append((event, detail)))
     return events
+
+
+def with_third_party(proxy):
+    proxy.connection_opened(C_CONN, TransportAddress("6.6.6.6", 5060))
+    proxy.handle_message(C_CONN, samples.make_register("ClientC", "local3.com", "172.16.0.1"), 0.0)
+    return record_events(proxy)
 
 
 def test_bye_from_a_non_party_connection_gets_481_and_leaves_the_call():
@@ -497,8 +501,7 @@ def test_an_answer_whose_description_will_not_parse_gets_the_caller_a_500():
 
 def tick_events(proxy, now):
     """The events one ``tick`` sends to the event hook, as (event, detail)."""
-    events = []
-    proxy.set_event_hook(lambda event, detail: events.append((event, detail)))
+    events = record_events(proxy)
     assert proxy.tick(now) is None
     return events
 
@@ -593,6 +596,64 @@ def test_a_bye_to_a_peer_whose_connection_closed_gets_481_and_is_not_forwarded()
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
     proxy.tick(5.0 + INVITE_GUARD)
     assert proxy.calls == {}
+
+
+def test_an_answer_for_a_caller_whose_connection_closed_is_dropped():
+    proxy = make_proxy()
+    register_both(proxy)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    assert proxy.connection_closed(B_CONN, 1.1) == []
+    events = record_events(proxy)
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    assert proxy.handle_message(A_CONN, serialize_message(answer), 1.2) == []
+    assert events == [
+        ("answer_forwarded", "call-1@local2.com"), ("peer_gone", "200 for call-1@local2.com"),
+    ]
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+    assert proxy.media.pool.free_pairs() == pool_at_rest
+
+
+def test_an_ack_for_a_callee_whose_connection_closed_is_dropped():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
+    conn, msg = only_message(proxy.connection_closed(A_CONN, 1.2))
+    assert (conn, msg.status_code) == (B_CONN, 404)
+    events = record_events(proxy)
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    assert proxy.handle_message(B_CONN, serialize_message(ack), 1.3) == []
+    assert events == [("peer_gone", "ACK for call-1@local2.com")]
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+
+
+def test_a_closing_trunk_gets_no_404_for_its_own_ringing_caller():
+    # Caller and callee share the trunk, so the 404 would go to the connection that is closing.
+    proxy = make_proxy()
+    proxy.handle_message(A_CONN, samples.make_register("ClientA", "local1.com", "192.168.1.11"), 0.0)
+    proxy.handle_message(A_CONN, samples.make_register("ClientB", "local2.com", "10.0.0.4"), 0.0)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    conn, _ = only_message(proxy.handle_message(A_CONN, invite_from_b(), 1.0))
+    assert conn == A_CONN
+    events = record_events(proxy)
+    assert proxy.connection_closed(A_CONN, 1.1) == []
+    assert events == [
+        ("registration_dropped", "sip:ClientA@local1.com"),
+        ("registration_dropped", "sip:ClientB@local2.com"),
+        ("peer_gone", "404 for call-1@local2.com"),
+        ("media_released", "call-1@local2.com: 4 ports freed"),
+    ]
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+    assert proxy.media.pool.free_pairs() == pool_at_rest
 
 
 def test_relay_disabled_forwards_bodies_untouched():
@@ -744,11 +805,8 @@ def test_call_exchange_wire_output_is_pinned():
 MACHINE_CONNS = (1, 2, 3, 4)
 STRANGER = ("6.6.6.6", 666)
 # The callee's answers: accept, refuse, or accept with a description that will not parse.
-MACHINE_ANSWERS = (
-    (200, "OK", samples.sample_invite_body()),
-    (486, "Busy Here", b""),
-    (200, "OK", b"garbage"),
-)
+ACCEPT = (200, "OK", samples.sample_invite_body())
+MACHINE_ANSWERS = (ACCEPT, (486, "Busy Here", b""), (200, "OK", b"garbage"))
 
 
 @dataclass
@@ -765,7 +823,8 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
 
     After every step no relay pair is lost or held by an ended call, and once
     every connection closes and the guard time passes nothing is left.  A
-    closed connection never sends again, as in the service.
+    closed connection never sends again, as in the service, and no message
+    the proxy returns is addressed to one.
     """
 
     def __init__(self):
@@ -779,9 +838,19 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         self.placed: list[PlacedCall] = []
         self.byes: list[tuple[int, SipMessage]] = []  # forwarded BYEs and who received them
 
+    def delivered(self, outbound: list) -> list:
+        """Check that every message in ``outbound`` is addressed to an open connection; return it."""
+        for dest, _ in outbound:
+            assert dest in self.open
+        return outbound
+
     def send(self, conn, msg) -> list:
         raw = msg if isinstance(msg, bytes) else serialize_message(msg)
-        return self.proxy.handle_message(conn, raw, self.now)
+        return self.delivered(self.proxy.handle_message(conn, raw, self.now))
+
+    def close_conn(self, conn):
+        self.open.remove(conn)
+        self.delivered(self.proxy.connection_closed(conn, self.now))
 
     def recent_call(self, data) -> PlacedCall:
         """A call the proxy still holds live, when there is one, so that answers,
@@ -801,22 +870,19 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
     def register(self, data):
         self.register_on(data.draw(st.sampled_from(self.open)))
 
-    @rule(data=st.data(), callee=st.sampled_from(MACHINE_CONNS))
-    def invite(self, data, callee):
-        caller = data.draw(st.sampled_from(self.open))
+    def place(self, caller, callee) -> PlacedCall | None:
         invite = samples.make_invite(
             caller=f"U{caller}", caller_domain="sm.test", caller_host=f"192.168.0.{caller}",
             callee=f"U{callee}", callee_domain="sm.test", call_id=f"sm-{len(self.placed)}",
         )
-        for dest, raw in self.send(caller, invite):
-            msg = parse_message(raw)
-            if msg.is_request:
-                self.placed.append(PlacedCall(caller, dest, msg))
+        ((dest, raw),) = self.send(caller, invite)  # forwarded, or refused
+        msg = parse_message(raw)
+        if not msg.is_request:
+            return None
+        self.placed.append(PlacedCall(caller, dest, msg))
+        return self.placed[-1]
 
-    @precondition(lambda self: self.placed)
-    @rule(data=st.data(), answer=st.sampled_from(MACHINE_ANSWERS))
-    def answer(self, data, answer):
-        call = self.recent_call(data)
+    def answer_call(self, call, answer):
         code, reason, body = answer
         if call.callee in self.open:
             self.send(
@@ -824,15 +890,34 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
                 build_response(call.invite, code, reason, body=body, content_type="application/sdp"),
             )
 
-    @precondition(lambda self: self.placed)
-    @rule(data=st.data())
-    def ack(self, data):
-        call = self.recent_call(data)
+    def ack_call(self, call):
         if call.caller in self.open:
             self.send(call.caller, replace(
                 call.invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
                 contact=None,
             ))
+
+    @rule(data=st.data(), callee=st.sampled_from(MACHINE_CONNS))
+    def invite(self, data, callee):
+        self.place(data.draw(st.sampled_from(self.open)), callee)
+
+    @rule(data=st.data(), callee=st.sampled_from(MACHINE_CONNS))
+    def accepted_call(self, data, callee):
+        """INVITE, 200 and ACK in one step, so that many calls reach ESTABLISHED."""
+        call = self.place(data.draw(st.sampled_from(self.open)), callee)
+        if call is not None:
+            self.answer_call(call, ACCEPT)
+            self.ack_call(call)
+
+    @precondition(lambda self: self.placed)
+    @rule(data=st.data(), answer=st.sampled_from(MACHINE_ANSWERS))
+    def answer(self, data, answer):
+        self.answer_call(self.recent_call(data), answer)
+
+    @precondition(lambda self: self.placed)
+    @rule(data=st.data())
+    def ack(self, data):
+        self.ack_call(self.recent_call(data))
 
     @precondition(lambda self: self.placed)
     @rule(data=st.data())
@@ -861,9 +946,7 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
     @precondition(lambda self: len(self.open) > 1)
     @rule(data=st.data())
     def close(self, data):
-        conn = data.draw(st.sampled_from(self.open))
-        self.open.remove(conn)
-        self.proxy.connection_closed(conn, self.now)
+        self.close_conn(data.draw(st.sampled_from(self.open)))
 
     @rule(seconds=st.sampled_from([1.0, INVITE_GUARD]))
     def tick(self, seconds):
@@ -893,8 +976,8 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         assert media.ports == live_ports
 
     def teardown(self):
-        for conn in self.open:
-            self.proxy.connection_closed(conn, self.now)
+        for conn in list(self.open):
+            self.close_conn(conn)
         self.proxy.tick(self.now + INVITE_GUARD)
         media = self.proxy.media
         assert (self.proxy.calls, media.sessions, media.ports) == ({}, {}, {})
