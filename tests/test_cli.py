@@ -58,6 +58,9 @@ def test_run_invalid_scenario_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"nat_a\": \"symmetric\"}")
     assert main(["run", "--scenario", str(bad)]) == 2
+    bad.write_text("null")  # valid JSON, but not an object
+    assert main(["run", "--scenario", str(bad)]) == 2
+    assert main(["run", "--scenario", str(write_scenario(tmp_path, signaling="sctp"))]) == 2
     assert main(["run", "--scenario", str(tmp_path / "missing.json")]) == 2
     for field in ("seed", "extra_clients"):
         for value in ("x", None, 1.5, True):
@@ -82,6 +85,8 @@ def test_run_invalid_scenario_exit_2(tmp_path, capsys):
         {"event": "call", "callee": "b"},
         {"event": "hangup", "caller": "a", "packets": 1},
         {"event": "register", "caller": "a"},
+        "register",  # a script entry that is not an object
+        ["event"],
     ]
     for step in bad_steps:
         script = [{"event": "register"}, {"event": "call"}, step]

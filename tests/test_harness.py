@@ -220,7 +220,9 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     nat.expire(net.now)
     client.proxy_send(client.raw_received[-1])
     net.run()
-    assert any(e.event == "delivery_failed" for e in net.events)
+    assert ("proxy", "registration_dropped", "sip:ClientA@local1.com") in [
+        (e.actor, e.event, e.detail) for e in net.events
+    ]
     client.register()
     net.run()
     reply = parse_message(client.raw_received[-1])
@@ -334,7 +336,7 @@ _EXPIRY_PAIRINGS = (
     (NatType.RESTRICTED_CONE, NatType.FULL_CONE),
 )
 # sha256 over the JSON reports of _expiry_scenarios(), in order.
-PINNED_EXPIRY_REPORTS_SHA256 = "f2c0044ead59007a23e3015dd039f17384068f05a23a0f866da3f90b6647be77"
+PINNED_EXPIRY_REPORTS_SHA256 = "7e8b89506ba4a3c6f8bdb21a1c3b4149b1d606aa8c947f07082e5b8b73548862"
 
 
 def _expiry_script(interval, packets):
@@ -384,7 +386,7 @@ def test_expiry_reports_match_the_pinned_bytes():
         digest.update(report.to_json().encode())
         seen.update(e["event"] for e in report.events)
     # The paths the first pin misses; the set must keep reaching them.
-    assert {"sig_blocked", "delivery_failed", "registration_dropped", "media_dropped"} <= seen
+    assert {"sig_blocked", "registration_dropped", "media_dropped"} <= seen
     assert digest.hexdigest() == PINNED_EXPIRY_REPORTS_SHA256
 
 

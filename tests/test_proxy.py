@@ -223,7 +223,7 @@ def test_late_bye_answer_leaves_reused_call_id_alone():
     assert proxy.media.pool.free_pairs() == pool_at_rest
 
 
-@pytest.mark.parametrize("ended_by", ["bye", "invite_timeout", "delivery_failed"])
+@pytest.mark.parametrize("ended_by", ["bye", "invite_timeout", "connection_closed"])
 def test_late_answer_for_an_ended_call_is_relayed_unrewritten(ended_by):
     proxy = make_proxy()
     register_both(proxy)
@@ -237,7 +237,7 @@ def test_late_answer_for_an_ended_call_is_relayed_unrewritten(ended_by):
     elif ended_by == "invite_timeout":
         proxy.tick(1.0 + INVITE_GUARD)
     else:
-        proxy.delivery_failed(A_CONN, 1.1)
+        proxy.connection_closed(A_CONN, 1.1)
         register_both(proxy, 1.1)
     old = proxy.calls["old@x"]
     assert old.phase is Phase.TERMINATED
@@ -499,6 +499,40 @@ def test_an_answer_whose_description_will_not_parse_gets_the_caller_a_500():
     assert events == ["media_released", "bad_answer"]
 
 
+def test_a_late_error_response_to_an_established_calls_invite_is_relayed_and_keeps_the_call():
+    proxy = make_proxy()
+    register_both(proxy)
+    ack = establish_call(proxy)
+    call = proxy.calls["call-1@local2.com"]
+    ports = proxy.media.ports.copy()
+    invite = replace(ack, method=Method.INVITE, cseq_method=Method.INVITE)
+    busy = build_response(invite, 486, "Busy Here")
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(busy), 2.0))
+    assert (conn, msg.status_code) == (B_CONN, 486)
+    assert call.phase is Phase.ESTABLISHED
+    assert proxy.media.ports == ports
+
+
+def test_a_resent_answer_whose_description_will_not_parse_is_dropped_and_keeps_the_call():
+    proxy = make_proxy()
+    register_both(proxy)
+    ack = establish_call(proxy)
+    call = proxy.calls["call-1@local2.com"]
+    ports = proxy.media.ports.copy()
+    events = record_events(proxy)
+    invite = replace(ack, method=Method.INVITE, cseq_method=Method.INVITE)
+    answer = build_response(invite, 200, "OK", body=b"garbage", content_type="application/sdp")
+    assert proxy.handle_message(A_CONN, serialize_message(answer), 2.0) == []
+    assert [event for event, _ in events] == ["bad_answer"]
+    assert call.phase is Phase.ESTABLISHED
+    assert proxy.media.ports == ports
+    # A re-sent 200 that does parse is still rewritten to the same relay port.
+    answer = replace(answer, body=samples.sample_invite_body())
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 2.1))
+    assert conn == B_CONN
+    assert parse_sdp(msg.body).media[0].port == call.media.legs[LEG_A].rtp.port
+
+
 def tick_events(proxy, now):
     """The events one ``tick`` sends to the event hook, as (event, detail)."""
     events = record_events(proxy)
@@ -547,7 +581,7 @@ def test_delivery_failure_of_invite_yields_404_to_caller():
     outbound = proxy.handle_message(B_CONN, invite_from_b(), 1.0)
     (conn, raw), = outbound
     assert conn == A_CONN
-    followup = proxy.delivery_failed(A_CONN, 1.1)
+    followup = proxy.connection_closed(A_CONN, 1.1)
     (fail_conn, fail_raw), = followup
     assert fail_conn == B_CONN
     # The 404 answers the INVITE as it was forwarded, byte for byte.
@@ -609,9 +643,7 @@ def test_an_answer_for_a_caller_whose_connection_closed_is_dropped():
         fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
     )
     assert proxy.handle_message(A_CONN, serialize_message(answer), 1.2) == []
-    assert events == [
-        ("answer_forwarded", "call-1@local2.com"), ("peer_gone", "200 for call-1@local2.com"),
-    ]
+    assert events == [("peer_gone", "200 for call-1@local2.com")]
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
     assert proxy.media.pool.free_pairs() == pool_at_rest
 
@@ -807,6 +839,8 @@ STRANGER = ("6.6.6.6", 666)
 # The callee's answers: accept, refuse, or accept with a description that will not parse.
 ACCEPT = (200, "OK", samples.sample_invite_body())
 MACHINE_ANSWERS = (ACCEPT, (486, "Busy Here", b""), (200, "OK", b"garbage"))
+# Who sends a media packet to a leg: mostly its own party.
+MEDIA_SENDERS = ("party", "party", "party", "peer", "stranger")
 
 
 @dataclass
@@ -912,7 +946,12 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
     @precondition(lambda self: self.placed)
     @rule(data=st.data(), answer=st.sampled_from(MACHINE_ANSWERS))
     def answer(self, data, answer):
-        self.answer_call(self.recent_call(data), answer)
+        call = self.recent_call(data)
+        state = self.proxy.calls.get(call.invite.call_id)
+        established = state is not None and state.phase is Phase.ESTABLISHED
+        self.answer_call(call, answer)
+        if established:  # a late answer, of any kind, does not end the call
+            assert state.phase is Phase.ESTABLISHED
 
     @precondition(lambda self: self.placed)
     @rule(data=st.data())
@@ -953,12 +992,22 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         self.now += seconds
         self.proxy.tick(self.now)
 
-    @precondition(lambda self: self.proxy.media.ports)
-    @rule(data=st.data(), source=st.sampled_from(MACHINE_CONNS + (0,)))
-    def media(self, data, source):
-        port = data.draw(st.sampled_from(list(self.proxy.media.ports)))
-        src = (f"10.9.0.{source}", 7000) if source else STRANGER
-        self.proxy.handle_media(port, src, b"rtp")
+    @precondition(lambda self: self.proxy.media.sessions)
+    @rule(
+        data=st.data(), leg=st.sampled_from((LEG_A, LEG_B)), rtcp=st.booleans(),
+        sender=st.sampled_from(MEDIA_SENDERS),
+    )
+    def media(self, data, leg, rtcp, sender):
+        """A packet to one leg of a call that holds a session, mostly from that leg's party."""
+        call_id = data.draw(st.sampled_from(list(self.proxy.media.sessions)))
+        call = self.proxy.calls[call_id]
+        relay_leg = self.proxy.media.sessions[call_id].legs[leg]
+        party = call.caller_conn if leg == LEG_A else call.callee_conn
+        if sender == "stranger":
+            src = STRANGER
+        else:
+            src = (f"10.9.0.{party if sender == 'party' else call.peer_conn(party)}", 7000)
+        self.proxy.handle_media((relay_leg.rtcp if rtcp else relay_leg.rtp).port, src, b"rtp")
 
     @invariant()
     def every_pair_is_free_or_held_by_a_live_call(self):

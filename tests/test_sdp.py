@@ -175,6 +175,17 @@ def test_serialize_rejects_empty_media():
         serialize_sdp(session)
 
 
+@pytest.mark.parametrize("field, value", [("port", 65536), ("connection_ip", "relay.example")])
+def test_serialize_rejects_a_bad_port_or_connection_address(field, value):
+    session = parse_sdp(samples.sample_invite_body())
+    if field == "port":
+        session.media[0].port = value
+    else:
+        session.connection_ip = value
+    with pytest.raises(InvariantViolation):
+        serialize_sdp(session)
+
+
 def test_generated_sessions_round_trip():
     rng = random.Random(4242)
     for _ in range(300):

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -74,8 +75,6 @@ def test_canonical_form_is_stable(invite_raw, answer_raw):
 
 
 def test_content_length_always_recomputed(invite_raw):
-    from dataclasses import replace
-
     msg = parse_message(invite_raw)
     shorter = replace(msg, body=b"x" * 10)
     assert b"Content-Length: 10\r\n" in serialize_message(shorter)
@@ -83,8 +82,6 @@ def test_content_length_always_recomputed(invite_raw):
 
 def test_content_length_matches_131_byte_body():
     msg = parse_message(samples.make_register())
-    from dataclasses import replace
-
     out = serialize_message(replace(msg, body=b"y" * 131, content_type="application/sdp"))
     assert b"Content-Length: 131\r\n" in out
 
@@ -250,6 +247,26 @@ def test_serialize_rejects_invariant_violations():
     )
     with pytest.raises(InvariantViolation):
         serialize_message(cseq_mismatch)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"request_uri": ""},
+        {"method": None, "request_uri": None, "status_code": 700, "reason": "Too High"},
+        {"cseq_num": -1},
+        {"body": "v=0"},
+    ],
+    ids=["request_without_uri", "status_code_out_of_range", "negative_cseq", "body_not_bytes"],
+)
+def test_serialize_rejects_each_invariant_violation(change):
+    request = SipMessage(
+        via=ViaHeader("TCP", "192.168.1.11"), from_="a", to_="b", call_id="c", cseq_num=1,
+        cseq_method=Method.INVITE, method=Method.INVITE, request_uri="sip:x@y",
+    )
+    serialize_message(request)
+    with pytest.raises(InvariantViolation):
+        serialize_message(replace(request, **change))
 
 
 def test_generated_messages_round_trip():
