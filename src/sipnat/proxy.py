@@ -41,7 +41,7 @@ from .media_controller import (
     PoolExhausted,
     RelaySend,
 )
-from .net import TransportAddress
+from .net import TransportAddress, is_ipv4
 from .sdp import SdpError
 from .sip_message import (
     Method,
@@ -93,6 +93,8 @@ class ProxyConfig:
     media_relay: bool = True  # off: forward bodies untouched (no relay, no rewrite)
 
     def __post_init__(self) -> None:
+        if not is_ipv4(self.public_ip):  # relay addresses in every rewritten description
+            raise ValueError(f"invalid IPv4 address: {self.public_ip!r}")
         lo, hi = self.media_port_range
         if lo <= self.sip_tcp_port <= hi:
             raise ValueError("media port range must not contain the SIP port")

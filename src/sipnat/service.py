@@ -16,9 +16,12 @@ port)`` source that ``recvfrom`` returned, and each datagram it answers with
 goes out of its relay port's socket, so the service builds no address object
 per packet and the relay rules are the simulator's.
 
-An exception that escapes the proxy is logged and costs only what raised it:
-a message's connection is closed, a datagram dropped, a tick skipped, a
-closing connection's replies lost.  The loop keeps serving everyone else.
+Each of the proxy's five inputs goes through ``_input``, the one exception
+boundary.  What escapes the proxy is logged with its traceback as ``proxy
+<input> failed on <connection id, relay port or tick time>`` and costs only
+what raised it: a message's connection is closed, the rest of its read
+dropped, a datagram dropped, a tick skipped, a closing connection's replies
+lost.  The loop keeps serving everyone else.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .net import TransportAddress
 from .proxy import ProxyConfig, SipProxy
@@ -126,10 +130,15 @@ class ProxyService:
             now = time.monotonic()
             if now - self._last_tick >= TICK_INTERVAL:
                 self._last_tick = now
-                try:
-                    self.proxy.tick(now)
-                except Exception:
-                    logger.exception("proxy tick failed")
+                self._input(self.proxy.tick, now)
+
+    def _input(self, proxy_input: Callable, *args):
+        """``proxy_input(*args)``, or None if it raised; the caller decides what None costs."""
+        try:
+            return proxy_input(*args)
+        except Exception:
+            logger.exception("proxy %s failed on %s", proxy_input.__name__, args[0])
+            return None
 
     # -- TCP signaling -------------------------------------------------------
 
@@ -143,7 +152,7 @@ class ProxyService:
         conn = self._next_conn
         self._next_conn += 1
         self._conns[conn] = _Connection(sock)
-        self.proxy.connection_opened(conn, TransportAddress(peer[0], peer[1]))
+        self._input(self.proxy.connection_opened, conn, TransportAddress(peer[0], peer[1]))
         self._selector.register(sock, READ, ("tcp", conn))
         logger.debug("accepted connection %d from %s:%d", conn, peer[0], peer[1])
 
@@ -167,10 +176,8 @@ class ProxyService:
             self._close_conn(conn)
             return
         for raw in messages:
-            try:
-                outbound = self.proxy.handle_message(conn, raw, time.monotonic())
-            except Exception:
-                logger.exception("handling a message on connection %d failed, closing", conn)
+            outbound = self._input(self.proxy.handle_message, conn, raw, time.monotonic())
+            if outbound is None:
                 self._close_conn(conn)
                 return
             self._transmit(outbound)
@@ -231,12 +238,7 @@ class ProxyService:
         connection = self._conns.pop(conn)
         self._selector.unregister(connection.sock)
         connection.sock.close()
-        try:
-            outbound = self.proxy.connection_closed(conn, time.monotonic())
-        except Exception:
-            logger.exception("closing connection %d in the proxy failed", conn)
-            return
-        self._transmit(outbound)
+        self._transmit(self._input(self.proxy.connection_closed, conn, time.monotonic()) or ())
 
     # -- UDP media -------------------------------------------------------------
 
@@ -246,12 +248,7 @@ class ProxyService:
             data, peer = sock.recvfrom(65536)
         except OSError:
             return
-        try:
-            sends = self.proxy.handle_media(port, peer, data)
-        except Exception:
-            logger.exception("relaying a datagram on port %d failed, dropping it", port)
-            return
-        for send in sends:
+        for send in self._input(self.proxy.handle_media, port, peer, data) or ():
             try:
                 self._udp_socks[send.from_port].sendto(send.payload, send.to)
             except OSError:

@@ -73,9 +73,18 @@ def only_message(outbound):
     return outbound[0][0], parse_message(outbound[0][1])
 
 
-def test_config_rejects_media_range_containing_sip_port():
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"public_ip": "200.1.1.1", "sip_tcp_port": 40050},
+        # A host name binds, but no relay address can be written from it.
+        {"public_ip": "localhost"},
+    ],
+    ids=["sip_port_in_media_range", "public_ip_not_ipv4"],
+)
+def test_config_rejects_a_field_the_proxy_cannot_serve(fields):
     with pytest.raises(ValueError):
-        ProxyConfig(public_ip="200.1.1.1", sip_tcp_port=40050, media_port_range=(40000, 40099))
+        ProxyConfig(media_port_range=(40000, 40099), **fields)
 
 
 def test_register_gets_200_on_same_connection():
@@ -994,20 +1003,30 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
 
     @precondition(lambda self: self.proxy.media.sessions)
     @rule(
-        data=st.data(), leg=st.sampled_from((LEG_A, LEG_B)), rtcp=st.booleans(),
-        sender=st.sampled_from(MEDIA_SENDERS),
+        data=st.data(), first=st.sampled_from((LEG_A, LEG_B)), rtcp=st.booleans(),
+        senders=st.tuples(st.sampled_from(MEDIA_SENDERS), st.sampled_from(MEDIA_SENDERS)),
     )
-    def media(self, data, leg, rtcp, sender):
-        """A packet to one leg of a call that holds a session, mostly from that leg's party."""
+    def media(self, data, first, rtcp, senders):
+        """A packet to each leg of a call that holds a session, ``first`` leg
+        first, each mostly from that leg's party, so that both legs latch and
+        the relay forwards.  Every datagram the relay emits leaves one of the
+        call's live ports for that port's latched address."""
         call_id = data.draw(st.sampled_from(list(self.proxy.media.sessions)))
         call = self.proxy.calls[call_id]
-        relay_leg = self.proxy.media.sessions[call_id].legs[leg]
-        party = call.caller_conn if leg == LEG_A else call.callee_conn
-        if sender == "stranger":
-            src = STRANGER
-        else:
-            src = (f"10.9.0.{party if sender == 'party' else call.peer_conn(party)}", 7000)
-        self.proxy.handle_media((relay_leg.rtcp if rtcp else relay_leg.rtp).port, src, b"rtp")
+        legs = self.proxy.media.sessions[call_id].legs
+        call_ports = {
+            relay_port.port: relay_port for leg in legs.values() for relay_port in (leg.rtp, leg.rtcp)
+        }
+        for leg, sender in zip((first, LEG_B if first == LEG_A else LEG_A), senders):
+            party = call.caller_conn if leg == LEG_A else call.callee_conn
+            if sender == "stranger":
+                src = STRANGER
+            else:
+                src = (f"10.9.0.{party if sender == 'party' else call.peer_conn(party)}", 7000)
+            relay_port = legs[leg].rtcp if rtcp else legs[leg].rtp
+            for send in self.proxy.handle_media(relay_port.port, src, b"rtp"):
+                from_port = call_ports.get(send.from_port)  # handle_media releases no port
+                assert from_port is not None and send.to == from_port.latched
 
     @invariant()
     def every_pair_is_free_or_held_by_a_live_call(self):

@@ -1,5 +1,6 @@
 """End-to-end exercise of the real-socket adapter on loopback."""
 
+import functools
 import gc
 import logging
 import os
@@ -394,88 +395,121 @@ def test_a_party_bye_with_an_empty_request_uri_gets_400_and_the_service_keeps_se
     call.close()
 
 
-def test_a_message_the_proxy_raises_on_closes_its_connection_and_the_service_keeps_serving(
-    service, service_errors, monkeypatch
-):
-    handle_message = service.proxy.handle_message
+def fail_once(monkeypatch, proxy, name, when=lambda *args: True) -> list:
+    """Make the proxy input ``name`` raise once: on the first call ``when``
+    accepts, it runs and then raises, so its output is lost.  The returned
+    list gets that call's arguments."""
+    real = getattr(proxy, name)
+    failed = []
 
-    def raising(conn, raw, now):
-        if parse_message(raw).call_id == "reg-ClientA@local1.com":
+    @functools.wraps(real)
+    def run_then_raise(*args):
+        output = real(*args)
+        if not failed and when(*args):
+            failed.append(args)
             raise RuntimeError("proxy bug")
-        return handle_message(conn, raw, now)
+        return output
 
-    monkeypatch.setattr(service.proxy, "handle_message", raising)
-    first = TcpClient(service.sip_port)
-    first.send(samples.make_register("ClientA", "local1.com", HOST))
-    with pytest.raises(ConnectionError):
-        first.recv_message(timeout=2.0)
-    second = TcpClient(service.sip_port)
-    second.send(samples.make_register("ClientB", "local2.com", HOST))
-    assert second.recv_message(timeout=2.0).status_code == 200
-    assert service._thread.is_alive()
-    assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
-    assert [r.getMessage() for r in service_errors] == [
-        "handling a message on connection 1 failed, closing"
-    ]
-    assert service_errors[0].exc_info[0] is RuntimeError
-    service_errors.clear()
-    first.close()
-    second.close()
+    monkeypatch.setattr(proxy, name, run_then_raise)
+    return failed
 
 
-def test_a_close_the_proxy_raises_on_is_logged_and_the_service_keeps_serving(
-    service, service_errors, monkeypatch
-):
-    connection_closed = service.proxy.connection_closed
-
-    def raising_once(conn, now):
-        service.proxy.connection_closed = connection_closed
-        connection_closed(conn, now)
-        raise RuntimeError("proxy bug")
-
-    monkeypatch.setattr(service.proxy, "connection_closed", raising_once)
-    first = TcpClient(service.sip_port)
-    first.send(samples.make_register("ClientA", "local1.com", HOST))
-    assert first.recv_message().status_code == 200
-    first.close()
-    wait_until(lambda: service_errors)
-    second = TcpClient(service.sip_port)
-    second.send(samples.make_register("ClientB", "local2.com", HOST))
-    assert second.recv_message(timeout=2.0).status_code == 200
-    assert service._thread.is_alive()
-    assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
-    assert [r.getMessage() for r in service_errors] == ["closing connection 1 in the proxy failed"]
-    assert service_errors[0].exc_info[0] is RuntimeError
-    service_errors.clear()
-    second.close()
-
-
-def test_a_datagram_or_tick_the_proxy_raises_on_is_dropped_and_the_service_keeps_serving(
-    service, service_errors, monkeypatch
-):
-    tick = service.proxy.tick
-
-    def raising(*args):
-        raise RuntimeError("proxy bug")
-
-    def tick_raising_once(now):
-        service.proxy.tick = tick
-        raise RuntimeError("proxy bug")
-
-    monkeypatch.setattr(service.proxy, "handle_media", raising)
-    monkeypatch.setattr(service.proxy, "tick", tick_raising_once)
-    monkeypatch.setattr(service_module, "TICK_INTERVAL", 0.0)
-    media = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    lo = service.config.media_port_range[0]
-    media.sendto(b"rtp", (HOST, lo))
-    wait_until(lambda: len(service_errors) == 2)
+def message_raises(service, monkeypatch) -> list:
+    """A REGISTER raises: its connection closes, with the REGISTER read behind it."""
+    failed = fail_once(
+        monkeypatch, service.proxy, "handle_message",
+        lambda conn, raw, now: parse_message(raw).call_id == "reg-ClientA@local1.com",
+    )
     client = TcpClient(service.sip_port)
-    client.send(samples.make_register("ClientA", "local1.com", HOST))
+    client.send(
+        samples.make_register("ClientA", "local1.com", HOST)
+        + samples.make_register("ClientC", "local3.com", HOST)
+    )
+    with pytest.raises(ConnectionError):  # no 200 for either
+        client.recv_message(timeout=2.0)
+    assert failed[0][0] == 1
+    wait_until(lambda: not service.proxy.registrar.live_aors())
+    assert service.proxy.registrar.live_aors() == []
+    client.close()
+    return failed
+
+
+def close_raises(service, monkeypatch) -> list:
+    """A ringing callee's connection closes and the proxy raises: the caller's 404 is lost."""
+    callee = TcpClient(service.sip_port)
+    callee.send(samples.make_register("ClientA", "local1.com", HOST))
+    assert callee.recv_message().status_code == 200
+    caller = TcpClient(service.sip_port)
+    caller.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert caller.recv_message().status_code == 200
+    caller.send(samples.make_invite(call_id="ringing@local2.com"))
+    assert callee.recv_message().method is Method.INVITE
+
+    failed = fail_once(monkeypatch, service.proxy, "connection_closed")
+    callee.close()
+    wait_until(lambda: failed)
+    with pytest.raises(TimeoutError):
+        caller.recv_message(timeout=0.3)
+    assert failed[0][0] == 1
+    assert service.proxy.calls["ringing@local2.com"].phase is Phase.TERMINATED
+    assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
+    caller.close()
+    return failed
+
+
+def datagram_raises(service, monkeypatch) -> list:
+    """A relayed datagram raises: it is not sent on, and the next one is."""
+    call = establish_call(service)
+    call.media_a.sendto(b"a-0", call.a_target)
+    time.sleep(0.1)
+    call.media_b.sendto(b"b-0", call.b_target)
+    assert call.media_b.recvfrom(2048)[0] == b"a-0"
+    assert call.media_a.recvfrom(2048)[0] == b"b-0"
+
+    failed = fail_once(monkeypatch, service.proxy, "handle_media")
+    call.media_a.sendto(b"a-1", call.a_target)
+    wait_until(lambda: failed)
+    call.media_a.sendto(b"a-2", call.a_target)
+    assert call.media_b.recvfrom(2048) == (b"a-2", call.b_target)
+    assert failed[0][0] == call.a_target[1]
+    call.close()
+    return failed
+
+
+def tick_raises(service, monkeypatch) -> list:
+    """A tick raises: it is skipped, and the loop ticks again."""
+    monkeypatch.setattr(service_module, "TICK_INTERVAL", 0.0)
+    failed = fail_once(monkeypatch, service.proxy, "tick")
+    wait_until(lambda: failed)
+    (failed_at,) = failed[0]
+    wait_until(lambda: service._last_tick > failed_at)
+    assert service._last_tick > failed_at
+    return failed
+
+
+@pytest.mark.parametrize(
+    "name, raises",
+    [
+        ("handle_message", message_raises),
+        ("connection_closed", close_raises),
+        ("handle_media", datagram_raises),
+        ("tick", tick_raises),
+    ],
+    ids=["message", "close", "datagram", "tick"],
+)
+def test_a_raising_proxy_input_is_logged_once_and_costs_only_itself(
+    service, service_errors, monkeypatch, name, raises
+):
+    failed = raises(service, monkeypatch)
+    client = TcpClient(service.sip_port)
+    client.send(samples.make_register("ClientD", "local4.com", HOST))
     assert client.recv_message(timeout=2.0).status_code == 200
-    messages = {r.getMessage() for r in service_errors}
-    assert messages == {f"relaying a datagram on port {lo} failed, dropping it", "proxy tick failed"}
+    assert service._thread.is_alive()
+    # One ERROR record, in the one format, with the traceback of what raised.
+    (record,) = service_errors
+    assert record.getMessage() == f"proxy {name} failed on {failed[0][0]}"
+    assert record.exc_info[0] is RuntimeError and record.exc_info[2] is not None
     service_errors.clear()
-    media.close()
     client.close()
 
 
