@@ -326,7 +326,7 @@ def build_simulation(scenario: Scenario) -> SimContext:
 
 
 def _sweep(ctx: SimContext) -> None:
-    ctx.proxy.tick(ctx.net.now)
+    ctx.net.protocol.tick(ctx.net.now)
     for client in ctx.clients:
         client.nat.expire(ctx.net.now)
 

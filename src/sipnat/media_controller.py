@@ -12,10 +12,10 @@ NATs accept them.
 ``RelayPort``: the port's latch, its buffer, its counters and its peer, the
 same kind's port on the other leg.  ``on_media_packet`` is the one relay
 decision; the simulator and the socket service both reach it through
-``SipProxy.handle_media``.  It looks the port up once, and a packet from a
-latched source whose peer has latched too forwards at once.  Client
-addresses are ``(ip, port)`` tuples, as sockets report and take them, so
-relaying a packet builds no address object.
+``ProxyProtocol.datagram`` and ``SipProxy.handle_media``.  It looks the
+port up once, and a packet from a latched source whose peer has latched
+too forwards at once.  Client addresses are ``(ip, port)`` tuples, as
+sockets report and take them, so relaying a packet builds no address object.
 
 ``relay_description`` aims each offer and answer the proxy forwards at
 the receiving party's relay port, so relay addresses are handed out inside

@@ -1,27 +1,11 @@
 """Socket adapter running the deterministic proxy core on real transports.
 
-Thin by design: one selector loop accepts TCP signaling connections, frames
-them by Content-Length, binds a UDP socket per media pool port, and feeds
-everything into the same SipProxy the simulator drives.
-
-Signaling sockets run with TCP_NODELAY, so a message forwarded right behind
-another on the same connection is not held back waiting for the peer's
-delayed ACK.  Each connection's outbound bytes share one buffer, written
-with one send per loop pass; what the kernel does not take stays queued
-and goes out when the socket reports writable.  A reader slow enough to
-leave more than ``MAX_OUTBOX_BYTES`` unsent is cut off, and its calls end.
-
-Every media datagram goes to ``SipProxy.handle_media`` with the ``(ip,
-port)`` source that ``recvfrom`` returned, and each datagram it answers with
-goes out of its relay port's socket, so the service builds no address object
-per packet and the relay rules are the simulator's.
-
-Each of the proxy's five inputs goes through ``_input``, the one exception
-boundary.  What escapes the proxy is logged with its traceback as ``proxy
-<input> failed on <connection id, relay port or tick time>`` and costs only
-what raised it: a message's connection is closed, the rest of its read
-dropped, a datagram dropped, a tick skipped, a closing connection's replies
-lost.  The loop keeps serving everyone else.
+One selector loop accepts TCP signaling connections (with TCP_NODELAY),
+binds a UDP socket per media pool port, and makes the system calls that its
+``ProxyProtocol`` asks for: the framing, the outboxes, their cap and the
+exception boundary live in that layer (``sipnat.protocol``), which the
+simulator's signaling runs through too.  What stays here is accept, recv,
+send and sendto, and the selector's READ/READ_WRITE bookkeeping.
 """
 
 from __future__ import annotations
@@ -31,28 +15,16 @@ import selectors
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable
 
 from .net import TransportAddress
+from .protocol import ProxyProtocol
 from .proxy import ProxyConfig, SipProxy
-from .sip_message import FramingError, MessageFramer
 
 logger = logging.getLogger(__name__)
 
 TICK_INTERVAL = 1.0
-MAX_OUTBOX_BYTES = 8 * 1024 * 1024  # unsent bytes a connection may hold after a send
 READ = selectors.EVENT_READ
 READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
-
-
-@dataclass
-class _Connection:
-    """One accepted signaling socket and its byte buffers: the framer's in, ``outbox`` out."""
-
-    sock: socket.socket
-    framer: MessageFramer = field(default_factory=MessageFramer)
-    outbox: bytearray = field(default_factory=bytearray)
 
 
 class ProxyService:
@@ -62,10 +34,11 @@ class ProxyService:
         self.config = config
         self.host = host or config.public_ip
         self.proxy = SipProxy(config)
+        self.protocol = ProxyProtocol(self.proxy)
         self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._udp_socks: dict[int, socket.socket] = {}
-        self._conns: dict[int, _Connection] = {}
+        self._socks: dict[int, socket.socket] = {}  # signaling sockets by connection id
         try:
             self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._listener.bind((self.host, config.sip_tcp_port))
@@ -84,8 +57,6 @@ class ProxyService:
             self._close_sockets()
             raise
 
-        # Connections with queued bytes the socket can take now (dict as ordered set).
-        self._ready: dict[int, None] = {}
         self._next_conn = 1
         self._running = False
         self._thread: threading.Thread | None = None
@@ -105,8 +76,7 @@ class ProxyService:
         self._close_sockets()
 
     def _close_sockets(self) -> None:
-        conn_socks = [c.sock for c in self._conns.values()]
-        for sock in [self._listener, *self._udp_socks.values(), *conn_socks]:
+        for sock in [self._listener, *self._udp_socks.values(), *self._socks.values()]:
             try:
                 sock.close()
             except OSError:
@@ -123,22 +93,14 @@ class ProxyService:
                     self._read_media(key.fileobj, arg)
                 else:
                     if events & selectors.EVENT_WRITE:
-                        self._ready[arg] = None
+                        self._send(arg)
                     if events & selectors.EVENT_READ:
                         self._read_tcp(arg)
             self._flush()
             now = time.monotonic()
             if now - self._last_tick >= TICK_INTERVAL:
                 self._last_tick = now
-                self._input(self.proxy.tick, now)
-
-    def _input(self, proxy_input: Callable, *args):
-        """``proxy_input(*args)``, or None if it raised; the caller decides what None costs."""
-        try:
-            return proxy_input(*args)
-        except Exception:
-            logger.exception("proxy %s failed on %s", proxy_input.__name__, args[0])
-            return None
+                self.protocol.tick(now)
 
     # -- TCP signaling -------------------------------------------------------
 
@@ -151,94 +113,55 @@ class ProxyService:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = self._next_conn
         self._next_conn += 1
-        self._conns[conn] = _Connection(sock)
-        self._input(self.proxy.connection_opened, conn, TransportAddress(peer[0], peer[1]))
+        self._socks[conn] = sock
         self._selector.register(sock, READ, ("tcp", conn))
+        self.protocol.opened(conn, TransportAddress(peer[0], peer[1]))
         logger.debug("accepted connection %d from %s:%d", conn, peer[0], peer[1])
 
     def _read_tcp(self, conn: int) -> None:
-        connection = self._conns.get(conn)
-        if connection is None:
+        sock = self._socks.get(conn)
+        if sock is None:
             return
         try:
-            data = connection.sock.recv(65536)
+            data = sock.recv(65536)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
             data = b""
-        if not data:
-            self._close_conn(conn)
-            return
-        try:
-            messages = connection.framer.feed(data)
-        except FramingError:
-            logger.warning("unframeable stream on connection %d, closing", conn)
-            self._close_conn(conn)
-            return
-        for raw in messages:
-            outbound = self._input(self.proxy.handle_message, conn, raw, time.monotonic())
-            if outbound is None:
-                self._close_conn(conn)
-                return
-            self._transmit(outbound)
-
-    def _transmit(self, outbound: list[tuple[int, bytes]]) -> None:
-        """Append each message to its connection's outbox; ``_flush`` writes them.
-
-        An outbox over ``MAX_OUTBOX_BYTES`` is made ready, so this loop pass
-        decides whether to close its connection; closing it here would leave
-        a batch being read from it still to be handled.
-        """
-        for conn, raw in outbound:
-            connection = self._conns.get(conn)
-            if connection is None:
-                continue  # closed: the proxy ended its calls when it closed
-            outbox = connection.outbox
-            # A non-empty outbox under the cap is already ready or waiting for EVENT_WRITE.
-            if not outbox or len(outbox) + len(raw) > MAX_OUTBOX_BYTES:
-                self._ready[conn] = None
-            outbox += raw
+        if not (data and self.protocol.received(conn, data, time.monotonic())):
+            self._close(conn)
 
     def _flush(self) -> None:
-        """Write each ready outbox with one send; keep what the kernel refuses.
-
-        A send error, or an outbox still over ``MAX_OUTBOX_BYTES`` after its
-        send, closes the connection, dropping its unsent bytes; the replies its
-        closing makes (a 404 to a caller) are queued and written in this pass.
-        """
-        while self._ready:
-            ready, self._ready = self._ready, {}
+        """Send each ready outbox once, until none is ready: a connection closed
+        here queues its replies (a 404 to a caller), written in this pass."""
+        while ready := self.protocol.take_ready():
             for conn in ready:
-                connection = self._conns.get(conn)
-                if connection is not None:
-                    self._send_queued(conn, connection)
+                self._send(conn)
 
-    def _send_queued(self, conn: int, connection: _Connection) -> None:
-        """Send the outbox once; close the connection on a send error, or if
-        more than ``MAX_OUTBOX_BYTES`` are still unsent after the send."""
-        outbox = connection.outbox
+    def _send(self, conn: int) -> None:
+        """Send the outbox once and tell the layer what the kernel took."""
+        outbox = self.protocol.outboxes[conn]
+        sock = self._socks[conn]
         try:
-            sent = connection.sock.send(outbox)
+            sent = sock.send(outbox)
         except (BlockingIOError, InterruptedError):
             sent = 0
         except OSError:
-            self._close_conn(conn)
+            self._close(conn)
             return
-        del outbox[:sent]  # CPython advances a bytearray's start: no backlog copy per send
-        if len(outbox) > MAX_OUTBOX_BYTES:
-            logger.warning("connection %d holds %d unsent bytes, closing", conn, len(outbox))
-            self._close_conn(conn)
+        if not self.protocol.sent(conn, sent, time.monotonic()):
+            self._close(conn)
             return
         events = READ_WRITE if outbox else READ
-        if self._selector.get_key(connection.sock).events != events:
-            self._selector.modify(connection.sock, events, ("tcp", conn))
+        if self._selector.get_key(sock).events != events:
+            self._selector.modify(sock, events, ("tcp", conn))
 
-    def _close_conn(self, conn: int) -> None:
-        """Close a connection, drop its outbox, and queue the proxy's replies as its calls end."""
-        connection = self._conns.pop(conn)
-        self._selector.unregister(connection.sock)
-        connection.sock.close()
-        self._transmit(self._input(self.proxy.connection_closed, conn, time.monotonic()) or ())
+    def _close(self, conn: int) -> None:
+        """Close the socket and tell the layer, which ignores a connection it closed itself."""
+        sock = self._socks.pop(conn)
+        self._selector.unregister(sock)
+        sock.close()
+        self.protocol.closed(conn, time.monotonic())
 
     # -- UDP media -------------------------------------------------------------
 
@@ -248,7 +171,7 @@ class ProxyService:
             data, peer = sock.recvfrom(65536)
         except OSError:
             return
-        for send in self._input(self.proxy.handle_media, port, peer, data) or ():
+        for send in self.protocol.datagram(port, peer, data):
             try:
                 self._udp_socks[send.from_port].sendto(send.payload, send.to)
             except OSError:

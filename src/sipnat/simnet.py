@@ -7,10 +7,16 @@ second's sweep itself, after ``SimNetwork.run_before`` has run everything due
 earlier, so the queue holds only messages and datagrams in flight however
 long the talk or the idle.  Each ``SimClient`` sits behind its own NAT, with
 its own signaling path to the proxy under the connection id ``add_client``
-gave it.  TCP signaling is modeled as an ordered reliable message stream
-whose NAT binding lasts while the connection does; UDP signaling and all
-media are per-datagram, so every hop consults the NAT filter and can be
-silently dropped.  No real time or real sockets are involved.
+gave it.  That path runs through ``ProxyProtocol``, the layer the socket
+service runs on, so the simulator's signaling is framed, queued and kept
+behind the one exception boundary as the service's is: a client's message
+goes in as its serialized bytes, what the proxy queues for a client comes
+out as one delivery, a delivery the NAT blocks closes the connection, and
+the harness ticks the layer.  TCP signaling is an ordered reliable stream
+whose NAT binding lasts while the connection does; UDP signaling (one
+whole message per datagram) and all media are per-datagram, so every hop
+consults the NAT filter and can be silently dropped.  No real time or real
+sockets are involved.
 
 The per-packet path builds no address: the relay hands back ``(ip, port)``
 tuples, and ``SimNetwork`` maps each to one interned ``TransportAddress``
@@ -33,6 +39,7 @@ from typing import Callable
 from .media_controller import RelaySend
 from .nat import TCP, UDP, NatBox
 from .net import TransportAddress
+from .protocol import ProxyProtocol
 from .proxy import SipProxy
 from .rtp import RtpParseError, build_rtp, parse_rtp
 from .sdp import MediaDesc, SdpSession, parse_sdp, serialize_sdp
@@ -75,6 +82,7 @@ class SimNetwork:
 
     def __init__(self, proxy: SipProxy, sip_transport: str = TCP):
         self.proxy = proxy
+        self.protocol = ProxyProtocol(proxy)
         self.proxy_ip = proxy.config.public_ip
         self.sip_addr = TransportAddress(self.proxy_ip, proxy.config.sip_tcp_port)
         self.sip_transport = sip_transport
@@ -146,9 +154,12 @@ class SimNetwork:
 
     # -- proxy-side transmission -------------------------------------------
 
-    def dispatch_proxy_out(self, outbound: list[tuple[int, bytes]]) -> None:
-        # The proxy only answers connection ids a client gave it, and clients stay.
-        for conn, raw in outbound:
+    def flush_proxy(self) -> None:
+        """Send each client what the proxy queued for it, as one delivery."""
+        protocol = self.protocol
+        for conn in protocol.take_ready():
+            raw = bytes(protocol.outboxes[conn])
+            protocol.sent(conn, len(raw), self.now)
             self._clients[conn].proxy_send(raw)
 
     # -- datagram routing ----------------------------------------------------
@@ -162,7 +173,7 @@ class SimNetwork:
 
     def _route_public(self, src: TransportAddress, dst: TransportAddress, data: bytes) -> None:
         if dst.ip == self.proxy_ip:
-            for send in self.proxy.handle_media(dst.port, (src.ip, src.port), data):
+            for send in self.protocol.datagram(dst.port, (src.ip, src.port), data):
                 self._send_from_proxy(send)
             return
         client = self._behind.get(dst.ip)
@@ -355,7 +366,7 @@ class SimClient:
         net = self.net
         external = self.nat.outbound(self.sip_addr, net.sip_addr, net.now, transport=self.transport)
         if external != self.announced:
-            net.proxy.connection_opened(self.conn_id, external)
+            net.protocol.opened(self.conn_id, external)
             self.announced = external
         if self.external is None:
             net.log(self.name, "connected", f"{self.transport} via {external}")
@@ -366,8 +377,10 @@ class SimClient:
         net.schedule(LATENCY, lambda: self._deliver_to_proxy(raw))
 
     def _deliver_to_proxy(self, raw: bytes) -> None:
-        outbound = self.net.proxy.handle_message(self.conn_id, raw, self.net.now)
-        self.net.dispatch_proxy_out(outbound)
+        net = self.net
+        if not net.protocol.received(self.conn_id, raw, net.now):
+            self.announced = None  # the proxy closed the connection: the next send opens it
+        net.flush_proxy()
 
     def proxy_send(self, raw: bytes) -> None:
         """The proxy sends ``raw`` to this client over its signaling path."""
@@ -379,7 +392,8 @@ class SimClient:
         if internal is None:
             net.log(self.nat_label, "sig_blocked", f"to {self.name} at {self.external}")
             self.announced = None  # the proxy closes the connection
-            net.dispatch_proxy_out(net.proxy.connection_closed(self.conn_id, net.now))
+            net.protocol.closed(self.conn_id, net.now)
+            net.flush_proxy()
             return
         try:
             msg = parse_message(raw)

@@ -202,6 +202,33 @@ def test_udp_signaling_blocked_after_idle():
     assert report.rtp["a_to_b"].delivered == 0
 
 
+def test_a_message_the_proxy_raises_on_closes_its_connection_and_the_next_send_opens_it(
+    monkeypatch, service_errors
+):
+    # The simulator's signaling runs behind the socket service's boundary: client a's
+    # REGISTER raises, its connection closes, and its INVITE opens it again.
+    handle_message = SipProxy.handle_message
+    failed = []
+
+    def raise_once(proxy, conn, raw, now):
+        outbound = handle_message(proxy, conn, raw, now)
+        if not failed:
+            failed.append(conn)
+            raise RuntimeError("proxy bug")
+        return outbound
+
+    raise_once.__name__ = "handle_message"
+    monkeypatch.setattr(SipProxy, "handle_message", raise_once)
+    report = run_scenario(scenario(script=default_script(5)))
+    (record,) = service_errors
+    assert record.getMessage() == "proxy handle_message failed on 1"
+    service_errors.clear()
+    assert ("proxy", "registration_dropped", "sip:ClientA@local1.com") in [
+        (e["actor"], e["event"], e["detail"]) for e in report.events
+    ]
+    assert report.outcome is Outcome.MEDIA_OK
+
+
 def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     # A two-port NAT whose other port goes to a second host hands the expired
     # binding's port straight back on the next allocation.  The proxy

