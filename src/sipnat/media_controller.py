@@ -13,9 +13,9 @@ NATs accept them.
 same kind's port on the other leg.  ``on_media_packet`` is the one relay
 decision; the simulator and the socket service both reach it through
 ``ProxyProtocol.datagram`` and ``SipProxy.handle_media``.  It looks the
-port up once, and a packet from a latched source whose peer has latched
-too forwards at once.  Client addresses are ``(ip, port)`` tuples, as
-sockets report and take them, so relaying a packet builds no address object.
+port up once and applies one forward rule.  A client address is an
+``(ip, port)`` tuple, as sockets report it and as a ``TransportAddress`` is,
+so a latch compares with ``==`` and a relayed packet builds no address.
 
 ``relay_description`` aims each offer and answer the proxy forwards at
 the receiving party's relay port, so relay addresses are handed out inside
@@ -201,27 +201,24 @@ class MediaController:
         here.received += 1
         here.received_bytes += len(datagram)
         peer = here.peer
-        to = peer.latched
         latched = here.latched
-        if latched == src and to is not None:
-            here.forwarded += 1
-            return RelayDecision("forward", None, [RelaySend(peer.port, to, datagram)])
-
-        sends: list[RelaySend] = []
-        if latched is None:
+        if latched == src:
+            sends: list[RelaySend] = []
+        elif latched is None:
             here.latched = src
             # The peer's queued packets were waiting for this address.
             sends = [RelaySend(here.port, src, queued) for queued in peer.buffer]
             peer.flushed += len(sends)
             peer.buffer.clear()
-        elif latched != src:
+        else:
             here.dropped += 1
             return RelayDecision("drop", "source_mismatch")
 
+        to = peer.latched
         if to is not None:
             here.forwarded += 1
             sends.append(RelaySend(peer.port, to, datagram))
-            return RelayDecision("forward", sends=sends)
+            return RelayDecision("forward", None, sends)
         buffer = here.buffer
         if len(buffer) >= BUFFER_CAP:
             buffer.popleft()

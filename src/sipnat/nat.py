@@ -71,15 +71,15 @@ class NatBinding:
     last_activity: float
     ttl: float  # idle seconds before expiry; inf: never
     key: tuple  # this binding's key in NatBox._bindings
-    # (ip, port); a symmetric binding's key holds its destination, the only peer.
-    peers_contacted: set[tuple[str, int]] = field(default_factory=set)
+    # A symmetric binding's key holds its destination, the only peer.
+    peers_contacted: set[TransportAddress] = field(default_factory=set)
 
 
 class NatBox:
     """One NAT instance: binding table plus the type's mapping/filtering rules.
 
-    Bindings are keyed by plain ``(ip, port, ...)`` tuples, which hash in C;
-    ``TransportAddress`` values cross only the public methods.
+    Bindings are keyed by ``(internal, [destination,] transport)`` tuples of
+    addresses, which are tuples too and hash in C.
     """
 
     def __init__(self, config: NatConfig, seed: int = 0):
@@ -97,8 +97,8 @@ class NatBox:
 
     def _key(self, internal: TransportAddress, dst: TransportAddress | None, transport: str) -> tuple:
         if self._symmetric:
-            return (internal.ip, internal.port, dst.ip, dst.port, transport)
-        return (internal.ip, internal.port, transport)
+            return (internal, dst, transport)
+        return (internal, transport)
 
     def _ttl(self, transport: str) -> float:
         if transport == UDP:
@@ -135,7 +135,6 @@ class NatBox:
         if binding is not None and now - binding.last_activity >= binding.ttl:
             self._drop(binding)
             binding = None
-        peer = (external_dst.ip, external_dst.port)
         if binding is None:
             external = TransportAddress(self.config.public_ip, self._allocate_port())
             binding = NatBinding(
@@ -148,13 +147,13 @@ class NatBox:
             )
             self._bindings[key] = binding
             self._by_port[external.port] = binding
-        binding.peers_contacted.add(peer)
+        binding.peers_contacted.add(external_dst)
         binding.last_activity = now
         return binding.external
 
     def inbound(
         self,
-        external_src: TransportAddress,
+        external_src: tuple[str, int],
         external_dst: TransportAddress,
         now: float,
         transport: str = UDP,
@@ -173,7 +172,7 @@ class NatBox:
         if now - binding.last_activity >= binding.ttl:
             self._drop(binding)
             return None
-        if not self._accepts(binding, (external_src.ip, external_src.port)):
+        if not self._accepts(binding, external_src):
             return None
         binding.last_activity = now
         return binding.internal

@@ -1,9 +1,13 @@
-"""Network endpoint primitives shared by every layer of the package."""
+"""Network endpoint primitives shared by every layer of the package.
+
+An endpoint is an ``(ip, port)`` tuple, as sockets report and take it;
+``TransportAddress`` is that tuple checked and named, and equals the plain pair.
+"""
 
 from __future__ import annotations
 
 import socket
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class InvariantViolation(Exception):
@@ -43,13 +47,22 @@ def is_ipv4(text: object) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class TransportAddress:
-    """An (IPv4 address, port) endpoint."""
+class TransportAddress(NamedTuple("TransportAddress", [("ip", str), ("port", int)])):
+    """An (IPv4 address, port) endpoint: a tuple checked as it is built."""
 
-    ip: str
-    port: int
+    __slots__ = ()
 
+    def __new__(cls, ip: str, port: int) -> "TransportAddress":
+        self = tuple.__new__(cls, (ip, port))
+        self.__post_init__()
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "TransportAddress":  # _replace builds through it
+        return cls(*iterable)
+
+    # The benchmark's tracer counts constructions by wrapping this name in the
+    # class ``__dict__``; ``__new__`` looks it up at each call, so none escape.
     def __post_init__(self) -> None:
         if not is_ipv4(self.ip):
             raise ValueError(f"invalid IPv4 address: {self.ip!r}")

@@ -115,7 +115,7 @@ class ProxyService:
         self._next_conn += 1
         self._socks[conn] = sock
         self._selector.register(sock, READ, ("tcp", conn))
-        self.protocol.opened(conn, TransportAddress(peer[0], peer[1]))
+        self.protocol.opened(conn, TransportAddress(*peer))
         logger.debug("accepted connection %d from %s:%d", conn, peer[0], peer[1])
 
     def _read_tcp(self, conn: int) -> None:

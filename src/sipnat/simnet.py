@@ -18,10 +18,11 @@ whole message per datagram) and all media are per-datagram, so every hop
 consults the NAT filter and can be silently dropped.  No real time or real
 sockets are involved.
 
-The per-packet path builds no address: the relay hands back ``(ip, port)``
-tuples, and ``SimNetwork`` maps each to one interned ``TransportAddress``
-(the relay's ports and the latched client addresses alike).  A datagram for
-a NAT's public IP goes to the client behind it, whose NAT passes it to its
+The per-packet path builds no address.  An address is an ``(ip, port)``
+tuple, which a ``TransportAddress`` is too: the NAT's mapped source goes to
+the relay as it is, and a relayed datagram goes on from ``(proxy IP, relay
+port)`` to the latched address the relay hands back.  A datagram for a
+NAT's public IP goes to the client behind it, whose NAT passes it to its
 RTP or RTCP handler by internal address.  Log entries keep the raw clock;
 ``harness.Report`` rounds it only when its events are read.  A client logs
 its signaling and any media it cannot send, but no media packet it sends or
@@ -90,7 +91,6 @@ class SimNetwork:
         self.events: list[LogEntry] = []
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = count()
-        self._addresses: dict[tuple[str, int], TransportAddress] = {}
         self._clients: dict[int, SimClient] = {}  # by signaling connection id
         self._behind: dict[str, SimClient] = {}  # by its NAT's public IP
         proxy.set_event_hook(lambda event, detail: self.log("proxy", event, detail))
@@ -171,39 +171,28 @@ class SimNetwork:
         external = nat.outbound(src_internal, dst, self.now, transport=UDP)
         self.schedule(LATENCY, lambda: self._route_public(external, dst, data))
 
-    def _route_public(self, src: TransportAddress, dst: TransportAddress, data: bytes) -> None:
+    def _route_public(self, src: tuple[str, int], dst: TransportAddress, data: bytes) -> None:
         if dst.ip == self.proxy_ip:
-            for send in self.protocol.datagram(dst.port, (src.ip, src.port), data):
+            for send in self.protocol.datagram(dst.port, src, data):
                 self._send_from_proxy(send)
             return
         client = self._behind.get(dst.ip)
         if client is None:
-            self.log("net", "unroutable", f"{src.ip}:{src.port} -> {dst.ip}:{dst.port}")
+            self.log("net", "unroutable", "%s:%s -> %s:%s" % (*src, *dst))
             return
         internal = client.nat.inbound(src, dst, self.now, transport=UDP)
         if internal is None:
-            self.log(client.nat_label, "media_blocked", f"{src.ip}:{src.port} -> {dst.ip}:{dst.port}")
-            return
-        # Field by field: a dataclass ``==`` would cost a Python call per datagram.
-        rtp = client.rtp_addr
-        if internal.ip == rtp.ip and internal.port == rtp.port:
+            self.log(client.nat_label, "media_blocked", "%s:%s -> %s:%s" % (*src, *dst))
+        elif internal == client.rtp_addr:
             client._on_rtp_datagram(src, data)
-        elif internal.ip == rtp.ip and internal.port == client.rtcp_addr.port:
+        elif internal == client.rtcp_addr:
             client._on_rtcp_datagram(src, data)
         else:
             self.log(client.nat_label, "no_socket", str(internal))
 
-    def _intern(self, key: tuple[str, int]) -> TransportAddress:
-        address = self._addresses[key] = TransportAddress(*key)
-        return address
-
     def _send_from_proxy(self, send: RelaySend) -> None:
-        # Each (ip, port) gets one TransportAddress, built the first time it is seen.
-        addresses = self._addresses
-        src_key = (self.proxy_ip, send.from_port)
-        src = addresses.get(src_key) or self._intern(src_key)
-        dst = addresses.get(send.to) or self._intern(send.to)
-        self.schedule(LATENCY, lambda: self._route_public(src, dst, send.payload))
+        src = (self.proxy_ip, send.from_port)
+        self.schedule(LATENCY, lambda: self._route_public(src, send.to, send.payload))
 
 
 @dataclass(slots=True)
@@ -463,7 +452,7 @@ class SimClient:
         self.rtcp_out.sent += 1
         self.net.send_from_client(self.nat, self.rtcp_addr, destination, data)
 
-    def _on_rtp_datagram(self, src: TransportAddress, data: bytes) -> None:
+    def _on_rtp_datagram(self, src: tuple[str, int], data: bytes) -> None:
         try:
             packet = parse_rtp(data)
         except RtpParseError:
@@ -473,5 +462,5 @@ class SimClient:
         if packet.payload != voice_payload(self._peer_voice_name, packet.sequence):
             stats.payload_mismatches += 1
 
-    def _on_rtcp_datagram(self, src: TransportAddress, data: bytes) -> None:
+    def _on_rtcp_datagram(self, src: tuple[str, int], data: bytes) -> None:
         self._rtcp_in.delivered += 1

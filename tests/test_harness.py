@@ -77,14 +77,14 @@ def test_latched_addresses_equal_nat_mappings():
     b_expected = ctx.client_b.nat.external_for(
         ctx.client_b.rtp_addr, TransportAddress(proxy_ip, leg_b.rtp.port)
     )
-    assert leg_a.rtp.latched == (a_expected.ip, a_expected.port)
-    assert leg_b.rtp.latched == (b_expected.ip, b_expected.port)
+    assert leg_a.rtp.latched == a_expected
+    assert leg_b.rtp.latched == b_expected
 
 
 def test_forwarding_from_wrong_proxy_port_is_blocked():
     ctx, session = run_keeping_session(scenario(seed=3))
     leg_b = session.legs[LEG_B]
-    latched_b = TransportAddress(*leg_b.rtp.latched)
+    latched_b = leg_b.rtp.latched
     proxy_ip = ctx.proxy.config.public_ip
     now = ctx.net.now
     right_port = TransportAddress(proxy_ip, leg_b.rtp.port)
@@ -142,7 +142,7 @@ def test_latches_are_set_and_not_the_private_addresses():
     for leg, client in ((LEG_A, ctx.client_a), (LEG_B, ctx.client_b)):
         latched = session.legs[leg].rtp.latched
         assert latched is not None
-        assert latched != (client.rtp_addr.ip, client.rtp_addr.port)
+        assert latched != client.rtp_addr
 
 
 def test_relayed_media_to_an_expired_binding_is_blocked_at_the_nat():
@@ -258,18 +258,22 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
 
 
 def test_a_datagram_for_a_host_with_no_client_socket_is_logged_as_no_socket():
-    # A second host behind nat_a, not a client: the full cone NAT delivers to
-    # it, and the network has no socket there to hand the datagram to.
+    # Second hosts behind nat_a, not clients: the full cone NAT delivers to
+    # them, and the network has no socket there to hand a datagram to.  Two
+    # listen on a's RTP and RTCP port numbers, so a's sockets are told apart
+    # by host as well as by port.
     ctx = build_simulation(scenario(NatType.FULL_CONE, NatType.FULL_CONE))
     net, a, b = ctx.net, ctx.client_a, ctx.client_b
-    host = TransportAddress("192.168.1.12", 5060)
-    external = a.nat.outbound(host, net.sip_addr, net.now)
-    net.send_from_client(b.nat, b.rtp_addr, external, b"stray")
+    ports = (5060, a.rtp_addr.port, a.rtcp_addr.port)
+    hosts = [TransportAddress("192.168.1.12", port) for port in ports]
+    for host in hosts:
+        external = a.nat.outbound(host, net.sip_addr, net.now)
+        net.send_from_client(b.nat, b.rtp_addr, external, b"stray")
     net.run()
     assert [(e.actor, e.event, e.detail) for e in net.events] == [
-        ("nat_a", "no_socket", "192.168.1.12:5060")
+        ("nat_a", "no_socket", str(host)) for host in hosts
     ]
-    assert a.rtp_out == b.rtp_out == DirectionStats()
+    assert [a.rtp_out, a.rtcp_out, b.rtp_out, b.rtcp_out] == [DirectionStats()] * 4
 
 
 def test_idle_expires_every_clients_nat_bindings():
@@ -564,6 +568,25 @@ def test_a_delivered_packet_adds_no_log_entry():
     assert short.outcome is long.outcome is Outcome.MEDIA_OK
     assert long.rtp["a_to_b"].delivered == 2000
     assert len(long.log) == len(short.log)
+
+
+def test_addresses_built_do_not_grow_with_talk_length(monkeypatch):
+    # Counted as the benchmark's tracer counts them: by wrapping the validator.
+    built = 0
+    validate = TransportAddress.__dict__["__post_init__"]
+
+    def counted(address):
+        nonlocal built
+        built += 1
+        validate(address)
+
+    monkeypatch.setattr(TransportAddress, "__post_init__", counted)
+    counts = []
+    for packets in (20, 2000):
+        built = 0
+        assert run_scenario(scenario(script=default_script(packets))).outcome is Outcome.MEDIA_OK
+        counts.append(built)
+    assert counts[0] == counts[1] > 0
 
 
 def traced_peak_bytes(s):

@@ -61,6 +61,36 @@ def test_transport_address_rejects_non_str_ip():
     assert str(TransportAddress("0.0.0.0", 1)) == "0.0.0.0:1"
 
 
+@pytest.mark.parametrize("port", [1, 65535])
+def test_transport_address_accepts_either_end_of_the_port_range(port):
+    address = TransportAddress("1.2.3.4", port)
+    assert (address.ip, address.port) == ("1.2.3.4", port)
+    assert TransportAddress.parse(f"1.2.3.4:{port}") == address
+
+
+@pytest.mark.parametrize("port", [0, 65536])
+def test_transport_address_rejects_a_port_past_either_end(port):
+    with pytest.raises(ValueError, match="port out of range"):
+        TransportAddress("1.2.3.4", port)
+    with pytest.raises(ValueError, match="port out of range"):
+        TransportAddress("1.2.3.4", 5)._replace(port=port)
+
+
+@pytest.mark.parametrize("text", ["1.2.3.4", "1.2.3.4:", "1.2.3.4:5:6", ":5", "1.2.3.4:x"])
+def test_transport_address_parse_rejects_text_that_is_not_ip_colon_port(text):
+    with pytest.raises(ValueError):
+        TransportAddress.parse(text)
+
+
+def test_transport_address_is_its_plain_tuple():
+    address = TransportAddress("1.2.3.4", 5)
+    assert address == ("1.2.3.4", 5)
+    assert hash(address) == hash(("1.2.3.4", 5))
+    assert {("1.2.3.4", 5): "found"}[address] == "found"
+    assert str(address) == "1.2.3.4:5"
+    assert repr(address) == "TransportAddress(ip='1.2.3.4', port=5)"
+
+
 @pytest.mark.parametrize("ip", ["01.2.3.4", "1.2.3", "", 16909060])
 def test_nat_config_rejects_bad_public_ip(ip):
     with pytest.raises(ValueError):
