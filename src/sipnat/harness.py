@@ -327,6 +327,7 @@ def build_simulation(scenario: Scenario) -> SimContext:
 
 def _sweep(ctx: SimContext) -> None:
     ctx.net.protocol.tick(ctx.net.now)
+    ctx.net.flush_proxy()
     for client in ctx.clients:
         client.nat.expire(ctx.net.now)
 

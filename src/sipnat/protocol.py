@@ -94,7 +94,8 @@ class ProxyProtocol:
         return self._input(self.proxy.handle_media, port, src, data) or []
 
     def tick(self, now: float) -> None:
-        self._input(self.proxy.tick, now)
+        """Let the proxy's timers run, and queue what they send (a 408 to a ringing caller)."""
+        self._queue(self._input(self.proxy.tick, now) or ())
 
     def _input(self, proxy_input: Callable, *args):
         """``proxy_input(*args)``, or None if it raised; the caller decides what None costs."""

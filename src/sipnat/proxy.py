@@ -8,16 +8,23 @@ silence.  Only the call's two connections act on it: a BYE from any other
 connection gets 481, and an ACK or response from one is dropped with a
 ``non_party_message`` event.
 
+Each call has one timer, ``CallState.deadline``, which ``tick`` checks:
+the INVITE sets it ``INVITE_GUARD`` seconds ahead, each provisional answer
+``TIMER_C`` ahead, and the establishing ACK clears it.  The proxy gives up
+on a ringing call one way, ``_fail``: it answers the INVITE as forwarded
+(so with no callee To tag) and ends the call; 404 if the callee's
+connection closes, 500 if the answer's description does not parse, 408 at
+the deadline.  Only a ringing call ends on the final response to its INVITE.
+
 A call that one party hangs up once established leaves ``SipProxy.calls``
 as soon as the other party's final response to that BYE is relayed.  The
 transport reports a dead connection, closed or failing a delivery, through
-``connection_closed``, which ends every call the connection is a party of;
-a caller ringing a callee on it gets 404.  Only a ringing call ends on the
-final response to its INVITE.  Nothing is addressed to a closed
-connection: an ACK, response or 404 for one is dropped with a
+``connection_closed``, which ends every call the connection is a party of.
+Every message leaves through ``_forward``, so nothing is addressed to a
+closed connection: an ACK, response or 404 for one is dropped with a
 ``peer_gone`` event.  Calls that end any way but an answered BYE stay
-``TERMINATED`` for ``INVITE_GUARD`` seconds, so late messages for them are
-still relayed, and ``tick`` then drops them.
+``TERMINATED`` for ``INVITE_GUARD`` seconds, their deadline, so late
+messages for them are still relayed, and ``tick`` then drops them.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ from .sip_message import (
 Outbound = tuple[ConnectionId, bytes]
 
 INVITE_GUARD = 32.0  # seconds: RFC 3261's Timer B, 64 * T1
+# Seconds a ringing call waits for its answer after each provisional
+# response: RFC 3261 §16.6 step 11 asks for more than 3 minutes, and the
+# least whole second over that holds a ringing callee's relay ports least.
+TIMER_C = 181.0
 
 
 class Phase(Enum):
@@ -69,11 +80,11 @@ class CallState:
     call_id: str
     caller_conn: ConnectionId
     callee_conn: ConnectionId
-    invited_at: float
-    invite: SipMessage  # as forwarded: a 404 for a callee that goes away answers it
+    invite: SipMessage  # as forwarded: the proxy's own final response answers it
+    # INVITING: fails at it; TERMINATED: forgotten at it; ESTABLISHED: None.
+    deadline: float | None
     phase: Phase = Phase.INVITING
     media: MediaSession | None = None
-    ended_at: float | None = None
     # Sender and CSeq of the final BYE response that retires the call at once.
     retire_on: tuple[ConnectionId, int] | None = None
 
@@ -135,9 +146,8 @@ class SipProxy:
         outbound = []
         for call in self.calls.values():
             if call.phase is Phase.INVITING and call.callee_conn == conn:
-                failure = build_response(call.invite, 404, "Not Found")
-                outbound += self._forward(call.caller_conn, failure)
-            if call.is_party(conn):
+                outbound += self._fail(call, 404, "Not Found", now)
+            elif call.is_party(conn):
                 self._terminate(call, now)
         return outbound
 
@@ -153,7 +163,7 @@ class SipProxy:
             msg = parse_message(raw)
         except SipParseError as exc:
             self._on_event("malformed_message", str(exc))
-            return [(conn, serialize_message(_bad_request_for_garbage(str(exc))))]
+            return self._forward(conn, _bad_request_for_garbage(str(exc)))
 
         if msg.is_request:
             source = self._conn_remote.get(conn)
@@ -170,7 +180,7 @@ class SipProxy:
 
     def _reply(self, conn: ConnectionId, request: SipMessage, code: int, reason: str) -> list[Outbound]:
         self._on_event("error_response", f"{code} {reason} for {request.call_id}")
-        return [(conn, serialize_message(build_response(request, code, reason)))]
+        return self._forward(conn, build_response(request, code, reason))
 
     def _on_register(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         try:
@@ -178,8 +188,7 @@ class SipProxy:
         except MalformedRegister as exc:
             return self._reply(conn, msg, 400, f"Bad Request ({exc})")
         self._on_event("registered", f"{registration.aor} on connection {conn}")
-        ok = build_response(msg, 200, "OK", contact=msg.contact)
-        return [(conn, serialize_message(ok))]
+        return self._forward(conn, build_response(msg, 200, "OK", contact=msg.contact))
 
     def _on_invite(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         call_id = msg.call_id
@@ -207,12 +216,12 @@ class SipProxy:
             call_id=call_id,
             caller_conn=conn,
             callee_conn=callee_conn,
-            invited_at=now,
             invite=msg,
+            deadline=now + INVITE_GUARD,
             media=session,
         )
         self._on_event("invite_forwarded", f"{aor_of(msg.from_)} -> {callee} ({call_id})")
-        return [(callee_conn, serialize_message(msg))]
+        return self._forward(callee_conn, msg)
 
     def _on_ack(self, conn: ConnectionId, msg: SipMessage) -> list[Outbound]:
         call = self.calls.get(msg.call_id)
@@ -224,6 +233,7 @@ class SipProxy:
             return []
         if call.phase is Phase.INVITING:
             call.phase = Phase.ESTABLISHED
+            call.deadline = None
             self._on_event("call_established", msg.call_id)
         return self._forward(call.peer_conn(conn), msg)
 
@@ -237,7 +247,7 @@ class SipProxy:
         else:
             call.retire_on = None  # hung up while inviting, or BYEs crossed
         self._terminate(call, now)
-        return [(call.peer_conn(conn), serialize_message(msg))]
+        return self._forward(call.peer_conn(conn), msg)
 
     def _on_response(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         call = self.calls.get(msg.call_id)
@@ -259,17 +269,18 @@ class SipProxy:
                     except SdpError as exc:
                         outbound = []
                         if call.phase is Phase.INVITING:  # else the caller has its 200 already
-                            self._terminate(call, now)
-                            failure = build_response(msg, 500, "Server Internal Error")
-                            outbound = [(dest, serialize_message(failure))]
+                            outbound = self._fail(call, 500, "Server Internal Error", now)
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         return outbound
                 outbound = self._forward(dest, msg)
                 if outbound:
                     self._on_event("answer_forwarded", msg.call_id)
                 return outbound
-            if msg.status_code >= 300 and call.phase is Phase.INVITING:
-                self._terminate(call, now)
+            if call.phase is Phase.INVITING:
+                if msg.status_code >= 300:
+                    self._terminate(call, now)
+                elif 100 < msg.status_code < 200:  # RFC 3261 §16.7 step 2: reset Timer C
+                    call.deadline = now + TIMER_C
         elif msg.cseq_method is Method.BYE and msg.status_code >= 200:
             if call.retire_on == (conn, msg.cseq_num):
                 del self.calls[msg.call_id]
@@ -295,31 +306,41 @@ class SipProxy:
 
     # -- time ----------------------------------------------------------------
 
-    def tick(self, now: float) -> None:
-        """Expire registrations, time out unanswered calls and forget ended ones.
+    def tick(self, now: float) -> list[Outbound]:
+        """Expire registrations and act on every call whose deadline is due:
+        a ringing one gets its caller 408, an ended one is forgotten.
 
         Each expiry and timeout goes to the event hook, after the releases
         it caused.
         """
         expired = self.registrar.expire(now)
+        outbound = []
         timed_out = []
         for call in list(self.calls.values()):
+            if call.deadline is None or now < call.deadline:
+                continue
             if call.phase is Phase.TERMINATED:
-                if now - call.ended_at >= INVITE_GUARD:
-                    del self.calls[call.call_id]
-            elif call.phase is Phase.INVITING and now - call.invited_at >= INVITE_GUARD:
-                self._terminate(call, now)
+                del self.calls[call.call_id]
+            else:
+                outbound += self._fail(call, 408, "Request Timeout", now)
                 timed_out.append(call.call_id)
         for aor in expired:
             self._on_event("registration_expired", aor)
         for call_id in timed_out:
             self._on_event("invite_timeout", call_id)
+        return outbound
+
+    def _fail(self, call: CallState, code: int, reason: str, now: float) -> list[Outbound]:
+        """Answer a ringing call's INVITE with the proxy's own final response, and end the call."""
+        outbound = self._forward(call.caller_conn, build_response(call.invite, code, reason))
+        self._terminate(call, now)
+        return outbound
 
     def _terminate(self, call: CallState, now: float) -> None:
         if call.phase is Phase.TERMINATED:
             return
         call.phase = Phase.TERMINATED
-        call.ended_at = now
+        call.deadline = now + INVITE_GUARD
         if call.media is not None:
             freed = self.media.release_session(call.call_id)
             self._on_event("media_released", f"{call.call_id}: {freed} ports freed")

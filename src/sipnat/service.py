@@ -96,11 +96,11 @@ class ProxyService:
                         self._send(arg)
                     if events & selectors.EVENT_READ:
                         self._read_tcp(arg)
-            self._flush()
             now = time.monotonic()
             if now - self._last_tick >= TICK_INTERVAL:
                 self._last_tick = now
                 self.protocol.tick(now)
+            self._flush()
 
     # -- TCP signaling -------------------------------------------------------
 

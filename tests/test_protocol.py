@@ -14,7 +14,7 @@ import samples
 from sipnat import protocol as protocol_module
 from sipnat.net import TransportAddress
 from sipnat.protocol import ProxyProtocol
-from sipnat.proxy import Phase, ProxyConfig, SipProxy
+from sipnat.proxy import INVITE_GUARD, Phase, ProxyConfig, SipProxy
 from sipnat.sip_message import (
     MAX_HEADER_BYTES,
     MessageFramer,
@@ -187,6 +187,37 @@ def test_an_unframeable_stream_is_closed_after_the_messages_framed_ahead_of_it(c
     assert logged == [(logging.WARNING, "unframeable stream on connection 1, closing")]
     assert driver.layer.received(A, REGISTER_A, 2.0) is False  # a closed connection reads nothing more
     assert driver.layer.take_ready() == {}
+
+
+def ringing_driver() -> Driver:
+    """Both clients registered and ClientB's INVITE forwarded at 1.0, every outbox written."""
+    driver = Driver()
+    driver.received(A, REGISTER_A)
+    driver.received(B, REGISTER_B)
+    driver.received(B, invite_from_b())
+    return driver
+
+
+def test_a_tick_that_times_out_a_ringing_call_queues_the_408_for_its_caller():
+    driver = ringing_driver()
+    layer = driver.layer
+    layer.tick(1.0 + INVITE_GUARD)
+    assert layer.take_ready() == {B: None}
+    assert [(m.status_code, m.reason, m.call_id) for m in messages(layer.outboxes[B])] == [
+        (408, "Request Timeout", "call-1@local2.com")
+    ]
+    assert not layer.outboxes[A]
+
+
+def test_a_tick_after_the_ringing_caller_closed_queues_nothing():
+    driver = ringing_driver()
+    layer = driver.layer
+    layer.closed(B, 2.0)
+    for now in (1.0 + INVITE_GUARD, 2.0 + INVITE_GUARD):  # the INVITE's deadline, then the end's
+        layer.tick(now)
+        assert layer.take_ready() == {}
+        assert [bytes(outbox) for outbox in layer.outboxes.values()] == [b""]
+    assert layer.proxy.calls == {}
 
 
 def raise_once(monkeypatch, proxy, name, after):

@@ -9,7 +9,7 @@ import samples
 from sipnat.connection_manager import REGISTRATION_TTL
 from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.net import TransportAddress
-from sipnat.proxy import INVITE_GUARD, Phase, ProxyConfig, SipProxy
+from sipnat.proxy import INVITE_GUARD, TIMER_C, Phase, ProxyConfig, SipProxy
 from sipnat.sdp import parse_sdp
 from sipnat.sip_message import Method, SipMessage, build_response, parse_message, serialize_message
 
@@ -540,6 +540,20 @@ def test_an_answer_whose_description_will_not_parse_gets_the_caller_a_500():
     assert events == ["media_released", "bad_answer"]
 
 
+def test_the_500_for_an_unparseable_answer_answers_the_invite_as_forwarded():
+    """Like the 404 and the 408, the 500 is the proxy's own response to the
+    INVITE, so it carries no To tag of the callee's."""
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    answer = build_response(fwd_invite, 200, "OK", body=b"garbage", content_type="application/sdp")
+    answer = replace(answer, to_=answer.to_ + ";tag=callee")
+    failure = build_response(fwd_invite, 500, "Server Internal Error")
+    assert proxy.handle_message(A_CONN, serialize_message(answer), 1.1) == [
+        (B_CONN, serialize_message(failure))
+    ]
+
+
 def test_a_late_error_response_to_an_established_calls_invite_is_relayed_and_keeps_the_call():
     proxy = make_proxy()
     register_both(proxy)
@@ -574,10 +588,11 @@ def test_a_resent_answer_whose_description_will_not_parse_is_dropped_and_keeps_t
     assert parse_sdp(msg.body).media[0].port == call.media.legs[LEG_A].rtp.port
 
 
-def tick_events(proxy, now):
-    """The events one ``tick`` sends to the event hook, as (event, detail)."""
+def tick_events(proxy, now, sends=()):
+    """The events one ``tick`` sends to the event hook, as (event, detail);
+    the tick must return ``sends``, the messages it transmits."""
     events = record_events(proxy)
-    assert proxy.tick(now) is None
+    assert proxy.tick(now) == list(sends)
     return events
 
 
@@ -585,9 +600,11 @@ def test_unanswered_invite_times_out_and_frees_ports():
     proxy = make_proxy()
     register_both(proxy)
     pool_at_rest = proxy.media.pool.free_pairs()
-    proxy.handle_message(B_CONN, invite_from_b(), 10.0)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 10.0))
     assert tick_events(proxy, 41.9) == []
-    events = tick_events(proxy, 42.0)  # guard is 32 s
+    # The caller gets 408, answering the INVITE as it was forwarded (RFC 3261 §16.8).
+    timeout = (B_CONN, serialize_message(build_response(fwd_invite, 408, "Request Timeout")))
+    events = tick_events(proxy, 42.0, [timeout])  # guard is 32 s
     assert [event for event, _ in events] == ["media_released", "invite_timeout"]
     assert events[-1] == ("invite_timeout", "call-1@local2.com")
     assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
@@ -595,6 +612,61 @@ def test_unanswered_invite_times_out_and_frees_ports():
     assert tick_events(proxy, 73.9) == []
     assert "call-1@local2.com" in proxy.calls
     proxy.tick(42.0 + INVITE_GUARD)
+    assert proxy.calls == {}
+
+
+def ringing_call(proxy):
+    """ClientB's INVITE at 1.0, and the callee's 100 at 1.2 and 180 at 1.5;
+    returns the INVITE as forwarded."""
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    call = proxy.calls["call-1@local2.com"]
+    trying = serialize_message(build_response(fwd_invite, 100, "Trying"))
+    proxy.handle_message(A_CONN, trying, 1.2)
+    assert call.deadline == 1.0 + INVITE_GUARD  # a 100 resets no timer (RFC 3261 §16.7 step 2)
+    ringing = serialize_message(build_response(fwd_invite, 180, "Ringing"))
+    conn, msg = only_message(proxy.handle_message(A_CONN, ringing, 1.5))
+    assert (conn, msg.status_code) == (B_CONN, 180)
+    assert call.deadline == 1.5 + TIMER_C
+    return fwd_invite
+
+
+def test_a_ringing_callee_answers_past_the_invite_guard_and_the_answer_is_rewritten():
+    """Once the callee rings, the call waits Timer C for its answer, not the
+    32 s guard: a 200 at 40 s still reaches the caller with relay ports, not
+    the callee's private 192.168.1.11:49570."""
+    proxy = make_proxy()
+    register_both(proxy)
+    fwd_invite = ringing_call(proxy)
+    call = proxy.calls["call-1@local2.com"]
+    assert tick_events(proxy, 33.0) == []
+    assert call.phase is Phase.INVITING and call.media is not None
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 40.0))
+    description = parse_sdp(msg.body)
+    assert conn == B_CONN
+    assert (description.connection_ip, description.media[0].port) == (
+        "200.1.1.1", call.media.legs[LEG_A].rtp.port,
+    )
+
+
+def test_a_ringing_call_nobody_answers_gets_408_at_timer_c_and_frees_its_ports():
+    proxy = make_proxy()
+    register_both(proxy)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    fwd_invite = ringing_call(proxy)
+    assert tick_events(proxy, 1.4 + TIMER_C) == []
+    assert proxy.calls["call-1@local2.com"].phase is Phase.INVITING
+    timeout = (B_CONN, serialize_message(build_response(fwd_invite, 408, "Request Timeout")))
+    events = tick_events(proxy, 1.5 + TIMER_C, [timeout])
+    assert [event for event, _ in events] == ["media_released", "invite_timeout"]
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+    assert proxy.media.pool.free_pairs() == pool_at_rest
+    # A 180 for the ended call is relayed and does not put off its removal.
+    ringing = serialize_message(build_response(fwd_invite, 180, "Ringing"))
+    assert only_message(proxy.handle_message(A_CONN, ringing, 1.6 + TIMER_C))[0] == B_CONN
+    proxy.tick(1.5 + TIMER_C + INVITE_GUARD)
     assert proxy.calls == {}
 
 
@@ -877,9 +949,11 @@ def test_call_exchange_wire_output_is_pinned():
 
 MACHINE_CONNS = (1, 2, 3, 4)
 STRANGER = ("6.6.6.6", 666)
-# The callee's answers: accept, refuse, or accept with a description that will not parse.
+# The callee's answers: accept, refuse, accept with a description that will
+# not parse, or ring, which puts the call on Timer C.
 ACCEPT = (200, "OK", samples.sample_invite_body())
-MACHINE_ANSWERS = (ACCEPT, (486, "Busy Here", b""), (200, "OK", b"garbage"))
+RINGING = (180, "Ringing", b"")
+MACHINE_ANSWERS = (ACCEPT, (486, "Busy Here", b""), (200, "OK", b"garbage"), RINGING)
 # Who sends a media packet to a leg: mostly its own party.
 MEDIA_SENDERS = ("party", "party", "party", "peer", "stranger")
 
@@ -894,7 +968,7 @@ class PlacedCall:
 
 
 class LeakFreeLifecycle(RuleBasedStateMachine):
-    """Random calls, hangups, closes, ticks and media over one ``SipProxy``.
+    """Random calls, rings, hangups, closes, ticks and media over one ``SipProxy``.
 
     After every step no relay pair is lost or held by an ended call, and once
     every connection closes and the guard time passes nothing is left.  A
@@ -984,6 +1058,13 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
             self.answer_call(call, ACCEPT)
             self.ack_call(call)
 
+    @rule(data=st.data(), callee=st.sampled_from(MACHINE_CONNS))
+    def rung_call(self, data, callee):
+        """INVITE and 180 in one step, so that many calls wait on Timer C."""
+        call = self.place(data.draw(st.sampled_from(self.open)), callee)
+        if call is not None:
+            self.answer_call(call, RINGING)
+
     @precondition(lambda self: self.placed)
     @rule(data=st.data(), answer=st.sampled_from(MACHINE_ANSWERS))
     def answer(self, data, answer):
@@ -1028,10 +1109,26 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
     def close(self, data):
         self.close_conn(data.draw(st.sampled_from(self.open)))
 
-    @rule(seconds=st.sampled_from([1.0, INVITE_GUARD]))
+    def tick_to(self, now):
+        """Tick at ``now``: what it sends is a 408 to the caller of a call that rang out."""
+        self.now = now
+        for dest, raw in self.delivered(self.proxy.tick(now)):
+            msg = parse_message(raw)
+            assert msg.status_code == 408
+            assert any(c.caller == dest and c.invite.call_id == msg.call_id for c in self.placed)
+
+    @rule(seconds=st.sampled_from([1.0, INVITE_GUARD, TIMER_C]))
     def tick(self, seconds):
-        self.now += seconds
-        self.proxy.tick(self.now)
+        self.tick_to(self.now + seconds)
+
+    def deadlines(self) -> list[float]:
+        return [call.deadline for call in self.proxy.calls.values() if call.deadline is not None]
+
+    @precondition(lambda self: self.deadlines())
+    @rule()
+    def tick_at_next_deadline(self):
+        """Tick just as the first call timer falls due, so that ringing calls time out."""
+        self.tick_to(min(self.deadlines()))
 
     @precondition(lambda self: self.proxy.media.sessions)
     @rule(
@@ -1078,7 +1175,7 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
     def teardown(self):
         for conn in list(self.open):
             self.close_conn(conn)
-        self.proxy.tick(self.now + INVITE_GUARD)
+        self.delivered(self.proxy.tick(self.now + INVITE_GUARD))
         media = self.proxy.media
         assert (self.proxy.calls, media.sessions, media.ports) == ({}, {}, {})
         assert self.proxy.registrar.live_aors() == []
