@@ -8,7 +8,9 @@ classic NAT behaviors makes the failure modes and the fix reproducible.
 
 Each exported name loads its submodule on first use (PEP 562): the socket
 service and the proxy (``sipnat.service``, ``sipnat.proxy``) load neither
-the simulator (``harness``, ``simnet``, ``nat``, ``rtp``) nor OpenSSL.
+the simulator (``harness``, ``simnet``, ``nat``, ``rtp``) nor OpenSSL, and
+the simulator loads OpenSSL only to compute a report's script digest, which
+``run_matrix`` never does.
 """
 
 from importlib import import_module

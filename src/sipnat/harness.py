@@ -16,7 +16,6 @@ Reports are plain JSON and byte-stable for a fixed (scenario, seed).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -225,6 +224,8 @@ class Scenario:
 
     def script_digest(self) -> str:
         """Fingerprint of everything but mode/seed/expect, for cross-mode comparison."""
+        import hashlib  # loads OpenSSL, so only a process that needs a digest pays for it
+
         payload = {k: v for k, v in self.to_dict().items() if k not in ("mode", "seed", "expect")}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
@@ -232,11 +233,15 @@ class Scenario:
 
 @dataclass
 class Report:
-    """Machine-readable outcome of one scenario run."""
+    """Machine-readable outcome of one scenario run.
 
-    mode: str
-    seed: int
-    script_digest: str
+    It holds the scenario object it ran and reads its mode, seed and script
+    digest from it (the digest once, on first read), so it describes that
+    object: to run a variant, derive a new scenario with
+    ``dataclasses.replace`` rather than changing this one.
+    """
+
+    scenario: Scenario
     outcome: Outcome
     rtp: dict[str, DirectionStats]
     rtcp: dict[str, DirectionStats]
@@ -244,6 +249,19 @@ class Report:
     allocation_transactions: int
     clients: int
     log: list[LogEntry]
+
+    @property
+    def mode(self) -> str:
+        return self.scenario.mode
+
+    @property
+    def seed(self) -> int:
+        return self.scenario.seed
+
+    @cached_property
+    def script_digest(self) -> str:
+        """Computed on first read: a run that needs only the counts never hashes."""
+        return self.scenario.script_digest()
 
     @cached_property
     def events(self) -> list[dict]:
@@ -417,9 +435,7 @@ def run_scenario(scenario: Scenario) -> Report:
 
     net.close()
     return Report(
-        mode=scenario.mode,
-        seed=scenario.seed,
-        script_digest=scenario.script_digest(),
+        scenario=scenario,
         outcome=outcome,
         rtp=rtp,
         rtcp=rtcp,

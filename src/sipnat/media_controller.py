@@ -121,7 +121,6 @@ class LegState:
 class MediaSession:
     """Relay state for one call: two legs, their ports, latches and counters."""
 
-    call_id: str
     legs: dict[str, LegState]
 
 
@@ -173,7 +172,7 @@ class MediaController:
             ours.peer, theirs.peer = theirs, ours
             self.ports[ours.port] = ours
             self.ports[theirs.port] = theirs
-        session = MediaSession(call_id=call_id, legs={LEG_A: a, LEG_B: b})
+        session = MediaSession(legs={LEG_A: a, LEG_B: b})
         self.sessions[call_id] = session
         return session
 

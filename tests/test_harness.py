@@ -26,7 +26,7 @@ from sipnat.net import TransportAddress
 from sipnat.proxy import ProxyConfig, SipProxy
 from sipnat.rtp import build_rtp, parse_rtp
 from sipnat.simnet import DirectionStats, SimClient, SimNetwork, voice_payload
-from sipnat.sip_message import parse_message
+from sipnat.sip_message import SipParseError, parse_message
 
 SYM = NatType.SYMMETRIC
 PRC = NatType.PORT_RESTRICTED_CONE
@@ -255,6 +255,25 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     reply = parse_message(client.raw_received[-1])
     assert reply.status_code == 200
     assert reply.via.received == first
+
+
+def test_an_unparseable_delivery_is_logged_and_a_later_call_completes():
+    s = scenario(script=default_script(5))
+    ctx = build_simulation(s)
+    execute_script(ctx, replace(s, script=s.script[:1]))  # register
+    a, b = ctx.client_a, ctx.client_b
+    garbage = b"NOT SIP AT ALL\r\n\r\n"
+    with pytest.raises(SipParseError) as parsed:
+        parse_message(garbage)
+    counted, received = b.sip_messages, list(b.raw_received)
+    b.proxy_send(garbage)
+    ctx.net.run()
+    last = ctx.net.events[-1]
+    assert (last.actor, last.event, last.detail) == ("client_b", "sip_unparseable", str(parsed.value))
+    assert (b.sip_messages, b.raw_received) == (counted, received)
+    execute_script(ctx, replace(s, script=s.script[1:]))  # call, talk, hangup
+    assert a.ever_established and b.ever_established
+    assert [a.rtp_out, b.rtp_out] == [DirectionStats(sent=5, delivered=5)] * 2
 
 
 def test_a_datagram_for_a_host_with_no_client_socket_is_logged_as_no_socket():
@@ -678,6 +697,17 @@ def test_no_client_visible_allocation_exchange():
         assert "alloc" not in entry["detail"].lower()
         assert entry["detail"].split(" ")[0] in ("REGISTER", "INVITE", "ACK", "BYE", "200", "404", "481", "400", "503")
     assert report.allocation_transactions == 0
+
+
+def test_a_report_reads_mode_seed_and_digest_from_its_scenario():
+    s = scenario(seed=3, mode="baseline", script=default_script(5))
+    report = run_scenario(s)
+    assert report.scenario is s
+    assert "script_digest" not in vars(report)  # not computed until read
+    expected = (s.mode, s.seed, s.script_digest())
+    assert (report.mode, report.seed, report.script_digest) == expected
+    data = report.to_dict()
+    assert (data["mode"], data["seed"], data["script_digest"]) == expected
 
 
 def test_count_savings_two_client_call():

@@ -48,6 +48,16 @@ def test_the_socket_service_loads_no_simulator_module_and_no_openssl(module):
     assert [name for name in SIMULATOR_AND_OPENSSL if name in loaded] == []
 
 
+def test_a_matrix_run_loads_no_openssl():
+    code = (
+        "import json, sys; from sipnat.harness import run_matrix; run_matrix(['adapted', 'naive'], packets=1); "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    loaded = fresh_interpreter(code)
+    assert "sipnat.harness" in loaded
+    assert [name for name in ("hashlib", "_hashlib") if name in loaded] == []
+
+
 def test_every_export_is_its_submodules_object():
     assert sipnat.__all__ == [name for names in EXPORTS.values() for name in names] + ["__version__"]
     for module, names in EXPORTS.items():
