@@ -25,7 +25,6 @@ the signaling exchange and no client-visible allocation transaction exists.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
 
 from .net import TransportAddress
@@ -103,7 +102,7 @@ class RelayPort:
     port: int
     peer: RelayPort | None = field(default=None, repr=False)  # same kind, other leg; None once released
     latched: tuple[str, int] | None = None  # the client's public source address
-    buffer: deque = field(default_factory=deque)  # waiting for the peer to latch
+    buffer: list[bytes] = field(default_factory=list)  # waiting for the peer to latch, oldest first
     received: int = 0
     received_bytes: int = 0
     forwarded: int = 0
@@ -111,13 +110,13 @@ class RelayPort:
     dropped: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class LegState:
     rtp: RelayPort
     rtcp: RelayPort
 
 
-@dataclass
+@dataclass(slots=True)
 class MediaSession:
     """Relay state for one call: two legs, their ports, latches and counters."""
 
@@ -220,7 +219,7 @@ class MediaController:
             return RelayDecision("forward", None, sends)
         buffer = here.buffer
         if len(buffer) >= BUFFER_CAP:
-            buffer.popleft()
+            del buffer[0]  # at most BUFFER_CAP moves
             here.dropped += 1
         buffer.append(datagram)
         return RelayDecision("buffer", sends=sends)

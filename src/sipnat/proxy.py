@@ -75,7 +75,7 @@ class Phase(Enum):
     TERMINATED = "terminated"
 
 
-@dataclass
+@dataclass(slots=True)
 class CallState:
     call_id: str
     caller_conn: ConnectionId

@@ -421,7 +421,7 @@ class MessageFramer:
         total = self._total
         while True:
             if not total:
-                while buffer[start : start + 1] in (b"\r", b"\n"):
+                while start < len(buffer) and buffer[start] in (13, 10):  # CR, LF
                     start += 1
                 split = _header_end(buffer, max(start, scan))
                 if split is None:

@@ -638,7 +638,23 @@ def test_a_payload_the_peer_did_not_build_counts_one_mismatch_and_one_delivery()
     assert arrive_at_b(7, b"not a voice payload") == (2, 1)
     assert arrive_at_b(7, voice_payload(b.voice_name, 7)) == (3, 2)  # b's own packet, reflected
     assert arrive_at_b(8, voice_payload(a.voice_name, 7)) == (4, 3)  # a's payload, wrong sequence
+    b._on_rtp_datagram(relay, b"\x80\x00 short")  # not RTP: counted neither way
+    assert (a.rtp_out.delivered, a.rtp_out.payload_mismatches) == (4, 3)
     assert a.rtp_out.sent == 0 and b.rtp_out == DirectionStats()
+
+
+def test_the_clock_refuses_a_time_before_it_and_keeps_its_queue():
+    net = SimNetwork(SipProxy(ProxyConfig(public_ip="203.0.113.1")))
+    ran = []
+    net.schedule_at(5.0, lambda: ran.append(net.now))
+    net.run_before(3.0)
+    with pytest.raises(ValueError, match="before the clock"):
+        net.schedule_at(2.0, lambda: ran.append("late"))
+    with pytest.raises(ValueError, match="before the clock"):
+        net.run_before(2.0)
+    assert net.now == 3.0 and ran == []
+    net.run()
+    assert ran == [5.0]
 
 
 def test_a_finished_scenario_is_freed_without_the_cyclic_collector():

@@ -193,6 +193,12 @@ def test_config_rejects_a_ttl_that_is_not_finite_and_positive(ttls):
         make_nat(NatType.SYMMETRIC, **ttls)
 
 
+@pytest.mark.parametrize("port_range", [(0, 10), (10, 10), (10, 65536)])
+def test_config_rejects_a_bad_port_range(port_range):
+    with pytest.raises(ValueError, match="bad port range"):
+        NatConfig(NatType.FULL_CONE, "68.92.25.44", port_range=port_range)
+
+
 def test_transport_spaces_do_not_cross():
     nat = make_nat(NatType.FULL_CONE)
     external = nat.outbound(LOCAL, DEST, now=0.0, transport=TCP)
@@ -285,3 +291,6 @@ def test_external_for_lookup():
     cone = make_nat(NatType.FULL_CONE)
     mapped = cone.outbound(LOCAL, DEST, now=0.0)
     assert cone.external_for(LOCAL) == mapped
+    # A symmetric NAT maps per destination, so no mapping stands for the source alone.
+    with pytest.raises(ValueError, match="requires the destination"):
+        nat.external_for(LOCAL)

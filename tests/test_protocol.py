@@ -189,6 +189,13 @@ def test_an_unframeable_stream_is_closed_after_the_messages_framed_ahead_of_it(c
     assert driver.layer.take_ready() == {}
 
 
+def test_sent_reports_a_connection_the_layer_closed():
+    driver = Driver()
+    driver.received(A, UNFRAMEABLE)
+    assert driver.dropped == [A]
+    assert driver.layer.sent(A, 0, 1.0) is False
+
+
 def ringing_driver() -> Driver:
     """Both clients registered and ClientB's INVITE forwarded at 1.0, every outbox written."""
     driver = Driver()

@@ -256,8 +256,12 @@ def test_serialize_rejects_invariant_violations():
         {"method": None, "request_uri": None, "status_code": 700, "reason": "Too High"},
         {"cseq_num": -1},
         {"body": "v=0"},
+        {"extra_headers": (("Subject", "\u03a9mega"),)},
     ],
-    ids=["request_without_uri", "status_code_out_of_range", "negative_cseq", "body_not_bytes"],
+    ids=[
+        "request_without_uri", "status_code_out_of_range", "negative_cseq", "body_not_bytes",
+        "header_not_latin_1",
+    ],
 )
 def test_serialize_rejects_each_invariant_violation(change):
     request = SipMessage(
@@ -288,6 +292,11 @@ def test_parser_total_on_fuzz_smoke(invite_raw, answer_raw):
             parse_message(data)
         except SipParseError:
             pass  # typed failure is the contract
+
+
+def test_parser_refuses_text_that_is_not_bytes(invite_raw):
+    with pytest.raises(TypeError, match="must be bytes"):
+        parse_message(invite_raw.decode())
 
 
 def test_contact_with_a_stray_angle_bracket_is_rejected(invite_raw):
