@@ -30,7 +30,7 @@ class NotRegistered(RegistrarError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Registration:
     aor: str
     connection: ConnectionId

@@ -30,9 +30,6 @@ from dataclasses import dataclass, field
 from .net import TransportAddress
 from .sdp import parse_sdp, rewrite_media, serialize_sdp
 
-LEG_A = "A"  # offerer (caller) leg
-LEG_B = "B"  # answerer (callee) leg
-
 BUFFER_CAP = 16  # packets a relay port holds while its peer has not latched
 
 
@@ -102,7 +99,7 @@ class RelayPort:
     port: int
     peer: RelayPort | None = field(default=None, repr=False)  # same kind, other leg; None once released
     latched: tuple[str, int] | None = None  # the client's public source address
-    buffer: list[bytes] = field(default_factory=list)  # waiting for the peer to latch, oldest first
+    buffer: tuple[bytes, ...] = ()  # waiting for the peer to latch, oldest first; empty: the shared ()
     received: int = 0
     received_bytes: int = 0
     forwarded: int = 0
@@ -120,7 +117,8 @@ class LegState:
 class MediaSession:
     """Relay state for one call: two legs, their ports, latches and counters."""
 
-    legs: dict[str, LegState]
+    a: LegState  # the caller's: the answer it gets names this leg's RTP port
+    b: LegState  # the callee's: the offer it gets names this leg's RTP port
 
 
 @dataclass(slots=True)
@@ -171,14 +169,14 @@ class MediaController:
             ours.peer, theirs.peer = theirs, ours
             self.ports[ours.port] = ours
             self.ports[theirs.port] = theirs
-        session = MediaSession(legs={LEG_A: a, LEG_B: b})
+        session = MediaSession(a, b)
         self.sessions[call_id] = session
         return session
 
-    def relay_description(self, session: MediaSession, leg: str, body: bytes) -> bytes:
+    def relay_description(self, leg: LegState, body: bytes) -> bytes:
         """``body`` aimed at the relay RTP port of ``leg``, the receiving party's
-        (``LEG_B`` for an offer, ``LEG_A`` for its answer); raises ``SdpError``."""
-        relay = TransportAddress(self.public_ip, session.legs[leg].rtp.port)
+        (``MediaSession.b`` for an offer, ``.a`` for its answer); raises ``SdpError``."""
+        relay = TransportAddress(self.public_ip, leg.rtp.port)
         return serialize_sdp(rewrite_media(parse_sdp(body), relay))
 
     def on_media_packet(
@@ -207,7 +205,7 @@ class MediaController:
             # The peer's queued packets were waiting for this address.
             sends = [RelaySend(here.port, src, queued) for queued in peer.buffer]
             peer.flushed += len(sends)
-            peer.buffer.clear()
+            peer.buffer = ()
         else:
             here.dropped += 1
             return RelayDecision("drop", "source_mismatch")
@@ -219,9 +217,9 @@ class MediaController:
             return RelayDecision("forward", None, sends)
         buffer = here.buffer
         if len(buffer) >= BUFFER_CAP:
-            del buffer[0]  # at most BUFFER_CAP moves
+            buffer = buffer[1:]
             here.dropped += 1
-        buffer.append(datagram)
+        here.buffer = (*buffer, datagram)  # at most BUFFER_CAP copies
         return RelayDecision("buffer", sends=sends)
 
     def release_session(self, call_id: str) -> int:
@@ -233,10 +231,10 @@ class MediaController:
         session = self.sessions.pop(call_id, None)
         if session is None:
             raise UnknownCall(call_id)
-        for leg in session.legs.values():
+        for leg in (session.a, session.b):
             for relay_port in (leg.rtp, leg.rtcp):
                 relay_port.dropped += len(relay_port.buffer)
-                relay_port.buffer.clear()
+                relay_port.buffer = ()
                 relay_port.peer = None  # break the peer cycle, so refcounting frees the session
                 del self.ports[relay_port.port]
             self.pool.release_pair(leg.rtp.port)

@@ -11,10 +11,12 @@ connection gets 481, and an ACK or response from one is dropped with a
 Each call has one timer, ``CallState.deadline``, which ``tick`` checks:
 the INVITE sets it ``INVITE_GUARD`` seconds ahead, each provisional answer
 ``TIMER_C`` ahead, and the establishing ACK clears it.  The proxy gives up
-on a ringing call one way, ``_fail``: it answers the INVITE as forwarded
-(so with no callee To tag) and ends the call; 404 if the callee's
-connection closes, 500 if the answer's description does not parse, 408 at
-the deadline.  Only a ringing call ends on the final response to its INVITE.
+on a ringing call one way, ``_fail``: it ends the call and, until a 200 is
+relayed, answers the INVITE as forwarded (so with no callee To tag); 404 if
+the callee's connection closes, 500 if the answer's description does not
+parse, 408 at the deadline.  No final response of the proxy's own follows a
+2xx (RFC 3261 §16.7 step 5).  Only a ringing call ends on the final
+response to its INVITE.
 
 A call that one party hangs up once established leaves ``SipProxy.calls``
 as soon as the other party's final response to that BYE is relayed.  The
@@ -40,14 +42,7 @@ from .connection_manager import (
     NotRegistered,
     aor_of,
 )
-from .media_controller import (
-    LEG_A,
-    LEG_B,
-    MediaController,
-    MediaSession,
-    PoolExhausted,
-    RelaySend,
-)
+from .media_controller import MediaController, MediaSession, PoolExhausted, RelaySend
 from .net import TransportAddress, is_ipv4
 from .sdp import SdpError
 from .sip_message import (
@@ -80,7 +75,7 @@ class CallState:
     call_id: str
     caller_conn: ConnectionId
     callee_conn: ConnectionId
-    invite: SipMessage  # as forwarded: the proxy's own final response answers it
+    invite: SipMessage | None  # as forwarded, for the proxy's own final response; None once answered
     # INVITING: fails at it; TERMINATED: forgotten at it; ESTABLISHED: None.
     deadline: float | None
     phase: Phase = Phase.INVITING
@@ -138,7 +133,7 @@ class SipProxy:
     def connection_closed(self, conn: ConnectionId, now: float) -> list[Outbound]:
         """``conn`` is gone: drop its registrations and end the calls it carried.
 
-        A caller still ringing a callee on ``conn`` gets 404.
+        A caller whose INVITE to a callee on ``conn`` no 200 answered gets 404.
         """
         self._conn_remote.pop(conn, None)
         for aor in self.registrar.on_connection_closed(conn):
@@ -205,7 +200,7 @@ class SipProxy:
             try:
                 session = self.media.allocate_session(call_id)
                 # msg was parsed in handle_message: ours to change
-                msg.body = self.media.relay_description(session, LEG_B, msg.body)
+                msg.body = self.media.relay_description(session.b, msg.body)
             except PoolExhausted:
                 return self._reply(conn, msg, 503, "Service Unavailable (media ports exhausted)")
             except SdpError as exc:
@@ -233,7 +228,7 @@ class SipProxy:
             return []
         if call.phase is Phase.INVITING:
             call.phase = Phase.ESTABLISHED
-            call.deadline = None
+            call.invite = call.deadline = None
             self._on_event("call_established", msg.call_id)
         return self._forward(call.peer_conn(conn), msg)
 
@@ -265,15 +260,16 @@ class SipProxy:
                 # An ended call's ports may be another call's by now: relay its answer untouched.
                 if call.media is not None and call.phase is not Phase.TERMINATED:
                     try:
-                        msg.body = self.media.relay_description(call.media, LEG_A, msg.body)
+                        msg.body = self.media.relay_description(call.media.a, msg.body)
                     except SdpError as exc:
                         outbound = []
-                        if call.phase is Phase.INVITING:  # else the caller has its 200 already
+                        if call.invite is not None:  # else the caller has its 200 already
                             outbound = self._fail(call, 500, "Server Internal Error", now)
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         return outbound
                 outbound = self._forward(dest, msg)
                 if outbound:
+                    call.invite = None
                     self._on_event("answer_forwarded", msg.call_id)
                 return outbound
             if call.phase is Phase.INVITING:
@@ -308,7 +304,7 @@ class SipProxy:
 
     def tick(self, now: float) -> list[Outbound]:
         """Expire registrations and act on every call whose deadline is due:
-        a ringing one gets its caller 408, an ended one is forgotten.
+        a ringing one fails with 408, an ended one is forgotten.
 
         Each expiry and timeout goes to the event hook, after the releases
         it caused.
@@ -331,8 +327,11 @@ class SipProxy:
         return outbound
 
     def _fail(self, call: CallState, code: int, reason: str, now: float) -> list[Outbound]:
-        """Answer a ringing call's INVITE with the proxy's own final response, and end the call."""
-        outbound = self._forward(call.caller_conn, build_response(call.invite, code, reason))
+        """End a ringing call, answering its INVITE with the proxy's own final
+        response unless the caller has a 200 already (RFC 3261 §16.7 step 5)."""
+        outbound = []
+        if call.invite is not None:
+            outbound = self._forward(call.caller_conn, build_response(call.invite, code, reason))
         self._terminate(call, now)
         return outbound
 

@@ -20,7 +20,6 @@ from sipnat.harness import (
     run_matrix,
     run_scenario,
 )
-from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.nat import UDP, NatBox, NatConfig, NatType
 from sipnat.net import TransportAddress
 from sipnat.proxy import ProxyConfig, SipProxy
@@ -69,7 +68,7 @@ def run_keeping_session(s):
 
 def test_latched_addresses_equal_nat_mappings():
     ctx, session = run_keeping_session(scenario(seed=3))
-    leg_a, leg_b = session.legs[LEG_A], session.legs[LEG_B]
+    leg_a, leg_b = session.a, session.b
     proxy_ip = ctx.proxy.config.public_ip
     a_expected = ctx.client_a.nat.external_for(
         ctx.client_a.rtp_addr, TransportAddress(proxy_ip, leg_a.rtp.port)
@@ -83,7 +82,7 @@ def test_latched_addresses_equal_nat_mappings():
 
 def test_forwarding_from_wrong_proxy_port_is_blocked():
     ctx, session = run_keeping_session(scenario(seed=3))
-    leg_b = session.legs[LEG_B]
+    leg_b = session.b
     latched_b = leg_b.rtp.latched
     proxy_ip = ctx.proxy.config.public_ip
     now = ctx.net.now
@@ -139,8 +138,8 @@ def test_proxy_hears_of_a_signaling_address_only_when_it_changes():
 
 def test_latches_are_set_and_not_the_private_addresses():
     ctx, session = run_keeping_session(scenario(seed=3))
-    for leg, client in ((LEG_A, ctx.client_a), (LEG_B, ctx.client_b)):
-        latched = session.legs[leg].rtp.latched
+    for leg, client in ((session.a, ctx.client_a), (session.b, ctx.client_b)):
+        latched = leg.rtp.latched
         assert latched is not None
         assert latched != client.rtp_addr
 
@@ -693,7 +692,7 @@ def test_pool_returns_to_initial_state_after_hangup():
 
 def test_media_conservation_per_leg():
     _, session = run_keeping_session(scenario(seed=4, script=default_script(6)))
-    for leg in session.legs.values():
+    for leg in (session.a, session.b):
         port = leg.rtp
         assert port.received == port.forwarded + port.flushed + port.dropped
         assert not port.buffer

@@ -8,8 +8,6 @@ import samples
 from sipnat import media_controller
 from sipnat.media_controller import (
     DuplicateCall,
-    LEG_A,
-    LEG_B,
     MediaController,
     PoolExhausted,
     PortPool,
@@ -82,7 +80,7 @@ def test_pool_odd_lower_bound_starts_on_even_port():
 def test_allocate_session_reserves_both_leg_pairs():
     ctl = controller()
     session = ctl.allocate_session("call-1")
-    a, b = session.legs[LEG_A], session.legs[LEG_B]
+    a, b = session.a, session.b
     assert (a.rtp.port, a.rtcp.port, b.rtp.port, b.rtcp.port) == (40000, 40001, 40002, 40003)
     assert ctl.sessions == {"call-1": session}
     assert ctl.ports == {40000: a.rtp, 40001: a.rtcp, 40002: b.rtp, 40003: b.rtcp}
@@ -137,7 +135,7 @@ def test_released_sessions_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         for i in range(100):
-            leg_a = ctl.allocate_session(f"call-{i}").legs[LEG_A]
+            leg_a = ctl.allocate_session(f"call-{i}").a
             ctl.on_media_packet(leg_a.rtp.port, A_PUB, b"a0")
             ctl.release_session(f"call-{i}")
         alive = [o for o in gc.get_objects() if type(o) is RelayPort]
@@ -153,18 +151,18 @@ def test_released_sessions_are_freed_without_the_cycle_collector():
 def test_offer_rewritten_toward_answerer_leg():
     ctl = controller()
     session = ctl.allocate_session("call-1")
-    rewritten = parse_sdp(ctl.relay_description(session, LEG_B, samples.sample_invite_body()))
+    rewritten = parse_sdp(ctl.relay_description(session.b, samples.sample_invite_body()))
     # The answerer must send its media to its own (leg B) relay port.
     assert rewritten.connection_ip == PROXY_IP
-    assert rewritten.media[0].port == session.legs[LEG_B].rtp.port
+    assert rewritten.media[0].port == session.b.rtp.port
 
 
 def test_answer_rewritten_toward_offerer_leg():
     ctl = controller()
     session = ctl.allocate_session("call-1")
-    rewritten = parse_sdp(ctl.relay_description(session, LEG_A, samples.sample_answer_body()))
+    rewritten = parse_sdp(ctl.relay_description(session.a, samples.sample_answer_body()))
     assert rewritten.connection_ip == PROXY_IP
-    assert rewritten.media[0].port == session.legs[LEG_A].rtp.port
+    assert rewritten.media[0].port == session.a.rtp.port
 
 
 def test_multi_media_offer_rejected():
@@ -172,7 +170,7 @@ def test_multi_media_offer_rejected():
     session = ctl.allocate_session("call-1")
     body = samples.crlf_body(samples.INVITE_BODY_LINES + ["m=video 50000 RTP/AVP 96"])
     with pytest.raises(MultipleMediaUnsupported):
-        ctl.relay_description(session, LEG_B, body)
+        ctl.relay_description(session.b, body)
 
 
 # -- relay forwarding -------------------------------------------------------------
@@ -180,7 +178,7 @@ def test_multi_media_offer_rejected():
 
 def start_session(ctl):
     session = ctl.allocate_session("call-1")
-    return session, session.legs[LEG_A], session.legs[LEG_B]
+    return session, session.a, session.b
 
 
 def test_unknown_port_dropped():
@@ -304,7 +302,7 @@ def ports_from_sessions(ctl):
     return {
         relay_port.port: relay_port
         for session in ctl.sessions.values()
-        for leg in session.legs.values()
+        for leg in (session.a, session.b)
         for relay_port in (leg.rtp, leg.rtcp)
     }
 
@@ -314,7 +312,7 @@ def all_counters(ctl, released):
     return [
         (call_id, name, kind, p.received, p.received_bytes, p.forwarded, p.flushed, p.dropped)
         for call_id, session in [*released.items(), *ctl.sessions.items()]
-        for name, leg in session.legs.items()
+        for name, leg in (("A", session.a), ("B", session.b))
         for kind, p in (("rtp", leg.rtp), ("rtcp", leg.rtcp))
     ]
 
@@ -410,7 +408,7 @@ def test_released_call_routes_nothing_on_its_reused_ports():
     ctl.release_session("call-1")
     assert ctl.ports == {}
 
-    reused = ctl.allocate_session("call-2").legs[LEG_A]
+    reused = ctl.allocate_session("call-2").a
     assert reused.rtp.port == leg_a.rtp.port and reused.rtp is not leg_a.rtp
     # The old caller's late packet must not reach the old callee: it latches
     # the new call's leg and waits for that call's peer.

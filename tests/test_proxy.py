@@ -9,7 +9,6 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 import samples
 from sipnat.connection_manager import REGISTRATION_TTL
-from sipnat.media_controller import LEG_A, LEG_B
 from sipnat.net import TransportAddress
 from sipnat.proxy import INVITE_GUARD, TIMER_C, Phase, ProxyConfig, SipProxy
 from sipnat.sdp import parse_sdp
@@ -274,7 +273,7 @@ def test_late_answer_for_an_ended_call_is_relayed_unrewritten(ended_by):
     assert old.phase is Phase.TERMINATED
     proxy.handle_message(B_CONN, invite_from_b("new@x"), 40.0)
     # The ended call's ports went back to the pool, and the new call holds them.
-    assert proxy.calls["new@x"].media.legs[LEG_A].rtp.port == old.media.legs[LEG_A].rtp.port
+    assert proxy.calls["new@x"].media.a.rtp.port == old.media.a.rtp.port
 
     answer = build_response(
         fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
@@ -293,7 +292,7 @@ def test_forwarded_descriptions_use_proxy_pool_ports():
     lo, hi = proxy.config.media_port_range
     assert lo <= offer.media[0].port <= hi
     session = proxy.calls["call-1@local2.com"].media
-    assert offer.media[0].port == session.legs[LEG_B].rtp.port
+    assert offer.media[0].port == session.b.rtp.port
 
     answer = build_response(
         fwd_invite, 200, "OK",
@@ -302,7 +301,7 @@ def test_forwarded_descriptions_use_proxy_pool_ports():
     _, fwd_answer = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
     answered = parse_sdp(fwd_answer.body)
     assert answered.connection_ip == "200.1.1.1"
-    assert answered.media[0].port == session.legs[LEG_A].rtp.port
+    assert answered.media[0].port == session.a.rtp.port
 
 
 def test_invite_request_is_stamped_with_source():
@@ -587,7 +586,42 @@ def test_a_resent_answer_whose_description_will_not_parse_is_dropped_and_keeps_t
     answer = replace(answer, body=samples.sample_invite_body())
     conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 2.1))
     assert conn == B_CONN
-    assert parse_sdp(msg.body).media[0].port == call.media.legs[LEG_A].rtp.port
+    assert parse_sdp(msg.body).media[0].port == call.media.a.rtp.port
+
+
+def test_a_call_acked_before_any_200_is_kept_by_an_answer_that_will_not_parse():
+    """The ACK established the call, so the proxy answers its INVITE no more."""
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    only_message(proxy.handle_message(B_CONN, serialize_message(ack), 1.1))
+    call = proxy.calls["call-1@local2.com"]
+    answer = build_response(fwd_invite, 200, "OK", body=b"garbage", content_type="application/sdp")
+    assert proxy.handle_message(A_CONN, serialize_message(answer), 1.2) == []
+    assert call.phase is Phase.ESTABLISHED
+    assert len(proxy.media.ports) == 4
+
+
+def test_a_resent_answer_that_will_not_parse_before_the_ack_is_dropped_and_keeps_the_call():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
+    call = proxy.calls["call-1@local2.com"]
+    ports = proxy.media.ports.copy()
+    events = record_events(proxy)
+    garbled = replace(answer, body=b"garbage")
+    assert proxy.handle_message(A_CONN, serialize_message(garbled), 1.2) == []
+    assert [event for event, _ in events] == ["bad_answer"]
+    assert call.phase is Phase.INVITING
+    assert proxy.media.ports == ports
 
 
 def tick_events(proxy, now, sends=()):
@@ -649,7 +683,7 @@ def test_a_ringing_callee_answers_past_the_invite_guard_and_the_answer_is_rewrit
     description = parse_sdp(msg.body)
     assert conn == B_CONN
     assert (description.connection_ip, description.media[0].port) == (
-        "200.1.1.1", call.media.legs[LEG_A].rtp.port,
+        "200.1.1.1", call.media.a.rtp.port,
     )
 
 
@@ -670,6 +704,23 @@ def test_a_ringing_call_nobody_answers_gets_408_at_timer_c_and_frees_its_ports()
     assert only_message(proxy.handle_message(A_CONN, ringing, 1.6 + TIMER_C))[0] == B_CONN
     proxy.tick(1.5 + TIMER_C + INVITE_GUARD)
     assert proxy.calls == {}
+
+
+def test_a_call_whose_200_was_relayed_gets_no_408_at_its_deadline():
+    """An answered call that no ACK establishes still ends at its deadline
+    and frees its ports, but its caller, who has the 200, gets no 408."""
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
+    assert len(proxy.media.ports) == 4
+    events = tick_events(proxy, 33.0)
+    assert [event for event, _ in events] == ["media_released", "invite_timeout"]
+    assert proxy.calls["call-1@local2.com"].phase is Phase.TERMINATED
+    assert proxy.media.ports == {} and proxy.media.pool.allocated_count == 0
 
 
 def test_tick_expires_registrations():
@@ -771,8 +822,8 @@ def test_an_ack_for_a_callee_whose_connection_closed_is_dropped():
         fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
     )
     only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
-    conn, msg = only_message(proxy.connection_closed(A_CONN, 1.2))
-    assert (conn, msg.status_code) == (B_CONN, 404)
+    # The caller has its 200, so no 404 may follow it (RFC 3261 §16.7 step 5).
+    assert proxy.connection_closed(A_CONN, 1.2) == []
     events = record_events(proxy)
     ack = replace(
         fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
@@ -823,8 +874,8 @@ def test_media_datagram_path_through_proxy():
     )
     proxy.handle_message(A_CONN, serialize_message(answer), 1.1)
     session = proxy.calls["call-1@local2.com"].media
-    b_port = session.legs[LEG_B].rtp.port
-    a_port = session.legs[LEG_A].rtp.port
+    b_port = session.b.rtp.port
+    a_port = session.a.rtp.port
     b_media = ("77.224.10.9", 6200)
     a_media = ("68.92.25.44", 62001)
 
@@ -836,7 +887,7 @@ def test_media_datagram_path_through_proxy():
     ]
 
 
-CALL_BUDGET_BYTES = 3 * 1024  # retained per established call, all four relay ports included
+CALL_BUDGET_BYTES = 1280  # retained per established call, all four relay ports included
 
 
 def retained_bytes_per_call(calls: int) -> float:
@@ -859,10 +910,11 @@ def retained_bytes_per_call(calls: int) -> float:
     return (after - before) / calls
 
 
-def test_an_established_call_keeps_under_three_kib():
-    # The four relay ports' buffers are empty lists once their peers latch,
-    # and every per-call record is slotted: 2.3 KB a call on Python 3.11,
-    # against 5.3 KB with a deque per port.
+def test_an_established_call_keeps_under_1280_bytes():
+    # The call keeps no INVITE once answered, its two legs are fields, every
+    # empty relay buffer is the one shared (), and every per-call record is
+    # slotted: 1.0 KB a call on Python 3.10 to 3.13, against 2.3 KB with the
+    # INVITE, a dict of legs and four empty lists.
     assert retained_bytes_per_call(128) <= CALL_BUDGET_BYTES
 
 
@@ -1013,6 +1065,7 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         self.proxy = SipProxy(ProxyConfig(public_ip="200.1.1.1", media_port_range=(40000, 40009)))
         self.now = 0.0
         self.open = list(MACHINE_CONNS)
+        self.answered: set[tuple[int, str]] = set()  # (caller, Call-ID) of each 200 to an INVITE
         for conn in MACHINE_CONNS:
             self.proxy.connection_opened(conn, TransportAddress(f"10.9.0.{conn}", 5060))
             self.register_on(conn)
@@ -1020,9 +1073,18 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         self.byes: list[tuple[int, SipMessage]] = []  # forwarded BYEs and who received them
 
     def delivered(self, outbound: list) -> list:
-        """Check that every message in ``outbound`` is addressed to an open connection; return it."""
-        for dest, _ in outbound:
+        """Check that every message in ``outbound`` is addressed to an open
+        connection, and that no 404, 408 or 500 reaches a caller after a 200 to
+        the same INVITE (RFC 3261 §16.7 step 5); return it."""
+        for dest, raw in outbound:
             assert dest in self.open
+            msg = parse_message(raw)
+            if msg.cseq_method is not Method.INVITE:
+                continue
+            if msg.status_code == 200:
+                self.answered.add((dest, msg.call_id))
+            elif msg.status_code in (404, 408, 500):
+                assert (dest, msg.call_id) not in self.answered
         return outbound
 
     def send(self, conn, msg) -> list:
@@ -1089,6 +1151,13 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         if call is not None:
             self.answer_call(call, ACCEPT)
             self.ack_call(call)
+
+    @rule(data=st.data(), callee=st.sampled_from(MACHINE_CONNS))
+    def answered_call(self, data, callee):
+        """INVITE and 200 in one step, so that many calls wait for their ACK."""
+        call = self.place(data.draw(st.sampled_from(self.open)), callee)
+        if call is not None:
+            self.answer_call(call, ACCEPT)
 
     @rule(data=st.data(), callee=st.sampled_from(MACHINE_CONNS))
     def rung_call(self, data, callee):
@@ -1164,27 +1233,29 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
 
     @precondition(lambda self: self.proxy.media.sessions)
     @rule(
-        data=st.data(), first=st.sampled_from((LEG_A, LEG_B)), rtcp=st.booleans(),
+        data=st.data(), caller_first=st.booleans(), rtcp=st.booleans(),
         senders=st.tuples(st.sampled_from(MEDIA_SENDERS), st.sampled_from(MEDIA_SENDERS)),
     )
-    def media(self, data, first, rtcp, senders):
-        """A packet to each leg of a call that holds a session, ``first`` leg
-        first, each mostly from that leg's party, so that both legs latch and
-        the relay forwards.  Every datagram the relay emits leaves one of the
-        call's live ports for that port's latched address."""
+    def media(self, data, caller_first, rtcp, senders):
+        """A packet to each leg of a call that holds a session, the caller's
+        leg first or last, each mostly from that leg's party, so that both legs
+        latch and the relay forwards.  Every datagram the relay emits leaves
+        one of the call's live ports for that port's latched address."""
         call_id = data.draw(st.sampled_from(list(self.proxy.media.sessions)))
         call = self.proxy.calls[call_id]
-        legs = self.proxy.media.sessions[call_id].legs
+        session = self.proxy.media.sessions[call_id]
         call_ports = {
-            relay_port.port: relay_port for leg in legs.values() for relay_port in (leg.rtp, leg.rtcp)
+            relay_port.port: relay_port
+            for leg in (session.a, session.b)
+            for relay_port in (leg.rtp, leg.rtcp)
         }
-        for leg, sender in zip((first, LEG_B if first == LEG_A else LEG_A), senders):
-            party = call.caller_conn if leg == LEG_A else call.callee_conn
+        legs = [(session.a, call.caller_conn), (session.b, call.callee_conn)]
+        for (leg, party), sender in zip(legs if caller_first else legs[::-1], senders):
             if sender == "stranger":
                 src = STRANGER
             else:
                 src = (f"10.9.0.{party if sender == 'party' else call.peer_conn(party)}", 7000)
-            relay_port = legs[leg].rtcp if rtcp else legs[leg].rtp
+            relay_port = leg.rtcp if rtcp else leg.rtp
             for send in self.proxy.handle_media(relay_port.port, src, b"rtp"):
                 from_port = call_ports.get(send.from_port)  # handle_media releases no port
                 assert from_port is not None and send.to == from_port.latched
@@ -1199,7 +1270,7 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         live_ports = {
             relay_port.port: relay_port
             for session in media.sessions.values()
-            for leg in session.legs.values()
+            for leg in (session.a, session.b)
             for relay_port in (leg.rtp, leg.rtcp)
         }
         assert media.ports == live_ports
