@@ -2,21 +2,23 @@
 
 REGISTER binds the client to the TCP connection it arrived on; the media
 controller rewrites the session description of an INVITE and of its answer
-to relay ports before forwarding; ACK establishes; BYE tears the relay
-session down.  Request failures come back as SIP error responses, never
-silence.  Only the call's two connections act on it: a BYE from any other
-connection gets 481, and an ACK or response from one is dropped with a
-``non_party_message`` event.
+to relay ports before forwarding; BYE tears the relay session down.
+Request failures come back as SIP error responses, never silence.  Only
+the call's two connections act on it, and only its callee answers the
+INVITE: a BYE from any other connection gets 481, any other ACK or
+response is dropped with a ``non_party_message`` event.
 
-Each call has one timer, ``CallState.deadline``, which ``tick`` checks:
-the INVITE sets it ``INVITE_GUARD`` seconds ahead, each provisional answer
-``TIMER_C`` ahead, and the establishing ACK clears it.  The proxy gives up
-on a ringing call one way, ``_fail``: it ends the call and, until a 200 is
-relayed, answers the INVITE as forwarded (so with no callee To tag); 404 if
-the callee's connection closes, 500 if the answer's description does not
-parse, 408 at the deadline.  No final response of the proxy's own follows a
-2xx (RFC 3261 §16.7 step 5).  Only a ringing call ends on the final
-response to its INVITE.
+``CallState.phase`` is the one record of how far a call has got, and
+``CallState.deadline`` its one timer, which ``tick`` checks.  INVITING: the
+INVITE sets the deadline ``INVITE_GUARD`` seconds ahead and each 101-199
+``TIMER_C`` ahead, a response of 300 or more ends the call, and an ACK is
+dropped (RFC 3261 §17.1.1.3).  ``_fail`` ends the call and answers the
+INVITE as forwarded, so with no callee To tag: 404 if the callee's
+connection closes, 500 if the answer's description does not parse, 408 at
+the deadline.  Relaying the callee's 200 makes the call ESTABLISHED, and an
+ESTABLISHED call drops any response to its INVITE but a 200 (RFC 3261 §16.7
+step 5).  The first ACK clears the deadline; a call that no ACK follows
+ends at it, silently.
 
 A call that one party hangs up once established leaves ``SipProxy.calls``
 as soon as the other party's final response to that BYE is relayed.  The
@@ -75,8 +77,9 @@ class CallState:
     call_id: str
     caller_conn: ConnectionId
     callee_conn: ConnectionId
-    invite: SipMessage | None  # as forwarded, for the proxy's own final response; None once answered
-    # INVITING: fails at it; TERMINATED: forgotten at it; ESTABLISHED: None.
+    invite: SipMessage | None  # as forwarded, for the proxy's own final response; INVITING only
+    # INVITING: fails at it; ESTABLISHED: ends at it, until the first ACK sets
+    # it None; TERMINATED: forgotten at it.
     deadline: float | None
     phase: Phase = Phase.INVITING
     media: MediaSession | None = None
@@ -220,15 +223,14 @@ class SipProxy:
 
     def _on_ack(self, conn: ConnectionId, msg: SipMessage) -> list[Outbound]:
         call = self.calls.get(msg.call_id)
-        if call is None:
-            self._on_event("stray_ack", msg.call_id)
-            return []
-        if not call.is_party(conn):
+        if call is not None and not call.is_party(conn):
             self._on_event("non_party_message", f"ACK from connection {conn} for {msg.call_id}")
             return []
-        if call.phase is Phase.INVITING:
-            call.phase = Phase.ESTABLISHED
-            call.invite = call.deadline = None
+        if call is None or call.phase is Phase.INVITING:  # no final response to acknowledge
+            self._on_event("stray_ack", msg.call_id)
+            return []
+        if call.phase is Phase.ESTABLISHED and call.deadline is not None:
+            call.deadline = None
             self._on_event("call_established", msg.call_id)
         return self._forward(call.peer_conn(conn), msg)
 
@@ -249,13 +251,14 @@ class SipProxy:
         if call is None:
             self._on_event("stray_response", f"{msg.status_code} for {msg.call_id}")
             return []
-        if not call.is_party(conn):
+        answers_invite = msg.cseq_method is Method.INVITE
+        if not call.is_party(conn) or (answers_invite and conn != call.callee_conn):
             self._on_event(
                 "non_party_message", f"{msg.status_code} from connection {conn} for {msg.call_id}"
             )
             return []
         dest = call.peer_conn(conn)
-        if msg.cseq_method is Method.INVITE:
+        if answers_invite:
             if msg.status_code == 200:
                 # An ended call's ports may be another call's by now: relay its answer untouched.
                 if call.media is not None and call.phase is not Phase.TERMINATED:
@@ -263,15 +266,20 @@ class SipProxy:
                         msg.body = self.media.relay_description(call.media.a, msg.body)
                     except SdpError as exc:
                         outbound = []
-                        if call.invite is not None:  # else the caller has its 200 already
+                        if call.phase is Phase.INVITING:  # else the caller has its 200 already
                             outbound = self._fail(call, 500, "Server Internal Error", now)
                         self._on_event("bad_answer", f"{msg.call_id}: {exc}")
                         return outbound
                 outbound = self._forward(dest, msg)
                 if outbound:
-                    call.invite = None
+                    if call.phase is Phase.INVITING:
+                        call.phase = Phase.ESTABLISHED
+                        call.invite = None
                     self._on_event("answer_forwarded", msg.call_id)
                 return outbound
+            if call.phase is Phase.ESTABLISHED:  # only a 2xx follows a 2xx (RFC 3261 §16.7 step 5)
+                self._on_event("stray_response", f"{msg.status_code} for {msg.call_id}")
+                return []
             if call.phase is Phase.INVITING:
                 if msg.status_code >= 300:
                     self._terminate(call, now)
@@ -304,7 +312,8 @@ class SipProxy:
 
     def tick(self, now: float) -> list[Outbound]:
         """Expire registrations and act on every call whose deadline is due:
-        a ringing one fails with 408, an ended one is forgotten.
+        an unanswered one fails with 408, an unacknowledged one ends, an
+        ended one is forgotten.
 
         Each expiry and timeout goes to the event hook, after the releases
         it caused.
@@ -327,10 +336,11 @@ class SipProxy:
         return outbound
 
     def _fail(self, call: CallState, code: int, reason: str, now: float) -> list[Outbound]:
-        """End a ringing call, answering its INVITE with the proxy's own final
-        response unless the caller has a 200 already (RFC 3261 §16.7 step 5)."""
+        """End a call no ACK has completed, answering its INVITE with the proxy's
+        own final response while it is INVITING: after a relayed 200 the caller
+        gets nothing (RFC 3261 §16.7 step 5)."""
         outbound = []
-        if call.invite is not None:
+        if call.phase is Phase.INVITING:
             outbound = self._forward(call.caller_conn, build_response(call.invite, code, reason))
         self._terminate(call, now)
         return outbound
@@ -339,6 +349,7 @@ class SipProxy:
         if call.phase is Phase.TERMINATED:
             return
         call.phase = Phase.TERMINATED
+        call.invite = None
         call.deadline = now + INVITE_GUARD
         if call.media is not None:
             freed = self.media.release_session(call.call_id)

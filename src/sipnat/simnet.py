@@ -11,8 +11,9 @@ gave it.  That path runs through ``ProxyProtocol``, the layer the socket
 service runs on, so the simulator's signaling is framed, queued and kept
 behind the one exception boundary as the service's is: a client's message
 goes in as its serialized bytes, what the proxy queues for a client comes
-out as one delivery, a delivery the NAT blocks closes the connection, and
-the harness ticks the layer.  TCP signaling is an ordered reliable stream
+out as one delivery, which the client frames into messages as the proxy
+frames its input, a delivery the NAT blocks closes the connection, and the
+harness ticks the layer.  TCP signaling is an ordered reliable stream
 whose NAT binding lasts while the connection does; UDP signaling (one
 whole message per datagram) and all media are per-datagram, so every hop
 consults the NAT filter and can be silently dropped.  No real time or real
@@ -45,6 +46,7 @@ from .proxy import SipProxy
 from .rtp import RtpParseError, build_rtp, parse_rtp
 from .sdp import MediaDesc, SdpSession, parse_sdp, serialize_sdp
 from .sip_message import (
+    MessageFramer,
     Method,
     SipMessage,
     SipParseError,
@@ -260,7 +262,8 @@ class SimClient:
         self.call_id: str | None = None
         self.remote_media: TransportAddress | None = None
         self.remote_name_addr: str | None = None
-        self.raw_received: list[bytes] = []
+        self.raw_received: list[bytes] = []  # one per framed message
+        self._framer = MessageFramer()
         self.sip_messages = 0  # sent and received, as logged
         self._cseq = 0
         self._call_count = 0
@@ -384,15 +387,16 @@ class SimClient:
             net.protocol.closed(self.conn_id, net.now)
             net.flush_proxy()
             return
-        try:
-            msg = parse_message(raw)
-        except SipParseError as exc:
-            net.log(self.name, "sip_unparseable", str(exc))
-            return
-        self.sip_messages += 1
-        net.log(self.name, "sip_received", describe(msg))
-        self.raw_received.append(raw)
-        self.on_sip(msg)
+        for message in self._framer.feed(raw):
+            try:
+                msg = parse_message(message)
+            except SipParseError as exc:
+                net.log(self.name, "sip_unparseable", str(exc))
+                continue
+            self.sip_messages += 1
+            net.log(self.name, "sip_received", describe(msg))
+            self.raw_received.append(message)
+            self.on_sip(msg)
 
     # -- SIP handling --------------------------------------------------------
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import samples
 from sipnat.harness import (
     MODES,
     InvalidScenario,
@@ -25,7 +26,7 @@ from sipnat.net import TransportAddress
 from sipnat.proxy import ProxyConfig, SipProxy
 from sipnat.rtp import build_rtp, parse_rtp
 from sipnat.simnet import DirectionStats, SimClient, SimNetwork, voice_payload
-from sipnat.sip_message import SipParseError, parse_message
+from sipnat.sip_message import Method, SipParseError, parse_message
 
 SYM = NatType.SYMMETRIC
 PRC = NatType.PORT_RESTRICTED_CONE
@@ -273,6 +274,23 @@ def test_an_unparseable_delivery_is_logged_and_a_later_call_completes():
     execute_script(ctx, replace(s, script=s.script[1:]))  # call, talk, hangup
     assert a.ever_established and b.ever_established
     assert [a.rtp_out, b.rtp_out] == [DirectionStats(sent=5, delivered=5)] * 2
+
+
+def test_a_client_frames_a_delivery_that_carries_two_messages():
+    """The proxy sends a client all it queued in one flush as one delivery:
+    two replies queued together reach the client as two messages."""
+    ctx = build_simulation(scenario())
+    net, a = ctx.net, ctx.client_a
+    a.register()
+    net.run()
+    counted, received = a.sip_messages, len(a.raw_received)
+    net.protocol.received(a.conn_id, samples.make_register() * 2, net.now)
+    net.flush_proxy()
+    net.run()
+    replies = [parse_message(raw) for raw in a.raw_received[received:]]
+    assert [(r.status_code, r.cseq_method) for r in replies] == [(200, Method.REGISTER)] * 2
+    assert a.sip_messages == counted + 2
+    assert "sip_unparseable" not in [e.event for e in net.events]
 
 
 def test_a_datagram_for_a_host_with_no_client_socket_is_logged_as_no_socket():

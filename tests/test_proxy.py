@@ -122,7 +122,8 @@ def test_full_call_ladder_phases_and_teardown():
     )
     conn, fwd_answer = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
     assert conn == B_CONN
-    assert call.phase is Phase.INVITING
+    assert call.phase is Phase.ESTABLISHED and call.invite is None
+    assert call.deadline == 1.0 + INVITE_GUARD  # until the ACK
 
     ack = fwd_invite  # reuse identity headers to build the ACK
     ack = replace(
@@ -131,7 +132,7 @@ def test_full_call_ladder_phases_and_teardown():
     )
     conn, _ = only_message(proxy.handle_message(B_CONN, serialize_message(ack), 1.2))
     assert conn == A_CONN
-    assert call.phase is Phase.ESTABLISHED
+    assert call.phase is Phase.ESTABLISHED and call.deadline is None
 
     bye = replace(ack, method=Method.BYE, cseq_method=Method.BYE, cseq_num=2)
     conn, _ = only_message(proxy.handle_message(B_CONN, serialize_message(bye), 2.0))
@@ -555,16 +556,18 @@ def test_the_500_for_an_unparseable_answer_answers_the_invite_as_forwarded():
     ]
 
 
-def test_a_late_error_response_to_an_established_calls_invite_is_relayed_and_keeps_the_call():
+def test_a_late_error_response_to_an_established_calls_invite_is_dropped():
+    """Only a 2xx follows a 2xx (RFC 3261 §16.7 step 5)."""
     proxy = make_proxy()
     register_both(proxy)
     ack = establish_call(proxy)
     call = proxy.calls["call-1@local2.com"]
     ports = proxy.media.ports.copy()
+    events = record_events(proxy)
     invite = replace(ack, method=Method.INVITE, cseq_method=Method.INVITE)
     busy = build_response(invite, 486, "Busy Here")
-    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(busy), 2.0))
-    assert (conn, msg.status_code) == (B_CONN, 486)
+    assert proxy.handle_message(A_CONN, serialize_message(busy), 2.0) == []
+    assert events == [("stray_response", "486 for call-1@local2.com")]
     assert call.phase is Phase.ESTABLISHED
     assert proxy.media.ports == ports
 
@@ -589,8 +592,9 @@ def test_a_resent_answer_whose_description_will_not_parse_is_dropped_and_keeps_t
     assert parse_sdp(msg.body).media[0].port == call.media.a.rtp.port
 
 
-def test_a_call_acked_before_any_200_is_kept_by_an_answer_that_will_not_parse():
-    """The ACK established the call, so the proxy answers its INVITE no more."""
+def test_an_ack_before_any_200_is_dropped_and_a_bad_answer_still_gets_the_500():
+    """An ACK acknowledges a final response (RFC 3261 §17.1.1.3): one that
+    comes before any establishes nothing, so the caller still gets the 500."""
     proxy = make_proxy()
     register_both(proxy)
     _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
@@ -598,12 +602,16 @@ def test_a_call_acked_before_any_200_is_kept_by_an_answer_that_will_not_parse():
         fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
         contact=None,
     )
-    only_message(proxy.handle_message(B_CONN, serialize_message(ack), 1.1))
+    events = record_events(proxy)
+    assert proxy.handle_message(B_CONN, serialize_message(ack), 1.1) == []
+    assert events == [("stray_ack", "call-1@local2.com")]
     call = proxy.calls["call-1@local2.com"]
+    assert call.phase is Phase.INVITING and call.deadline == 1.0 + INVITE_GUARD
     answer = build_response(fwd_invite, 200, "OK", body=b"garbage", content_type="application/sdp")
-    assert proxy.handle_message(A_CONN, serialize_message(answer), 1.2) == []
-    assert call.phase is Phase.ESTABLISHED
-    assert len(proxy.media.ports) == 4
+    conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.2))
+    assert (conn, msg.status_code) == (B_CONN, 500)
+    assert call.phase is Phase.TERMINATED
+    assert proxy.media.ports == {} and proxy.media.pool.allocated_count == 0
 
 
 def test_a_resent_answer_that_will_not_parse_before_the_ack_is_dropped_and_keeps_the_call():
@@ -620,8 +628,95 @@ def test_a_resent_answer_that_will_not_parse_before_the_ack_is_dropped_and_keeps
     garbled = replace(answer, body=b"garbage")
     assert proxy.handle_message(A_CONN, serialize_message(garbled), 1.2) == []
     assert [event for event, _ in events] == ["bad_answer"]
-    assert call.phase is Phase.INVITING
+    assert call.phase is Phase.ESTABLISHED
     assert proxy.media.ports == ports
+
+
+def test_a_486_after_a_relayed_200_is_dropped_and_the_call_keeps_its_ports():
+    """Before the ACK too, only a 2xx follows a 2xx: the caller, who has its
+    200, goes on to ACK and send media to the ports it was given."""
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    answer = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
+    call = proxy.calls["call-1@local2.com"]
+    ports = proxy.media.ports.copy()
+    events = record_events(proxy)
+    busy = build_response(fwd_invite, 486, "Busy Here")
+    assert proxy.handle_message(A_CONN, serialize_message(busy), 1.2) == []
+    assert call.phase is Phase.ESTABLISHED
+    assert proxy.media.ports == ports
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    conn, _ = only_message(proxy.handle_message(B_CONN, serialize_message(ack), 1.3))
+    assert conn == A_CONN
+    assert events == [
+        ("stray_response", "486 for call-1@local2.com"),
+        ("call_established", "call-1@local2.com"),
+    ]
+    assert call.deadline is None and proxy.media.ports == ports
+
+
+def test_the_callers_own_200_is_dropped_and_its_ack_establishes_nothing():
+    """Only the callee answers the INVITE: a caller that answers its own and
+    ACKs that answer holds no relay ports past the call's deadline."""
+    proxy = make_proxy()
+    register_both(proxy)
+    pool_at_rest = proxy.media.pool.free_pairs()
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    events = record_events(proxy)
+    forged = build_response(
+        fwd_invite, 200, "OK", body=samples.sample_invite_body(), content_type="application/sdp",
+    )
+    assert proxy.handle_message(B_CONN, serialize_message(forged), 1.1) == []
+    ack = replace(
+        fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+        contact=None,
+    )
+    assert proxy.handle_message(B_CONN, serialize_message(ack), 1.2) == []
+    assert events == [
+        ("non_party_message", "200 from connection 2 for call-1@local2.com"),
+        ("stray_ack", "call-1@local2.com"),
+    ]
+    call = proxy.calls["call-1@local2.com"]
+    assert call.phase is Phase.INVITING and call.invite is not None
+    timeout = (B_CONN, serialize_message(build_response(fwd_invite, 408, "Request Timeout")))
+    assert proxy.tick(1.0 + INVITE_GUARD) == [timeout]
+    proxy.tick(1e6)
+    assert proxy.calls == {}
+    assert proxy.media.pool.free_pairs() == pool_at_rest
+
+
+def test_a_flood_of_invites_each_acked_at_once_holds_no_ports_past_the_deadline():
+    """One connection INVITEs and ACKs with no callee ever answering: the
+    ACKs establish nothing, so every call times out and the pool is whole."""
+    proxy = make_proxy()
+    register_both(proxy)
+    assert proxy.media.pool.pairs == 50  # two pairs a call: 25 calls fill it
+    forwarded = []
+    for n in range(25):
+        _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(f"flood-{n}"), 1.0))
+        ack = replace(
+            fwd_invite, method=Method.ACK, cseq_method=Method.ACK, body=b"", content_type=None,
+            contact=None,
+        )
+        assert proxy.handle_message(B_CONN, serialize_message(ack), 1.0) == []
+        forwarded.append(fwd_invite)
+    conn, msg = only_message(proxy.handle_message(B_CONN, invite_from_b("flood-25"), 1.0))
+    assert (conn, msg.status_code) == (B_CONN, 503)
+    assert proxy.tick(1.0 + INVITE_GUARD) == [
+        (B_CONN, serialize_message(build_response(invite, 408, "Request Timeout")))
+        for invite in forwarded
+    ]
+    proxy.tick(1e6)
+    assert proxy.calls == {}
+    assert len(proxy.media.pool.free_pairs()) == proxy.media.pool.pairs
+    assert proxy.media.ports == {}
 
 
 def tick_events(proxy, now, sends=()):
@@ -1038,6 +1133,8 @@ STRANGER = ("6.6.6.6", 666)
 ACCEPT = (200, "OK", samples.sample_invite_body())
 RINGING = (180, "Ringing", b"")
 MACHINE_ANSWERS = (ACCEPT, (486, "Busy Here", b""), (200, "OK", b"garbage"), RINGING)
+# Who answers an INVITE: mostly its callee, whose answer alone counts.
+ANSWERERS = ("callee", "callee", "callee", "caller")
 # Who sends a media packet to a leg: mostly its own party.
 MEDIA_SENDERS = ("party", "party", "party", "peer", "stranger")
 
@@ -1072,24 +1169,29 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         self.placed: list[PlacedCall] = []
         self.byes: list[tuple[int, SipMessage]] = []  # forwarded BYEs and who received them
 
-    def delivered(self, outbound: list) -> list:
+    def delivered(self, outbound: list, live=frozenset()) -> list:
         """Check that every message in ``outbound`` is addressed to an open
-        connection, and that no 404, 408 or 500 reaches a caller after a 200 to
-        the same INVITE (RFC 3261 §16.7 step 5); return it."""
+        connection, and that once a caller has a 200 to its INVITE no other
+        response to that INVITE reaches it (RFC 3261 §16.7 step 5): no 404,
+        408 or 500 of the proxy's own, and nothing at all while the call is
+        live, as the Call-IDs in ``live`` were when the step began; return it."""
         for dest, raw in outbound:
             assert dest in self.open
             msg = parse_message(raw)
-            if msg.cseq_method is not Method.INVITE:
+            if msg.is_request or msg.cseq_method is not Method.INVITE:
                 continue
             if msg.status_code == 200:
                 self.answered.add((dest, msg.call_id))
-            elif msg.status_code in (404, 408, 500):
-                assert (dest, msg.call_id) not in self.answered
+            elif (dest, msg.call_id) in self.answered:
+                assert msg.status_code not in (404, 408, 500) and msg.call_id not in live
         return outbound
 
     def send(self, conn, msg) -> list:
         raw = msg if isinstance(msg, bytes) else serialize_message(msg)
-        return self.delivered(self.proxy.handle_message(conn, raw, self.now))
+        live = {
+            call_id for call_id, call in self.proxy.calls.items() if call.phase is not Phase.TERMINATED
+        }
+        return self.delivered(self.proxy.handle_message(conn, raw, self.now), live)
 
     def close_conn(self, conn):
         self.open.remove(conn)
@@ -1125,13 +1227,16 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
         self.placed.append(PlacedCall(caller, dest, msg))
         return self.placed[-1]
 
-    def answer_call(self, call, answer):
+    def answer_call(self, call, answer, sender=None) -> list:
+        """``answer`` to ``call``'s INVITE from ``sender``, its callee unless given."""
         code, reason, body = answer
-        if call.callee in self.open:
-            self.send(
-                call.callee,
-                build_response(call.invite, code, reason, body=body, content_type="application/sdp"),
-            )
+        sender = call.callee if sender is None else sender
+        if sender not in self.open:
+            return []
+        return self.send(
+            sender,
+            build_response(call.invite, code, reason, body=body, content_type="application/sdp"),
+        )
 
     def ack_call(self, call):
         if call.caller in self.open:
@@ -1167,12 +1272,18 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
             self.answer_call(call, RINGING)
 
     @precondition(lambda self: self.placed)
-    @rule(data=st.data(), answer=st.sampled_from(MACHINE_ANSWERS))
-    def answer(self, data, answer):
+    @rule(
+        data=st.data(), answer=st.sampled_from(MACHINE_ANSWERS),
+        answerer=st.sampled_from(ANSWERERS),
+    )
+    def answer(self, data, answer, answerer):
         call = self.recent_call(data)
         state = self.proxy.calls.get(call.invite.call_id)
         established = state is not None and state.phase is Phase.ESTABLISHED
-        self.answer_call(call, answer)
+        sender = call.caller if answerer == "caller" else call.callee
+        outbound = self.answer_call(call, answer, sender)
+        if sender != call.callee:  # only the callee answers the INVITE
+            assert outbound == []
         if established:  # a late answer, of any kind, does not end the call
             assert state.phase is Phase.ESTABLISHED
 
@@ -1259,6 +1370,13 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
             for send in self.proxy.handle_media(relay_port.port, src, b"rtp"):
                 from_port = call_ports.get(send.from_port)  # handle_media releases no port
                 assert from_port is not None and send.to == from_port.latched
+
+    @invariant()
+    def only_an_inviting_call_keeps_its_invite_and_only_an_answered_one_is_established(self):
+        for call in self.proxy.calls.values():
+            assert (call.invite is not None) == (call.phase is Phase.INVITING)
+            if call.phase is Phase.ESTABLISHED:
+                assert (call.caller_conn, call.call_id) in self.answered
 
     @invariant()
     def every_pair_is_free_or_held_by_a_live_call(self):
