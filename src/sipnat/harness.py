@@ -56,7 +56,7 @@ class ScriptMismatch(Exception):
 
 SCRIPT_EVENTS = ("register", "idle", "call", "talk", "hangup")
 MAX_TALK_PACKETS = 65_536  # one RTP sequence number (16 bits) per packet
-MAX_IDLE_SECONDS = 86_400.0  # one day; idle sweeps once per virtual second
+MAX_STEP_SECONDS = 86_400.0  # an idle or a talk lasts at most a day: the clock sweeps every second
 MAX_EXTRA_CLIENTS = 255  # each sits behind its own NAT at 99.0.0.{1..255}
 
 
@@ -86,9 +86,9 @@ class ScriptEvent:
     def __post_init__(self) -> None:
         if self.kind not in SCRIPT_EVENTS:
             raise InvalidScenario(f"unknown script event: {self.kind!r}")
-        if not _is_number(self.seconds) or not 0 <= self.seconds <= MAX_IDLE_SECONDS:
+        if not _is_number(self.seconds) or not 0 <= self.seconds <= MAX_STEP_SECONDS:
             raise InvalidScenario(
-                f"idle needs 'seconds' in 0..{MAX_IDLE_SECONDS:g}, got {self.seconds!r}"
+                f"idle needs 'seconds' in 0..{MAX_STEP_SECONDS:g}, got {self.seconds!r}"
             )
         if type(self.packets) is not int or not 0 <= self.packets <= MAX_TALK_PACKETS:
             raise InvalidScenario(
@@ -96,6 +96,8 @@ class ScriptEvent:
             )
         if not _is_finite_positive(self.interval):
             raise InvalidScenario(f"talk needs a finite positive interval, got {self.interval!r} s")
+        if self.packets * self.interval > MAX_STEP_SECONDS:
+            raise InvalidScenario(f"talk lasts more than {MAX_STEP_SECONDS:g} s")
         if self.caller not in ("a", "b"):
             raise InvalidScenario(f"{self.kind} 'caller' must be 'a' or 'b', got {self.caller!r}")
         self.seconds = float(self.seconds)
@@ -343,13 +345,6 @@ def build_simulation(scenario: Scenario) -> SimContext:
     return SimContext(net, proxy, client_a, client_b, clients)
 
 
-def _sweep(ctx: SimContext) -> None:
-    ctx.net.protocol.tick(ctx.net.now)
-    ctx.net.flush_proxy()
-    for client in ctx.clients:
-        client.nat.expire(ctx.net.now)
-
-
 def execute_script(ctx: SimContext, scenario: Scenario) -> None:
     """Run the script sequentially, draining the event queue between steps."""
     net = ctx.net
@@ -359,15 +354,7 @@ def execute_script(ctx: SimContext, scenario: Scenario) -> None:
                 client.register()
             net.run()
         elif event.kind == "idle":
-            # One sweep per virtual second, run like a talk step: after
-            # everything due before it, never through the queue.
-            end = net.now + event.seconds
-            t = net.now + 1.0
-            while t <= end:
-                net.run_before(t)
-                _sweep(ctx)
-                t += 1.0
-            net.run_before(end)
+            net.run(net.now + event.seconds)
         elif event.kind == "call":
             caller, callee = (
                 (ctx.client_a, ctx.client_b) if event.caller == "a" else (ctx.client_b, ctx.client_a)
@@ -390,7 +377,7 @@ def execute_script(ctx: SimContext, scenario: Scenario) -> None:
                     a.send_rtcp()
                     b.send_rtcp()
                     rtcp_due = False
-                net.run_before(when)
+                net.run(when)
                 a.send_rtp(k)
                 b.send_rtp(k)
             if rtcp_due:

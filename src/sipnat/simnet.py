@@ -1,23 +1,23 @@
 """Single-threaded deterministic network: virtual clock, NATs, proxy, clients.
 
 Everything runs off one event queue (ties broken by insertion order), and
-every event enters it through ``SimNetwork.schedule_at``, except the steps of
-a script: ``harness.execute_script`` calls each talk's sends and each idle
-second's sweep itself, after ``SimNetwork.run_before`` has run everything due
-earlier, so the queue holds only messages and datagrams in flight however
-long the talk or the idle.  Each ``SimClient`` sits behind its own NAT, with
-its own signaling path to the proxy under the connection id ``add_client``
-gave it.  That path runs through ``ProxyProtocol``, the layer the socket
-service runs on, so the simulator's signaling is framed, queued and kept
-behind the one exception boundary as the service's is: a client's message
-goes in as its serialized bytes, what the proxy queues for a client comes
-out as one delivery, which the client frames into messages as the proxy
-frames its input, a delivery the NAT blocks closes the connection, and the
-harness ticks the layer.  TCP signaling is an ordered reliable stream
-whose NAT binding lasts while the connection does; UDP signaling (one
-whole message per datagram) and all media are per-datagram, so every hop
-consults the NAT filter and can be silently dropped.  No real time or real
-sockets are involved.
+every event enters it through ``SimNetwork.schedule_at``.  One loop,
+``SimNetwork.run``, runs the queue and, at each whole virtual second, the
+proxy's timers and every NAT's expiry, as ``ProxyService`` ticks once a
+second whatever the traffic; a script's steps act between its calls, so the
+queue holds only messages and datagrams in flight however long the step.
+Each ``SimClient`` sits behind its own NAT, with its own signaling path to
+the proxy under the connection id ``add_client`` gave it.  That path runs
+through ``ProxyProtocol``, the layer the socket service runs on, so the
+simulator's signaling is framed, queued and kept behind the one exception
+boundary as the service's is: a client's message goes in as its serialized
+bytes, what the proxy queues for a client comes out as one delivery, which
+the client frames into messages as the proxy frames its input, a delivery
+the NAT blocks closes the connection, and the clock ticks the layer.  TCP
+signaling is an ordered reliable stream whose NAT binding lasts while the
+connection does; UDP signaling (one whole message per datagram) and all
+media are per-datagram, so every hop consults the NAT filter and can be
+silently dropped.  No real time or real sockets are involved.
 
 The per-packet path builds no address.  An address is an ``(ip, port)``
 tuple, which a ``TransportAddress`` is too: the NAT's mapped source goes to
@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import count
+from math import inf
 from typing import Callable
 
 from .media_controller import RelaySend
@@ -93,6 +94,7 @@ class SimNetwork:
         self.events: list[LogEntry] = []
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = count()
+        self._sweep_at = 1.0  # the next whole second at which the clock sweeps
         self._clients: dict[int, SimClient] = {}  # by signaling connection id
         self._behind: dict[str, SimClient] = {}  # by its NAT's public IP
         proxy.set_event_hook(lambda event, detail: self.log("proxy", event, detail))
@@ -107,29 +109,37 @@ class SimNetwork:
             raise ValueError(f"cannot schedule at {when}, before the clock's {self.now}")
         heapq.heappush(self._queue, (when, next(self._seq), fn))
 
-    def run(self) -> None:
-        """Drain the queue, advancing the virtual clock event by event."""
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            when, _, fn = pop(queue)
-            self.now = when
-            fn()
+    def run(self, until: float = inf) -> None:
+        """Run every event due strictly before ``until``, then set the clock to it.
 
-    def run_before(self, when: float) -> None:
-        """Run every event due strictly before ``when``, then set the clock to it.
-
-        An event already queued for ``when`` itself runs after whatever the
-        caller does at ``when``, as if that had been queued first.
+        At each whole virtual second the clock reaches, it sweeps before any
+        event due then: the proxy's timers run, what they queue is sent, and
+        every NAT expires its idle bindings.  An event or a sweep due at
+        ``until`` itself runs after whatever the caller does at ``until``, as
+        if that had been queued first.  Without ``until`` the queue is
+        drained: the clock stays at the last event, and sweeps run only while
+        events remain.
         """
-        if when < self.now:
-            raise ValueError(f"cannot run to {when}, before the clock's {self.now}")
+        if not until >= self.now:  # a NaN would compare false for ever
+            raise ValueError(f"cannot run to {until}, before the clock's {self.now}")
         queue = self._queue
         pop = heapq.heappop
-        while queue and queue[0][0] < when:
-            self.now, _, fn = pop(queue)
-            fn()
-        self.now = when
+        sweep_at = self._sweep_at
+        while True:
+            limit = sweep_at if sweep_at < until else until
+            while queue and queue[0][0] < limit:
+                self.now, _, fn = pop(queue)
+                fn()
+            if limit == until or not queue and until == inf:
+                break
+            self.now = sweep_at
+            self.protocol.tick(sweep_at)
+            self.flush_proxy()
+            for client in self._clients.values():
+                client.nat.expire(sweep_at)
+            sweep_at = self._sweep_at = sweep_at + 1.0
+        if until != inf:
+            self.now = until
 
     def log(self, actor: str, event: str, detail: str = "") -> None:
         self.events.append(LogEntry(self.now, actor, event, detail))

@@ -75,6 +75,7 @@ def test_run_invalid_scenario_exit_2(tmp_path, capsys):
     bad_steps = [{"event": "idle", "seconds": value} for value in (float("inf"), float("nan"), True, -1, 86400.5, 1e12)]
     bad_steps += [{"event": "talk", "interval_ms": value} for value in (float("inf"), float("nan"), True, 0)]
     bad_steps += [{"event": "talk", "packets": value} for value in (True, -1, 65537, 70000, 5.0)]
+    bad_steps.append({"event": "talk", "packets": 2, "interval_ms": 1e11})  # 2e8 s of sweeps
     # A misspelt key is refused by name, not run with its default.
     assert main(["run", "--scenario", str(write_scenario(tmp_path, udp_binding_tll=5))]) == 2
     assert "'udp_binding_tll'" in capsys.readouterr().err

@@ -243,7 +243,7 @@ def test_signaling_address_rebound_to_the_same_port_is_announced_again():
     first = TransportAddress("198.51.100.1", 5000)
     assert parse_message(client.raw_received[-1]).via.received == first
     nat.outbound(TransportAddress("192.168.1.12", 5060), net.sip_addr, net.now, transport=UDP)
-    net.run_before(60.0)
+    net.run(60.0)
     nat.expire(net.now)
     client.proxy_send(client.raw_received[-1])
     net.run()
@@ -664,14 +664,70 @@ def test_the_clock_refuses_a_time_before_it_and_keeps_its_queue():
     net = SimNetwork(SipProxy(ProxyConfig(public_ip="203.0.113.1")))
     ran = []
     net.schedule_at(5.0, lambda: ran.append(net.now))
-    net.run_before(3.0)
+    net.run(3.0)
     with pytest.raises(ValueError, match="before the clock"):
         net.schedule_at(2.0, lambda: ran.append("late"))
     with pytest.raises(ValueError, match="before the clock"):
-        net.run_before(2.0)
+        net.run(2.0)
+    with pytest.raises(ValueError, match="before the clock"):
+        net.run(float("nan"))  # no comparison with a NaN is true: it would never end
     assert net.now == 3.0 and ran == []
     net.run()
     assert ran == [5.0]
+
+
+def recording_sweeps(net):
+    """Make ``net``'s sweeps append ("sweep", time) to the list returned."""
+    order = []
+    net.protocol.tick = lambda now: order.append(("sweep", now))
+    return order
+
+
+def test_the_clock_sweeps_at_every_whole_second_before_until_even_with_an_empty_queue():
+    net = SimNetwork(SipProxy(ProxyConfig(public_ip="203.0.113.1")))
+    order = recording_sweeps(net)
+    net.run(3.5)
+    assert order == [("sweep", 1.0), ("sweep", 2.0), ("sweep", 3.0)] and net.now == 3.5
+    net.run(4.0)  # a sweep due at until waits for the next call
+    assert len(order) == 3 and net.now == 4.0
+    net.run(4.5)
+    assert order[3:] == [("sweep", 4.0)] and net.now == 4.5
+
+
+def test_an_event_queued_for_a_sweeps_second_runs_after_that_sweep():
+    net = SimNetwork(SipProxy(ProxyConfig(public_ip="203.0.113.1")))
+    order = recording_sweeps(net)
+    net.schedule_at(2.0, lambda: order.append(("event", net.now)))
+    net.schedule_at(1.5, lambda: order.append(("event", net.now)))
+    net.run()  # a drain sweeps while events remain and stops at the last one
+    assert order == [("sweep", 1.0), ("event", 1.5), ("sweep", 2.0), ("event", 2.0)]
+    assert net.now == 2.0
+
+
+def test_a_drain_with_an_empty_queue_neither_sweeps_nor_moves_the_clock():
+    net = SimNetwork(SipProxy(ProxyConfig(public_ip="203.0.113.1")))
+    order = recording_sweeps(net)
+    net.run()
+    assert order == [] and net.now == 0.0
+    net.run(2.5)
+    net.run()
+    assert order == [("sweep", 1.0), ("sweep", 2.0)] and net.now == 2.5
+
+
+def test_the_proxys_timers_run_during_a_talk():
+    # An hour's talk outlives both registrations (3600 s, made at 0.002 s):
+    # the clock's sweep at 3601 drops them mid-talk, and the media, relayed
+    # on ports the call holds, still gets through.
+    script = [
+        ScriptEvent("register"),
+        ScriptEvent("call", caller="a"),
+        ScriptEvent("talk", packets=37_000, interval=0.1),
+        ScriptEvent("hangup", caller="a"),
+    ]
+    report = run_scenario(scenario(NatType.FULL_CONE, SYM, script=script))
+    expired = [(e["time"], e["detail"]) for e in report.events if e["event"] == "registration_expired"]
+    assert expired == [(3601.0, "sip:ClientA@local1.com"), (3601.0, "sip:ClientB@local2.com")]
+    assert report.outcome is Outcome.MEDIA_OK
 
 
 def test_a_finished_scenario_is_freed_without_the_cyclic_collector():
@@ -831,6 +887,7 @@ def test_invalid_scenarios_rejected(data):
         {"kind": "talk", "packets": True},
         {"kind": "talk", "interval": float("nan")},
         {"kind": "talk", "interval": float("inf")},
+        {"kind": "talk", "packets": 2, "interval": 43_200.5},  # a day and a second
         {"kind": "call", "caller": "c"},
         {"kind": "warp"},
     ],
@@ -845,6 +902,7 @@ def test_script_event_limits_are_inclusive():
     assert ScriptEvent("talk", packets=0).packets == 0
     assert ScriptEvent("idle", seconds=0).seconds == 0.0
     assert ScriptEvent("idle", seconds=86400).seconds == 86400.0
+    assert ScriptEvent("talk", packets=2, interval=43_200.0).interval == 43_200.0
 
 
 @pytest.mark.parametrize(
