@@ -19,7 +19,7 @@ def parse_digits(text: str, error: type[Exception], what: str) -> int:
 
     Raises ``error``, the caller's own parse error, for any other text and
     for more significant digits than ``int()`` converts; leading zeros are
-    free, as in ``MessageFramer``.
+    free.  The package reads every digit field through this one function.
     """
     # str.isdigit() alone accepts Unicode digits that int() rejects.
     if not (text.isascii() and text.isdigit()):

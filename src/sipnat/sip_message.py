@@ -5,14 +5,17 @@ hop, the mandatory header set (Via, From, To, Call-ID, CSeq) and an opaque
 body framed by Content-Length.  Unknown headers are preserved verbatim so
 that ``parse_message(serialize_message(m))`` is field-identical to ``m``.
 
-Input accepts CRLF or bare LF line endings and case-insensitive header
-names; output is always CRLF with canonical header capitalization.  Each
-header is read by one rule (RFC 3261 section 7.3), whether it arrives in the
-form this module writes or in any other form the rule accepts.
+Input accepts CRLF or bare LF line endings, case-insensitive header names
+and their compact forms (RFC 3261 section 7.3.3); output is always CRLF with
+canonical header names.  Each header is read by one rule (RFC 3261 section
+7.3), whether it arrives in the form this module writes or in any other form
+the rule accepts.
 
-``MessageFramer`` splits a TCP stream into messages at a cost linear in the
-bytes received, however the stream is cut: a peer that sends one byte at a
-time costs no more per byte than one that sends whole messages.
+``MessageFramer`` splits a TCP stream into messages by the Content-Length
+that ``parse_message`` reads, through one function, so the two never
+disagree on where a message ends.  Its cost is linear in the bytes
+received, however the stream is cut: a peer that sends one byte at a time
+costs no more per byte than one that sends whole messages.
 """
 
 from __future__ import annotations
@@ -145,13 +148,23 @@ class SipMessage:
 
 _VIA_RE = re.compile(r"^SIP/2\.0/(TCP|UDP)\s+([^;\s]+)\s*(;.*)?$")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$", re.ASCII)
-_FOLD_RE = re.compile(r"\n[ \t]")
-_CONTENT_LENGTH_RE = re.compile(rb"^content-length\s*:\s*(\d+)\s*$", re.I | re.M)
+_FOLD_RE = re.compile(r"\n([ \t].*)")
+# Each line, with the lines folded into it, that may be a Content-Length header.
+_CONTENT_LENGTH_LINE_RE = re.compile(r"\n((?:content-length|[\sl]).*(?:\n[ \t].*)*)", re.I)
 _METHODS = {m.value: m for m in Method}  # by wire name: cheaper than Method(name)
-# Headers other than Via that a message may carry at most once, by lower-case name.
-_KNOWN_HEADERS = frozenset(
-    ("from", "to", "call-id", "cseq", "contact", "content-type", "content-length")
-)
+# The one header table: each header parse_message reads, by every lower-case
+# name it may arrive under (RFC 3261 section 7.3.3 compact forms included).
+# Via aside, a message may carry each at most once.
+_HEADER_NAMES = {
+    "via": "via", "v": "via",
+    "from": "from", "f": "from",
+    "to": "to", "t": "to",
+    "call-id": "call-id", "i": "call-id",
+    "cseq": "cseq",
+    "contact": "contact", "m": "contact",
+    "content-type": "content-type", "c": "content-type",
+    "content-length": "content-length", "l": "content-length",
+}
 _MANDATORY_KNOWN = (("From", "from"), ("To", "to"), ("Call-ID", "call-id"), ("CSeq", "cseq"))
 
 
@@ -217,6 +230,32 @@ def _header_end(raw: bytes, start: int = 0) -> tuple[int, int] | None:
     return lf, lf + 2
 
 
+def _unfold(text: str) -> str:
+    """``text`` with each line that begins with SP or HT joined to the line
+    before it by one space (RFC 3261 section 7.3.1)."""
+    return _FOLD_RE.sub(lambda m: " " + m[1].strip(), text)
+
+
+def _content_length(head: str) -> int | None:
+    """The body length header section ``head`` (latin-1, start line first)
+    declares, None without a Content-Length header; each header is read as
+    ``parse_message`` reads it.  Raises ``MalformedHeader`` for a second
+    Content-Length and for one that is not digits."""
+    value = None
+    for m in _CONTENT_LENGTH_LINE_RE.finditer(head):
+        line = m[1]
+        if line[0] in " \t" and head.rfind("\n", 0, m.start()) != -1:
+            continue  # folded into the header before it
+        if "\n" in line:
+            line = _unfold(line.replace("\r\n", "\n"))
+        name, sep, text = line.partition(":")
+        if sep and _HEADER_NAMES.get(name.strip().lower()) == "content-length":
+            if value is not None:
+                raise MalformedHeader(f"duplicate {name.strip()} header")
+            value = text.strip()
+    return None if value is None else parse_digits(value, MalformedHeader, "Content-Length")
+
+
 def parse_message(raw: bytes) -> SipMessage:
     """Parse one complete SIP message (headers, blank line, body).
 
@@ -231,22 +270,11 @@ def parse_message(raw: bytes) -> SipMessage:
         raise MalformedStartLine("message has no blank line terminating the headers")
     header_end, body_start = split
     body = raw[body_start:]
-    text = raw[:header_end].decode("latin-1").replace("\r\n", "\n")
-    lines = text.split("\n")
-    start = lines[0].strip()
+    head = raw[:header_end].decode("latin-1")
+    first, _, headers = head.replace("\r\n", "\n").partition("\n")
+    start = first.strip()
     if not start:
         raise MalformedStartLine("empty start line")
-
-    # Unfold continuation lines (leading whitespace joins the previous header;
-    # right after the start line it does not, and the line stands alone).
-    if _FOLD_RE.search(text):
-        unfolded: list[str] = lines[:2]
-        for line in lines[2:]:
-            if line[:1] in (" ", "\t"):
-                unfolded[-1] += " " + line.strip()
-            else:
-                unfolded.append(line)
-        lines = unfolded
 
     method: Method | None = None
     request_uri: str | None = None
@@ -272,7 +300,8 @@ def parse_message(raw: bytes) -> SipMessage:
     via: ViaHeader | None = None
     known: dict[str, str] = {}
     extras: list[tuple[str, str]] = []
-    for line in lines[1:]:
+    # The line right after the start line stands alone, whatever it begins with.
+    for line in _unfold(headers).split("\n"):
         name, sep, value = line.partition(":")
         if not sep:
             if line.strip():
@@ -281,17 +310,17 @@ def parse_message(raw: bytes) -> SipMessage:
         name = name.strip()
         if not name:
             raise MalformedHeader(f"bad header line: {line!r}")
-        lname = name.lower()
-        if lname in _KNOWN_HEADERS:
-            if lname in known:
-                raise MalformedHeader(f"duplicate {name} header")
-            known[lname] = value.strip()
-        elif lname == "via":
+        key = _HEADER_NAMES.get(name.lower())
+        if key is None:
+            extras.append((name, value.strip()))
+        elif key == "via":
             if via is not None:
                 raise MalformedHeader("multiple Via headers are not supported")
             via = _parse_via(value.strip())
+        elif key in known:
+            raise MalformedHeader(f"duplicate {name} header")
         else:
-            extras.append((name, value.strip()))
+            known[key] = value.strip()  # Content-Length too, so a second is refused in line order
 
     if via is None:
         raise MissingMandatoryHeader("Via")
@@ -315,13 +344,9 @@ def parse_message(raw: bytes) -> SipMessage:
             f"CSeq method {cseq_method.value} does not match request method {method.value}"
         )
 
-    length = known.get("content-length")
-    if length is not None:
-        declared = parse_digits(length, MalformedHeader, "Content-Length")
-        if declared != len(body):
-            raise BodyLengthMismatch(
-                f"Content-Length {declared} but body has {len(body)} bytes"
-            )
+    declared = _content_length(head)
+    if declared is not None and declared != len(body):
+        raise BodyLengthMismatch(f"Content-Length {declared} but body has {len(body)} bytes")
 
     contact = known.get("contact")
     if contact is not None:
@@ -391,7 +416,11 @@ class MessageFramer:
 
     Framing rule: skip CR and LF where a message would start (RFC 3261
     section 7.5), read headers up to the blank line, then exactly
-    Content-Length body bytes (0 if the header is absent).
+    Content-Length body bytes (0 if the header is absent), Content-Length
+    read as ``parse_message`` reads it.  A Content-Length that is not
+    digits, or a second one, leaves where the message ends unknown, and a
+    stream cannot find its next message after that (RFC 3261 section
+    18.3), so it cannot be framed.
 
     The blank-line search resumes where the previous read's stopped, and
     each header section is searched for Content-Length once, however the
@@ -407,10 +436,11 @@ class MessageFramer:
         """Append stream bytes; return every complete raw message now available.
 
         Raises ``FramingError`` when the unframed tail is a header section
-        longer than ``MAX_HEADER_BYTES`` or declares a body longer than
-        ``MAX_BODY_BYTES``, but only from a call that framed no message, so
-        messages that arrived ahead of it are returned first.  A call that
-        raises keeps none of its bytes.
+        longer than ``MAX_HEADER_BYTES``, declares a body longer than
+        ``MAX_BODY_BYTES`` or has a Content-Length that cannot be read, but
+        only from a call that framed no message, so messages that arrived
+        ahead of it are returned first.  A call that raises keeps none of
+        its bytes.
         """
         buffer = self._buffer
         kept = len(buffer)
@@ -431,10 +461,13 @@ class MessageFramer:
                     scan = max(start, len(buffer) - 3)
                     break
                 header_end, body_start = split
-                length = _declared_length(buffer, start, header_end)
-                if length > MAX_BODY_BYTES:
+                try:
+                    length = _content_length(buffer[start:header_end].decode("latin-1")) or 0
+                    if length > MAX_BODY_BYTES:
+                        raise MalformedHeader("declared body exceeds maximum size")
+                except MalformedHeader as exc:  # where the message ends is unknown
                     if not messages:
-                        self._fail(kept, "declared body exceeds maximum size")
+                        self._fail(kept, str(exc))
                     break
                 total = body_start + length
             if len(buffer) < total:
@@ -451,18 +484,3 @@ class MessageFramer:
         del self._buffer[kept:]
         raise FramingError(reason)
 
-
-def _declared_length(buffer: bytearray, start: int, header_end: int) -> int:
-    """The Content-Length of the header section ``buffer[start:header_end]``,
-    0 if it has none, and past ``MAX_BODY_BYTES`` if it has ten significant digits or more."""
-    head = buffer[start:header_end].lower()
-    at = head.find(b"content-length")
-    m = None
-    while at != -1:
-        m = _CONTENT_LENGTH_RE.match(head, at)
-        if m:
-            break
-        at = head.find(b"content-length", at + 1)
-    digits = m.group(1).lstrip(b"0") if m else b""
-    # Ten digits are far past the cap, and int() refuses thousands of them.
-    return int(digits or b"0") if len(digits) < 10 else MAX_BODY_BYTES + 1

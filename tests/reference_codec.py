@@ -3,12 +3,16 @@
 ``parse_message``, its helpers, ``serialize_message`` and ``MessageFramer``
 are copied unchanged from the version that re-scanned the framer's whole
 buffer on each read and joined the wire text from a list of lines; it reads
-each header by the one rule the library reads it by.  Two things differ:
-``ViaHeader.render`` became the function ``render_via``, and a request line
-with an empty Request-URI is refused, as in the library.  The properties
-in ``test_sip_message.py`` require the library's codec to return what this one
-returns, raise the same error (class and text) where it raises, and write the
-same bytes.
+each header by the one rule the library reads it by.  Four things differ:
+``ViaHeader.render`` became the function ``render_via``; a request line
+with an empty Request-URI is refused, as in the library; header names may
+take their RFC 3261 compact forms; and the framer reads Content-Length by
+the parser's own header-line rule, so a second Content-Length, or one that
+is not digits, cannot be framed (the old framer took the first line its
+own regex matched, and framed any other as a message with no body).  The
+properties in ``test_sip_message.py`` require the library's codec to return
+what this one returns, raise the same error (class and text) where it
+raises, and write the same bytes.
 """
 
 from __future__ import annotations
@@ -32,13 +36,17 @@ from sipnat.sip_message import (
 
 _VIA_RE = re.compile(r"^SIP/2\.0/(TCP|UDP)\s+([^;\s]+)\s*(;.*)?$")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$", re.ASCII)
-_CONTENT_LENGTH_RE = re.compile(rb"^content-length\s*:\s*(\d+)\s*$", re.I | re.M)
 _METHODS = {m.value: m for m in Method}  # by wire name: cheaper than Method(name)
 # Headers other than Via that a message may carry at most once, by lower-case name.
 _KNOWN_HEADERS = frozenset(
     ("from", "to", "call-id", "cseq", "contact", "content-type", "content-length")
 )
 _MANDATORY_KNOWN = (("From", "from"), ("To", "to"), ("Call-ID", "call-id"), ("CSeq", "cseq"))
+# RFC 3261 section 7.3.3 compact forms, by lower-case name.
+_COMPACT = {
+    "i": "call-id", "f": "from", "t": "to", "m": "contact",
+    "l": "content-length", "c": "content-type", "v": "via",
+}
 
 
 def _parse_via(value: str) -> ViaHeader:
@@ -177,6 +185,7 @@ def parse_message(raw: bytes) -> SipMessage:
         if not name:
             raise MalformedHeader(f"bad header line: {line!r}")
         lname = name.lower()
+        lname = _COMPACT.get(lname, lname)
         if lname in _KNOWN_HEADERS:
             if lname in known:
                 raise MalformedHeader(f"duplicate {name} header")
@@ -262,12 +271,34 @@ def serialize_message(msg: SipMessage) -> bytes:
     return head + b"\r\n\r\n" + msg.body
 
 
+def _declared_length(head: bytes) -> int:
+    """The body length the header section ``head`` declares, 0 if it has no
+    Content-Length: each header line is found as parse_message finds it."""
+    lines = head.decode("latin-1").replace("\r\n", "\n").split("\n")
+    unfolded = lines[:2]
+    for line in lines[2:]:
+        if line[:1] in (" ", "\t"):
+            unfolded[-1] += " " + line.strip()
+        else:
+            unfolded.append(line)
+    values = []
+    for line in unfolded[1:]:
+        name, sep, value = line.partition(":")
+        lname = name.strip().lower()
+        if sep and _COMPACT.get(lname, lname) == "content-length":
+            if values:
+                raise FramingError(f"duplicate {name.strip()} header")
+            values.append(value.strip())
+    return parse_digits(values[0], FramingError, "Content-Length") if values else 0
+
+
 class MessageFramer:
     """Splits an ordered TCP byte stream into complete SIP messages.
 
     Framing rule: skip CR and LF where a message would start (RFC 3261
     section 7.5), read headers up to the blank line, then exactly
-    Content-Length body bytes (0 if the header is absent).
+    Content-Length body bytes (0 if the header is absent).  A second
+    Content-Length, or one that is not digits, cannot be framed.
     """
 
     def __init__(self) -> None:
@@ -293,13 +324,13 @@ class MessageFramer:
                     raise FramingError("header section exceeds maximum size")
                 break
             header_end, body_start = split
-            m = _CONTENT_LENGTH_RE.search(buffer[start:header_end])
-            digits = m.group(1).lstrip(b"0") if m else b""
-            # Ten digits are far past the cap, and int() refuses thousands of them.
-            length = int(digits or b"0") if len(digits) < 10 else MAX_BODY_BYTES + 1
-            if length > MAX_BODY_BYTES:
-                if not messages:
+            try:
+                length = _declared_length(buffer[start:header_end])
+                if length > MAX_BODY_BYTES:
                     raise FramingError("declared body exceeds maximum size")
+            except FramingError:
+                if not messages:
+                    raise
                 break
             total = body_start + length
             if len(buffer) < total:

@@ -135,6 +135,45 @@ def make_invite(
     return "\r\n".join(lines).encode() + b"\r\n" + body
 
 
+def compact_register() -> bytes:
+    """ClientA's REGISTER with every header that has one in its compact form
+    (RFC 3261 section 7.3.3), spaced and cased as RFC 4475's tortuous
+    messages space and case them."""
+    lines = [
+        "REGISTER sip:local1.com SIP/2.0",
+        "v: SIP/2.0/TCP 192.168.1.11;branch=z9hG4bKnashds7",
+        "f:ClientA <sip:ClientA@local1.com>;tag=a73kszlfl",
+        "T : ClientA <sip:ClientA@local1.com>",
+        "i: reg-ClientA@local1.com",
+        "CSeq: 1 REGISTER",
+        "m: <sip:ClientA@192.168.1.11>",
+        "L:0",
+        "",
+        "",
+    ]
+    return "\r\n".join(lines).encode()
+
+
+def compact_invite() -> bytes:
+    """ClientA's INVITE to ClientB in compact forms, its Content-Length (l)
+    folded onto a second line as RFC 4475 section 3.1.1.1 folds headers."""
+    body = sample_invite_body()
+    head = [
+        "INVITE sip:ClientB@local2.com SIP/2.0",
+        "v: SIP/2.0/TCP 192.168.1.11;branch=z9hG4bK74bf9",
+        "f: ClientA <sip:ClientA@local1.com>;tag=9fxced76sl",
+        "t: ClientB <sip:ClientB@local2.com>",
+        "i: 3848276298220188511@local1.com",
+        "CSeq: 1 INVITE",
+        "m: <sip:ClientA@192.168.1.11>",
+        "c: application/sdp",
+        "l:",
+        f"\t{len(body)}",
+        "",
+    ]
+    return "\r\n".join(head).encode() + b"\r\n" + body
+
+
 # -- random instance generators (seeded by the caller) ------------------------
 
 

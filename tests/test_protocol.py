@@ -189,6 +189,57 @@ def test_an_unframeable_stream_is_closed_after_the_messages_framed_ahead_of_it(c
     assert driver.layer.take_ready() == {}
 
 
+# 83 body bytes that read as the start of a message: a stream that kept them
+# after their head was handled would answer them as one.
+BODY_83 = samples.sample_invite_body()[:83]
+
+
+def register_b_with(head: bytes) -> bytes:
+    """ClientB's REGISTER with ``head`` for its Content-Length line and BODY_83 for its body."""
+    return REGISTER_B.replace(b"Content-Length: 0\r\n\r\n", head + b"\r\n\r\n" + BODY_83)
+
+
+@pytest.mark.parametrize(
+    "head", [b"Content-Length: abc", b"Content-Length: +83", b"Content-Length: 3\r\nContent-Length: 83"]
+)
+def test_a_content_length_that_cannot_be_read_closes_the_stream_and_nothing_after_it_is_answered(
+    head, caplog
+):
+    driver = Driver()
+    driver.received(B, register_b_with(head) + REGISTER_B)
+    assert driver.dropped == [B]
+    assert B not in driver.layer.outboxes and driver.written[B] == b""  # no 400 for BODY_83
+    assert driver.layer.proxy.registrar.live_aors() == []
+    # A valid message ahead of it in the same read is answered; the stream closes on the next read.
+    driver.received(A, REGISTER_A + register_b_with(head) + REGISTER_B)
+    assert [m.status_code for m in driver.messages(A)] == [200]
+    assert driver.dropped == [B]
+    driver.received(A, REGISTER_A)
+    assert driver.dropped == [B, A]
+    assert [m.status_code for m in driver.messages(A)] == [200]
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "unframeable stream on connection 2, closing",
+        "unframeable stream on connection 1, closing",
+    ]
+
+
+@pytest.mark.parametrize("head", [b"l: 83", b"\xa0Content-Length: 83"])
+def test_a_content_length_read_by_the_parsers_rule_frames_its_body(head):
+    driver = Driver()
+    driver.received(B, register_b_with(head) + REGISTER_B)
+    assert driver.dropped == []
+    assert [m.status_code for m in driver.messages(B)] == [200, 200]
+    assert driver.layer.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
+
+
+def test_a_register_in_compact_forms_is_registered():
+    driver = Driver()
+    driver.received(A, samples.compact_register())
+    (ok,) = driver.messages(A)
+    assert (ok.status_code, ok.call_id, ok.contact) == (200, "reg-ClientA@local1.com", "sip:ClientA@192.168.1.11")
+    assert driver.layer.proxy.registrar.live_aors() == ["sip:ClientA@local1.com"]
+
+
 def test_sent_reports_a_connection_the_layer_closed():
     driver = Driver()
     driver.received(A, UNFRAMEABLE)

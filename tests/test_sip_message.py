@@ -216,6 +216,34 @@ def test_headers_case_insensitive_and_lf_tolerated():
     assert serialize_message(msg).count(b"\r\n") >= 7  # canonical CRLF output
 
 
+def test_compact_forms_parse_as_their_long_forms():
+    register = parse_message(samples.compact_register())
+    assert register == parse_message(
+        samples.make_register().replace(
+            b"Via: SIP/2.0/TCP 192.168.1.11", b"Via: SIP/2.0/TCP 192.168.1.11;branch=z9hG4bKnashds7"
+        ).replace(b"From: ClientA <sip:ClientA@local1.com>", b"From: ClientA <sip:ClientA@local1.com>;tag=a73kszlfl")
+    )
+    invite = parse_message(samples.compact_invite())
+    assert (invite.call_id, invite.contact, invite.content_type) == (
+        "3848276298220188511@local1.com", "sip:ClientA@192.168.1.11", "application/sdp"
+    )
+    assert invite.body == samples.sample_invite_body()
+    assert invite.extra_headers == ()
+    # Written back in long form, and read back the same.
+    wire = serialize_message(invite)
+    assert b"\r\nCall-ID: 3848276298220188511@local1.com\r\n" in wire
+    assert parse_message(wire) == invite
+
+
+@pytest.mark.parametrize("long, compact", [("Content-Length", b"l"), ("Call-ID", b"i"), ("Via", b"v")])
+def test_a_header_and_its_compact_form_are_one_header(long, compact):
+    register = samples.make_register()
+    (line,) = [l for l in register.split(b"\r\n") if l.startswith(long.encode() + b":")]
+    raw = register.replace(line, line + b"\r\n" + compact + line[len(long) :], 1)
+    with pytest.raises(MalformedHeader, match="duplicate|multiple Via"):
+        parse_message(raw)
+
+
 def test_unknown_headers_round_trip():
     raw = samples.make_register().replace(
         b"CSeq: 1 REGISTER\r\n",
@@ -317,7 +345,10 @@ def mutated_samples(draw) -> bytes:
     """A sample message with one to three header bytes replaced, inserted or
     deleted.  Edits favour the bytes SIP's syntax turns on, at their own
     positions and as new bytes; a body edit would only break Content-Length."""
-    data = draw(st.sampled_from([samples.sample_invite(), samples.sample_answer(), samples.make_register()]))
+    data = draw(st.sampled_from([
+        samples.sample_invite(), samples.sample_answer(), samples.make_register(),
+        samples.compact_register(), samples.compact_invite(),
+    ]))
     for _ in range(draw(st.integers(1, 3))):
         end = data.find(b"\r\n\r\n")
         if end == -1:
@@ -391,7 +422,8 @@ def _outcome(function, argument, errors):
 
 # Each header parse_message reads has one rule for every form.  The first two
 # messages hold the forms serialize_message writes; the third holds other forms
-# of the same headers, so the sweep below covers both against the reference.
+# of the same headers and the fourth their compact names, so the sweep below
+# covers them all against the reference.
 _ONE_EDIT_MESSAGES = [
     "SIP/2.0 200 OK\r\nVia: SIP/2.0/TCP 127.0.0.1;branch=z9hG4bK1;received=127.0.0.1:5060\r\n"
     "From: <sip:a@h>;tag=1\r\nTo: <sip:b@h>\r\nCall-ID: c1\r\nCSeq: 1 INVITE\r\n"
@@ -402,6 +434,8 @@ _ONE_EDIT_MESSAGES = [
     "INVITE sip:b@h SIP/2.0\r\n via : SIP/2.0/TCP 10.0.0.1:5060 ; received=1.2.3.4:5 ; branch=z9hG4bK3 ; rport\r\n"
     "from  : <sip:a@h>;tag=1\r\nto:<sip:b@h>\r\ncall-id : c3\r\ncseq :3\tINVITE\r\n"
     "contact : \"A <a>; x\" <sip:a@10.0.0.1>;expires=60\r\ncontent-type : a/b\r\ncontent-length : 2\r\n\r\nhi",
+    "ACK sip:b@h SIP/2.0\r\nv: SIP/2.0/TCP 10.0.0.1\r\nf: <sip:a@h>;tag=1\r\nt: <sip:b@h>\r\n"
+    "i: c4\r\nCSeq: 4 ACK\r\nm: <sip:a@h>\r\nc: a/b\r\nl: 2\r\n\r\nhi",
 ]
 # Whitespace ASCII and not, separators, brackets, and a digit that int() reads but parse_digits refuses.
 _EDIT_TEXT = [" ", "\t", "\xa0", "\x85", ";", "=", ":", "<", ">", "\xb2", "0"]
@@ -544,7 +578,8 @@ def test_framer_frames_the_same_messages_however_the_stream_is_cut(case):
 
 
 # Stream pieces that sit at the framer's edges: blank lines, Content-Length
-# spelt loosely or past its cap, and a header section as long as its cap.
+# spelt loosely, in its compact form, twice, not as digits or past its cap,
+# and a header section as long as its cap.
 _FRAMER_PIECES = [
     b"\r\n",
     b"\n\n",
@@ -553,6 +588,11 @@ _FRAMER_PIECES = [
     b"\nX-Content-Length: 5\nContent-Length: 1\n\nz",
     b"\r\nContent-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1),
     b"\r\nContent-Length: " + b"9" * 12 + b"\r\n\r\n",
+    b"\r\nContent-Length: abc\r\n\r\n",
+    b"\r\nContent-Length: +3\r\n\r\nabc",
+    b"\r\nContent-Length: 3\r\nContent-Length: 83\r\n\r\nabc",
+    b"\r\n\xa0Content-Length: 3\r\n\r\nabc",
+    b"\r\nl: 3\r\n\r\nabc",
     b"X" * MAX_HEADER_BYTES,
 ]
 
@@ -576,6 +616,69 @@ def test_framer_matches_the_reference_codec_however_the_stream_is_cut(case):
     for i, j in zip([0, *cuts], [*cuts, len(stream)]):
         got = _outcome(framer.feed, stream[i:j], FramingError)
         assert got == _outcome(reference_framer.feed, stream[i:j], FramingError)
+
+
+def _is_a_content_length_error(error) -> bool:
+    text = error[1]
+    return error[0] is BodyLengthMismatch or bool(
+        re.match(r"bad Content-Length:|Content-Length too long:|duplicate (content-length|l) header", text, re.I)
+    )
+
+
+# Lines that stand in for a sample's Content-Length line.
+_CONTENT_LENGTH_LINES = [
+    b"Content-Length: abc",
+    b"Content-Length: +83",
+    b"Content-Length: 3\r\nContent-Length: 83",
+    b"\xa0Content-Length: 83",
+    b"l: 83",
+    b"L :\r\n\t3",
+    b"Content-Length:\r\n 8\r\n 3",
+    b"X-Content-Length: 3\r\ncontent-length: 0x3",
+]
+
+
+@st.composite
+def streams_with_a_content_length_edit(draw) -> bytes:
+    """A sample whose Content-Length line is replaced by one of the lines
+    above or by arbitrary text, then another sample."""
+    first, then = (
+        draw(st.sampled_from([samples.sample_invite(), samples.sample_answer(), samples.make_register()]))
+        for _ in range(2)
+    )
+    line = draw(st.sampled_from(_CONTENT_LENGTH_LINES) | st.binary(max_size=30))
+    return re.sub(rb"Content-Length: \d+", lambda _: line, first, count=1) + then
+
+
+@settings(max_examples=300)
+@given(streams_with_a_content_length_edit() | cut_streams_of_any_bytes().map(lambda case: case[0]))
+def test_the_parser_never_refuses_the_content_length_the_framer_framed_by(stream):
+    """Framer and parser read Content-Length by one rule, so a stream never
+    falls out of step with its messages: what the framer cuts out has the body
+    its Content-Length declares, or the stream cannot be framed."""
+    framed = _outcome(MessageFramer().feed, stream, FramingError)
+    for raw in framed if isinstance(framed, list) else ():
+        outcome = _outcome(parse_message, raw, SipParseError)
+        assert isinstance(outcome, SipMessage) or not _is_a_content_length_error(outcome), raw
+
+
+def test_framer_closes_a_stream_whose_content_length_it_cannot_read(invite_raw):
+    reg = samples.make_register()
+    for head in (b"Content-Length: abc", b"Content-Length: +3", b"Content-Length: 3\r\nContent-Length: 3"):
+        bad = reg.replace(b"Content-Length: 0", head).replace(b"\r\n\r\n", b"\r\n\r\nabc")
+        with pytest.raises(FramingError, match="Content-Length"):
+            MessageFramer().feed(bad + reg)
+        # Messages framed ahead of it come first; the next feed raises.
+        framer = MessageFramer()
+        assert framer.feed(invite_raw + bad + reg) == [invite_raw]
+        with pytest.raises(FramingError, match="Content-Length"):
+            framer.feed(b"")
+    # Read by the parser's rule: the compact form, and a name it strips.
+    for head in (b"l: 3", b"\xa0Content-Length: 3", b"Content-Length:\r\n 3"):
+        read = reg.replace(b"Content-Length: 0", head) + b"abc"
+        assert MessageFramer().feed(read + reg) == [read, reg]
+        assert parse_message(read).body == b"abc"
+    assert MessageFramer().feed(samples.compact_invite() + reg) == [samples.compact_invite(), reg]
 
 
 def test_framer_work_is_linear_in_the_bytes_fed_one_at_a_time():
