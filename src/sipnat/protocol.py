@@ -62,8 +62,8 @@ class ProxyProtocol:
         except FramingError:
             logger.warning("unframeable stream on connection %d, closing", conn)
             return self._drop(conn, now)
-        for raw in messages:
-            outbound = self._input(self.proxy.handle_message, conn, raw, now)
+        for raw, head in messages:
+            outbound = self._input(self.proxy.handle_message, conn, raw, now, head)
             if outbound is None:
                 return self._drop(conn, now)
             self._queue(outbound)

@@ -48,6 +48,7 @@ from .media_controller import MediaController, MediaSession, PoolExhausted, Rela
 from .net import TransportAddress, is_ipv4
 from .sdp import SdpError
 from .sip_message import (
+    HeaderSection,
     Method,
     SipMessage,
     SipParseError,
@@ -155,10 +156,12 @@ class SipProxy:
 
     # -- signaling -----------------------------------------------------------
 
-    def handle_message(self, conn: ConnectionId, raw: bytes, now: float) -> list[Outbound]:
+    def handle_message(
+        self, conn: ConnectionId, raw: bytes, now: float, head: HeaderSection | None = None
+    ) -> list[Outbound]:
         """Process one framed SIP message; returns messages to transmit."""
         try:
-            msg = parse_message(raw)
+            msg = parse_message(raw, head)
         except SipParseError as exc:
             self._on_event("malformed_message", str(exc))
             return self._forward(conn, _bad_request_for_garbage(str(exc)))

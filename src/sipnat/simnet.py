@@ -397,9 +397,9 @@ class SimClient:
             net.protocol.closed(self.conn_id, net.now)
             net.flush_proxy()
             return
-        for message in self._framer.feed(raw):
+        for message, head in self._framer.feed(raw):
             try:
-                msg = parse_message(message)
+                msg = parse_message(message, head)
             except SipParseError as exc:
                 net.log(self.name, "sip_unparseable", str(exc))
                 continue

@@ -11,9 +11,9 @@ canonical header names.  Each header is read by one rule (RFC 3261 section
 7.3), whether it arrives in the form this module writes or in any other form
 the rule accepts.
 
-``MessageFramer`` splits a TCP stream into messages by the Content-Length
-that ``parse_message`` reads, through one function, so the two never
-disagree on where a message ends.  Its cost is linear in the bytes
+``MessageFramer`` frames a TCP stream by the Content-Length that
+``parse_message``'s own pass over each header section reads, once, and
+hands the pass on with its message.  Its cost is linear in the bytes
 received, however the stream is cut: a peer that sends one byte at a time
 costs no more per byte than one that sends whole messages.
 """
@@ -148,9 +148,7 @@ class SipMessage:
 
 _VIA_RE = re.compile(r"^SIP/2\.0/(TCP|UDP)\s+([^;\s]+)\s*(;.*)?$")
 _CSEQ_RE = re.compile(r"^(\d+)\s+(\S+)$", re.ASCII)
-_FOLD_RE = re.compile(r"\n([ \t].*)")
-# Each line, with the lines folded into it, that may be a Content-Length header.
-_CONTENT_LENGTH_LINE_RE = re.compile(r"\n((?:content-length|[\sl]).*(?:\n[ \t].*)*)", re.I)
+_FOLD_RE = re.compile(r"\n([ \t].*)")  # a folded line (RFC 3261 section 7.3.1)
 _METHODS = {m.value: m for m in Method}  # by wire name: cheaper than Method(name)
 # The one header table: each header parse_message reads, by every lower-case
 # name it may arrive under (RFC 3261 section 7.3.3 compact forms included).
@@ -230,124 +228,139 @@ def _header_end(raw: bytes, start: int = 0) -> tuple[int, int] | None:
     return lf, lf + 2
 
 
-def _unfold(text: str) -> str:
-    """``text`` with each line that begins with SP or HT joined to the line
-    before it by one space (RFC 3261 section 7.3.1)."""
-    return _FOLD_RE.sub(lambda m: " " + m[1].strip(), text)
+@dataclass(slots=True)
+class HeaderSection:
+    """What one pass read of a message's header section (``_read_head``)."""
+
+    body_start: int  # where the message's body starts
+    error: SipParseError | None  # parse_message's first, unless it is the body's or Contact's
+    declared: int | None  # the body length Content-Length declares, None without one
+    length_error: MalformedHeader | None  # why that length cannot be read: the end is unknown
+    fields: tuple  # SipMessage's, from via to reason; read only without error
+    known: dict[str, str]  # the other headers of _HEADER_NAMES, by key
+    extras: tuple[tuple[str, str], ...]
 
 
-def _content_length(head: str) -> int | None:
-    """The body length header section ``head`` (latin-1, start line first)
-    declares, None without a Content-Length header; each header is read as
-    ``parse_message`` reads it.  Raises ``MalformedHeader`` for a second
-    Content-Length and for one that is not digits."""
-    value = None
-    for m in _CONTENT_LENGTH_LINE_RE.finditer(head):
-        line = m[1]
-        if line[0] in " \t" and head.rfind("\n", 0, m.start()) != -1:
-            continue  # folded into the header before it
-        if "\n" in line:
-            line = _unfold(line.replace("\r\n", "\n"))
-        name, sep, text = line.partition(":")
-        if sep and _HEADER_NAMES.get(name.strip().lower()) == "content-length":
-            if value is not None:
-                raise MalformedHeader(f"duplicate {name.strip()} header")
-            value = text.strip()
-    return None if value is None else parse_digits(value, MalformedHeader, "Content-Length")
-
-
-def parse_message(raw: bytes) -> SipMessage:
-    """Parse one complete SIP message (headers, blank line, body).
-
-    Raises a SipParseError subclass on any malformed input; never any other
-    exception, for arbitrary byte strings.
-    """
-    if not isinstance(raw, (bytes, bytearray)):
-        raise TypeError("raw message must be bytes")
-    raw = bytes(raw)
-    split = _header_end(raw)
-    if split is None:
-        raise MalformedStartLine("message has no blank line terminating the headers")
-    header_end, body_start = split
-    body = raw[body_start:]
-    head = raw[:header_end].decode("latin-1")
-    first, _, headers = head.replace("\r\n", "\n").partition("\n")
-    start = first.strip()
-    if not start:
-        raise MalformedStartLine("empty start line")
-
-    method: Method | None = None
-    request_uri: str | None = None
-    status_code: int | None = None
-    reason: str | None = None
-    if start.startswith("SIP/2.0"):
-        parts = start.split(" ", 2)
-        if len(parts) < 2 or parts[0] != "SIP/2.0":
-            raise MalformedStartLine(f"bad status line: {start!r}")
-        status_code = parse_digits(parts[1], MalformedStartLine, "status code")
-        if not 100 <= status_code <= 699:
-            raise MalformedStartLine(f"status code out of range: {status_code}")
-        reason = parts[2] if len(parts) > 2 else ""
-    else:
-        parts = start.split(" ")
-        if len(parts) != 3 or not parts[1] or parts[2] != "SIP/2.0":
-            raise MalformedStartLine(f"bad request line: {start!r}")
-        method = _METHODS.get(parts[0])
-        if method is None:
-            raise UnsupportedMethod(f"unsupported method: {parts[0]!r}")
-        request_uri = parts[1]
-
+def _read_head(text: str, body_start: int) -> HeaderSection:
+    """Read header section ``text`` (latin-1, start line first) in one pass,
+    which goes on past any line ``parse_message`` refuses, so the framer gets
+    Content-Length whatever else the section holds."""
+    first, _, headers = text.replace("\r\n", "\n").partition("\n")
+    errors: list[SipParseError] = []  # in the order parse_message checks
     via: ViaHeader | None = None
     known: dict[str, str] = {}
     extras: list[tuple[str, str]] = []
+    length_error: MalformedHeader | None = None
+    if "\n " in headers or "\n\t" in headers:
+        headers = _FOLD_RE.sub(lambda m: " " + m[1].strip(), headers)
     # The line right after the start line stands alone, whatever it begins with.
-    for line in _unfold(headers).split("\n"):
+    for line in headers.split("\n"):
         name, sep, value = line.partition(":")
-        if not sep:
-            if line.strip():
-                raise MalformedHeader(f"bad header line: {line!r}")
-            continue  # whitespace only
         name = name.strip()
-        if not name:
-            raise MalformedHeader(f"bad header line: {line!r}")
+        if not (sep and name):
+            if sep or name:
+                errors.append(MalformedHeader(f"bad header line: {line!r}"))
+            continue  # whitespace only
         key = _HEADER_NAMES.get(name.lower())
         if key is None:
             extras.append((name, value.strip()))
         elif key == "via":
-            if via is not None:
-                raise MalformedHeader("multiple Via headers are not supported")
-            via = _parse_via(value.strip())
+            try:
+                if via is not None:
+                    raise MalformedHeader("multiple Via headers are not supported")
+                via = _parse_via(value.strip())
+            except MalformedHeader as exc:
+                errors.append(exc)
         elif key in known:
-            raise MalformedHeader(f"duplicate {name} header")
+            errors.append(MalformedHeader(f"duplicate {name} header"))
+            if key == "content-length" and length_error is None:
+                length_error = errors[-1]
         else:
             known[key] = value.strip()  # Content-Length too, so a second is refused in line order
 
-    if via is None:
-        raise MissingMandatoryHeader("Via")
-    for header, key in _MANDATORY_KNOWN:
-        if key not in known:
-            raise MissingMandatoryHeader(header)
-    call_id = known["call-id"]
-    if not call_id:
-        raise MissingMandatoryHeader("Call-ID")
+    declared: int | None = None
+    if "content-length" in known and length_error is None:
+        try:
+            declared = parse_digits(known["content-length"], MalformedHeader, "Content-Length")
+        except MalformedHeader as exc:
+            length_error = exc
+    method = request_uri = status_code = reason = None
+    fields = ()
+    start = first.strip()
+    try:  # the start line's errors come first, and those that need every header line last
+        if not start:
+            raise MalformedStartLine("empty start line")
+        if start.startswith("SIP/2.0"):
+            parts = start.split(" ", 2)
+            if len(parts) < 2 or parts[0] != "SIP/2.0":
+                raise MalformedStartLine(f"bad status line: {start!r}")
+            status_code = parse_digits(parts[1], MalformedStartLine, "status code")
+            if not 100 <= status_code <= 699:
+                raise MalformedStartLine(f"status code out of range: {status_code}")
+            reason = parts[2] if len(parts) > 2 else ""
+        else:
+            parts = start.split(" ")
+            if len(parts) != 3 or not parts[1] or parts[2] != "SIP/2.0":
+                raise MalformedStartLine(f"bad request line: {start!r}")
+            method = _METHODS.get(parts[0])
+            if method is None:
+                raise UnsupportedMethod(f"unsupported method: {parts[0]!r}")
+            request_uri = parts[1]
 
-    cseq = known["cseq"]
-    m = _CSEQ_RE.match(cseq)
-    if not m:
-        raise MalformedHeader(f"bad CSeq header: {cseq!r}")
-    cseq_num = parse_digits(m.group(1), MalformedHeader, "CSeq number")
-    cseq_method = _METHODS.get(m.group(2))
-    if cseq_method is None:
-        raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
-    if method is not None and cseq_method is not method:
-        raise MalformedHeader(
-            f"CSeq method {cseq_method.value} does not match request method {method.value}"
-        )
+        if not errors:
+            if via is None:
+                raise MissingMandatoryHeader("Via")
+            for header, key in _MANDATORY_KNOWN:
+                if key not in known:
+                    raise MissingMandatoryHeader(header)
+            if not known["call-id"]:
+                raise MissingMandatoryHeader("Call-ID")
+            cseq = known["cseq"]
+            m = _CSEQ_RE.match(cseq)
+            if not m:
+                raise MalformedHeader(f"bad CSeq header: {cseq!r}")
+            cseq_num = parse_digits(m.group(1), MalformedHeader, "CSeq number")
+            cseq_method = _METHODS.get(m.group(2))
+            if cseq_method is None:
+                raise UnsupportedMethod(f"unsupported CSeq method: {m.group(2)!r}")
+            if method is not None and cseq_method is not method:
+                raise MalformedHeader(
+                    f"CSeq method {cseq_method.value} does not match request method {method.value}"
+                )
+            fields = (
+                via, known["from"], known["to"], known["call-id"], cseq_num, cseq_method,
+                method, request_uri, status_code, reason,
+            )
+    except SipParseError as exc:
+        errors.insert(0, exc)
+    if length_error is not None:
+        errors.append(length_error)  # checked last
+    error = errors[0] if errors else None
+    return HeaderSection(body_start, error, declared, length_error, fields, known, tuple(extras))
 
-    declared = _content_length(head)
-    if declared is not None and declared != len(body):
-        raise BodyLengthMismatch(f"Content-Length {declared} but body has {len(body)} bytes")
 
+def parse_message(raw: bytes, head: HeaderSection | None = None) -> SipMessage:
+    """Parse one complete SIP message (headers, blank line, body).
+
+    ``head`` is its header section as ``MessageFramer.feed`` read it, if it
+    was framed.  Raises a SipParseError subclass on any malformed input;
+    never any other exception, for arbitrary byte strings.
+    """
+    if head is None:
+        if not isinstance(raw, (bytes, bytearray)):
+            raise TypeError("raw message must be bytes")
+        raw = bytes(raw)
+        split = _header_end(raw)
+        if split is None:
+            raise MalformedStartLine("message has no blank line terminating the headers")
+        head = _read_head(raw[: split[0]].decode("latin-1"), split[1])
+    if head.error is not None:
+        raise head.error
+    body = raw[head.body_start :]
+    if head.declared is not None and head.declared != len(body):
+        raise BodyLengthMismatch(f"Content-Length {head.declared} but body has {len(body)} bytes")
+
+    known = head.known
     contact = known.get("contact")
     if contact is not None:
         contact = uri_of(contact)
@@ -356,11 +369,7 @@ def parse_message(raw: bytes) -> SipMessage:
         if "<" in contact or ">" in contact:
             raise MalformedHeader(f"bad Contact header: {known['contact']!r}")
     # Positional, in field order: about half the cost of keywords.
-    return SipMessage(
-        via, known["from"], known["to"], call_id, cseq_num, cseq_method,
-        method, request_uri, status_code, reason, contact,
-        known.get("content-type"), body, tuple(extras),
-    )
+    return SipMessage(*head.fields, contact, known.get("content-type"), body, head.extras)
 
 
 def serialize_message(msg: SipMessage) -> bytes:
@@ -416,41 +425,41 @@ class MessageFramer:
 
     Framing rule: skip CR and LF where a message would start (RFC 3261
     section 7.5), read headers up to the blank line, then exactly
-    Content-Length body bytes (0 if the header is absent), Content-Length
-    read as ``parse_message`` reads it.  A Content-Length that is not
-    digits, or a second one, leaves where the message ends unknown, and a
-    stream cannot find its next message after that (RFC 3261 section
-    18.3), so it cannot be framed.
+    Content-Length body bytes (0 if the header is absent), the header
+    section read by ``parse_message``'s own pass and handed on with its
+    message.  A Content-Length that is not digits, or a second one, leaves
+    where the message ends unknown, and a stream cannot find its next
+    message after that (RFC 3261 section 18.3), so it cannot be framed.
 
     The blank-line search resumes where the previous read's stopped, and
-    each header section is searched for Content-Length once, however the
-    stream is cut, so framing work is linear in the bytes received.
+    each header section is read once, however the stream is cut, so framing
+    work is linear in the bytes received.
     """
 
     def __init__(self) -> None:
         self._buffer = bytearray()
         self._scan = 0  # the blank-line search resumes here
-        self._total = 0  # end of the message whose headers are read, 0 if none
+        self._head: HeaderSection | None = None  # of the message whose body is arriving
 
-    def feed(self, data: bytes) -> list[bytes]:
-        """Append stream bytes; return every complete raw message now available.
+    def feed(self, data: bytes) -> list[tuple[bytes, HeaderSection]]:
+        """Append stream bytes; return each complete raw message now available, with its head.
 
         Raises ``FramingError`` when the unframed tail is a header section
         longer than ``MAX_HEADER_BYTES``, declares a body longer than
         ``MAX_BODY_BYTES`` or has a Content-Length that cannot be read, but
         only from a call that framed no message, so messages that arrived
         ahead of it are returned first.  A call that raises keeps none of
-        its bytes.
+        its bytes, and the framer keeps nothing of a message it returned.
         """
         buffer = self._buffer
         kept = len(buffer)
         buffer += data
-        messages: list[bytes] = []
+        messages: list[tuple[bytes, HeaderSection]] = []
         start = 0
         scan = self._scan
-        total = self._total
+        head = self._head
         while True:
-            if not total:
+            if head is None:
                 while start < len(buffer) and buffer[start] in (13, 10):  # CR, LF
                     start += 1
                 split = _header_end(buffer, max(start, scan))
@@ -461,26 +470,23 @@ class MessageFramer:
                     scan = max(start, len(buffer) - 3)
                     break
                 header_end, body_start = split
-                try:
-                    length = _content_length(buffer[start:header_end].decode("latin-1")) or 0
-                    if length > MAX_BODY_BYTES:
-                        raise MalformedHeader("declared body exceeds maximum size")
-                except MalformedHeader as exc:  # where the message ends is unknown
-                    if not messages:
-                        self._fail(kept, str(exc))
+                head = _read_head(buffer[start:header_end].decode("latin-1"), body_start - start)
+                if head.length_error is not None or (head.declared or 0) > MAX_BODY_BYTES:
+                    if not messages:  # where the message ends is unknown, or past the cap
+                        self._fail(kept, str(head.length_error or "declared body exceeds maximum size"))
+                    head = None  # read again by the next call, which raises
                     break
-                total = body_start + length
+            total = start + head.body_start + (head.declared or 0)
             if len(buffer) < total:
                 break
-            messages.append(bytes(buffer[start:total]))
+            messages.append((bytes(buffer[start:total]), head))
             start = total
-            total = 0
+            head = None
         del buffer[:start]
         self._scan = scan - start if scan > start else 0
-        self._total = total - start if total else 0
+        self._head = head
         return messages
 
     def _fail(self, kept: int, reason: str) -> None:
         del self._buffer[kept:]
         raise FramingError(reason)
-

@@ -210,8 +210,8 @@ def test_a_message_the_proxy_raises_on_closes_its_connection_and_the_next_send_o
     handle_message = SipProxy.handle_message
     failed = []
 
-    def raise_once(proxy, conn, raw, now):
-        outbound = handle_message(proxy, conn, raw, now)
+    def raise_once(proxy, conn, raw, now, head=None):
+        outbound = handle_message(proxy, conn, raw, now, head)
         if not failed:
             failed.append(conn)
             raise RuntimeError("proxy bug")
@@ -555,9 +555,9 @@ def test_wire_bytes_match_the_pinned_bytes(monkeypatch):
     digest = hashlib.sha256()
     handle_message = SipProxy.handle_message
 
-    def hashed_handle_message(proxy, conn, raw, now):
+    def hashed_handle_message(proxy, conn, raw, now, head=None):
         digest.update(repr((conn, now, raw)).encode())
-        outbound = handle_message(proxy, conn, raw, now)
+        outbound = handle_message(proxy, conn, raw, now, head)
         digest.update(repr(outbound).encode())
         return outbound
 

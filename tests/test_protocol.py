@@ -3,7 +3,7 @@ the outbox cap and the exception boundary."""
 
 import functools
 import logging
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 
 import pytest
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import samples
 from sipnat import protocol as protocol_module
+from sipnat import sip_message
 from sipnat.net import TransportAddress
 from sipnat.protocol import ProxyProtocol
 from sipnat.proxy import INVITE_GUARD, Phase, ProxyConfig, SipProxy
@@ -71,7 +72,7 @@ class Driver:
 
 
 def messages(stream: bytes):
-    return [parse_message(raw) for raw in MessageFramer().feed(stream)]
+    return [parse_message(raw, head) for raw, head in MessageFramer().feed(stream)]
 
 
 def call_script() -> list[tuple[int, bytes]]:
@@ -230,6 +231,55 @@ def test_a_content_length_read_by_the_parsers_rule_frames_its_body(head):
     assert driver.dropped == []
     assert [m.status_code for m in driver.messages(B)] == [200, 200]
     assert driver.layer.proxy.registrar.live_aors() == ["sip:ClientB@local2.com"]
+
+
+def count_header_reads(monkeypatch) -> Counter:
+    """Count each call, from here on, of the blank-line search and of the header-section pass."""
+    calls = Counter()
+
+    def count(name):
+        real = getattr(sip_message, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(sip_message, name, counted)
+
+    count("_header_end")
+    count("_read_head")
+    return calls
+
+
+def test_each_header_section_is_read_once_from_stream_to_proxy(monkeypatch):
+    # N whole messages in one read: N blank lines found, one search that finds
+    # none, and one pass over each header section, which the parser is handed.
+    apart = Driver()
+    for _ in range(4):
+        apart.received(A, REGISTER_A)
+    calls = count_header_reads(monkeypatch)
+    together = Driver()
+    together.received(A, REGISTER_A * 4)
+    assert calls == {"_header_end": 4 + 1, "_read_head": 4}
+    assert together.written == apart.written
+    assert [m.status_code for m in together.messages(A)] == [200] * 4
+
+
+def test_a_message_whose_body_arrives_in_a_later_read_is_read_once(monkeypatch):
+    invite = invite_from_b()
+    cut = len(invite) - 10
+    assert invite.index(b"\r\n\r\n") + 4 < cut  # inside the body
+    whole = ringing_driver()
+    split = Driver()
+    split.received(A, REGISTER_A)
+    split.received(B, REGISTER_B)
+    registered = {conn: bytes(raw) for conn, raw in split.written.items()}
+    calls = count_header_reads(monkeypatch)
+    split.received(B, invite[:cut])
+    assert split.written == registered
+    split.received(B, invite[cut:])
+    assert calls["_read_head"] == 1
+    assert split.written == whole.written
 
 
 def test_a_register_in_compact_forms_is_registered():

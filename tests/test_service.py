@@ -70,7 +70,7 @@ class TcpClient:
             if not chunk:
                 raise ConnectionError("peer closed")
             self.pending.extend(self.framer.feed(chunk))
-        return parse_message(self.pending.pop(0))
+        return parse_message(*self.pending.pop(0))
 
     def close(self):
         self.sock.close()
@@ -393,7 +393,7 @@ def message_raises(service, monkeypatch) -> list:
     """A REGISTER raises: its connection closes, with the REGISTER read behind it."""
     failed = fail_once(
         monkeypatch, service.proxy, "handle_message",
-        lambda conn, raw, now: parse_message(raw).call_id == "reg-ClientA@local1.com",
+        lambda conn, raw, now, head=None: parse_message(raw).call_id == "reg-ClientA@local1.com",
     )
     client = TcpClient(service.sip_port)
     client.send(

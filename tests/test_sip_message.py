@@ -482,18 +482,23 @@ def _assert_parses_like_the_reference(raw: bytes) -> None:
 # -- TCP framing ---------------------------------------------------------------
 
 
+def feed_raw(framer: MessageFramer, data: bytes) -> list[bytes]:
+    """The raw messages ``framer.feed(data)`` returns, without their header sections."""
+    return [raw for raw, _ in framer.feed(data)]
+
+
 def test_framer_byte_by_byte(invite_raw):
     framer = MessageFramer()
     out = []
     for i in range(len(invite_raw)):
-        out += framer.feed(invite_raw[i : i + 1])
+        out += feed_raw(framer, invite_raw[i : i + 1])
     assert out == [invite_raw]
 
 
 def test_framer_multiple_messages_one_chunk(invite_raw):
     reg = samples.make_register()
     framer = MessageFramer()
-    out = framer.feed(reg + invite_raw + reg)
+    out = feed_raw(framer, reg + invite_raw + reg)
     assert out == [reg, invite_raw, reg]
 
 
@@ -506,7 +511,7 @@ def test_framer_body_with_blank_lines():
         + body
     )
     framer = MessageFramer()
-    assert framer.feed(raw) == [raw]
+    assert feed_raw(framer, raw) == [raw]
     assert parse_message(raw).body == body
 
 
@@ -516,24 +521,24 @@ def test_framer_lf_only_messages():
         b"Call-ID: c\nCSeq: 1 REGISTER\nContent-Length: 2\n\nhi"
     )
     framer = MessageFramer()
-    assert framer.feed(raw) == [raw]
+    assert feed_raw(framer, raw) == [raw]
     # Framer and parser split at the same blank line, whatever the body holds.
     body = b"v=0\r\n\r\nrest"
     mixed = raw.replace(b"Content-Length: 2\n\nhi", b"Content-Length: %d\n\n" % len(body) + body)
-    assert framer.feed(mixed + raw[:10]) == [mixed]
+    assert feed_raw(framer, mixed + raw[:10]) == [mixed]
     assert parse_message(mixed).body == body
 
 
 def test_framer_header_overflow():
     framer = MessageFramer()
-    assert framer.feed(b"X" * MAX_HEADER_BYTES) == []
+    assert feed_raw(framer, b"X" * MAX_HEADER_BYTES) == []
     with pytest.raises(FramingError):
         framer.feed(b"X")
 
 
 def test_framer_returns_framed_messages_before_header_overflow(invite_raw):
     framer = MessageFramer()
-    assert framer.feed(invite_raw + b"X" * 70000) == [invite_raw]
+    assert feed_raw(framer, invite_raw + b"X" * 70000) == [invite_raw]
     with pytest.raises(FramingError):
         framer.feed(b"X")
 
@@ -542,16 +547,16 @@ def test_framer_ignores_crlf_where_a_message_would_start(invite_raw):
     reg = samples.make_register()
     framer = MessageFramer()
     # Before the first message, between messages, and alone (a double-CRLF keepalive).
-    assert framer.feed(b"\r\n" + reg + b"\r\n\r\n" + invite_raw) == [reg, invite_raw]
-    assert framer.feed(b"\r\n\r\n") == []
-    assert framer.feed(b"\n\r") == []
-    assert framer.feed(b"\r") == []
-    assert framer.feed(b"\n" + reg[:20]) == []
-    assert framer.feed(reg[20:]) == [reg]
+    assert feed_raw(framer, b"\r\n" + reg + b"\r\n\r\n" + invite_raw) == [reg, invite_raw]
+    assert feed_raw(framer, b"\r\n\r\n") == []
+    assert feed_raw(framer, b"\n\r") == []
+    assert feed_raw(framer, b"\r") == []
+    assert feed_raw(framer, b"\n" + reg[:20]) == []
+    assert feed_raw(framer, reg[20:]) == [reg]
     # CR and LF inside a message body are the body's.
     body = b"\r\n\r\n"
     raw = reg.replace(b"Content-Length: 0", b"Content-Length: 4") + body
-    assert framer.feed(raw + b"\r\n") == [raw]
+    assert feed_raw(framer, raw + b"\r\n") == [raw]
     assert parse_message(raw).body == body
 
 
@@ -571,10 +576,10 @@ def cut_streams(draw) -> tuple[list[bytes], bytes, list[int]]:
 @given(cut_streams())
 def test_framer_frames_the_same_messages_however_the_stream_is_cut(case):
     messages, stream, cuts = case
-    assert MessageFramer().feed(stream) == messages
+    assert feed_raw(MessageFramer(), stream) == messages
     framer = MessageFramer()
     pieces = [stream[i:j] for i, j in zip([0, *cuts], [*cuts, len(stream)])]
-    assert [m for piece in pieces for m in framer.feed(piece)] == messages
+    assert [m for piece in pieces for m in feed_raw(framer, piece)] == messages
 
 
 # Stream pieces that sit at the framer's edges: blank lines, Content-Length
@@ -614,7 +619,7 @@ def test_framer_matches_the_reference_codec_however_the_stream_is_cut(case):
     stream, cuts = case
     framer, reference_framer = MessageFramer(), reference.MessageFramer()
     for i, j in zip([0, *cuts], [*cuts, len(stream)]):
-        got = _outcome(framer.feed, stream[i:j], FramingError)
+        got = _outcome(lambda piece: feed_raw(framer, piece), stream[i:j], FramingError)
         assert got == _outcome(reference_framer.feed, stream[i:j], FramingError)
 
 
@@ -655,11 +660,14 @@ def streams_with_a_content_length_edit(draw) -> bytes:
 def test_the_parser_never_refuses_the_content_length_the_framer_framed_by(stream):
     """Framer and parser read Content-Length by one rule, so a stream never
     falls out of step with its messages: what the framer cuts out has the body
-    its Content-Length declares, or the stream cannot be framed."""
+    its Content-Length declares, or the stream cannot be framed.  Parsed from
+    the header section the framer read, each message is the one, or raises
+    the error (class and text), that parsing its bytes alone gives."""
     framed = _outcome(MessageFramer().feed, stream, FramingError)
-    for raw in framed if isinstance(framed, list) else ():
+    for raw, head in framed if isinstance(framed, list) else ():
         outcome = _outcome(parse_message, raw, SipParseError)
         assert isinstance(outcome, SipMessage) or not _is_a_content_length_error(outcome), raw
+        assert _outcome(lambda r: parse_message(r, head), raw, SipParseError) == outcome, raw
 
 
 def test_framer_closes_a_stream_whose_content_length_it_cannot_read(invite_raw):
@@ -670,15 +678,15 @@ def test_framer_closes_a_stream_whose_content_length_it_cannot_read(invite_raw):
             MessageFramer().feed(bad + reg)
         # Messages framed ahead of it come first; the next feed raises.
         framer = MessageFramer()
-        assert framer.feed(invite_raw + bad + reg) == [invite_raw]
+        assert feed_raw(framer, invite_raw + bad + reg) == [invite_raw]
         with pytest.raises(FramingError, match="Content-Length"):
             framer.feed(b"")
     # Read by the parser's rule: the compact form, and a name it strips.
     for head in (b"l: 3", b"\xa0Content-Length: 3", b"Content-Length:\r\n 3"):
         read = reg.replace(b"Content-Length: 0", head) + b"abc"
-        assert MessageFramer().feed(read + reg) == [read, reg]
+        assert feed_raw(MessageFramer(), read + reg) == [read, reg]
         assert parse_message(read).body == b"abc"
-    assert MessageFramer().feed(samples.compact_invite() + reg) == [samples.compact_invite(), reg]
+    assert feed_raw(MessageFramer(), samples.compact_invite() + reg) == [samples.compact_invite(), reg]
 
 
 def test_framer_work_is_linear_in_the_bytes_fed_one_at_a_time():
@@ -692,7 +700,7 @@ def test_framer_work_is_linear_in_the_bytes_fed_one_at_a_time():
     framed = []
     started = time.process_time()
     for i in range(len(message)):
-        framed += framer.feed(message[i : i + 1])
+        framed += feed_raw(framer, message[i : i + 1])
     elapsed = time.process_time() - started
     assert framed == [message]
     assert elapsed < 1.5, f"{len(message)} one-byte feeds took {elapsed:.2f} s"
@@ -703,9 +711,9 @@ def test_framer_bounds_the_declared_body(invite_raw):
     at_cap = head.replace(b"Content-Length:", b"X-Old-Length:") + b"\r\nContent-Length: %d\r\n\r\n"
     framer = MessageFramer()
     message = at_cap % MAX_BODY_BYTES + b"v" * MAX_BODY_BYTES
-    assert framer.feed(message) == [message]
+    assert feed_raw(framer, message) == [message]
     # Messages framed ahead of an oversized declaration come first; the next feed raises.
-    assert framer.feed(invite_raw + at_cap % (MAX_BODY_BYTES + 1)) == [invite_raw]
+    assert feed_raw(framer, invite_raw + at_cap % (MAX_BODY_BYTES + 1)) == [invite_raw]
     with pytest.raises(FramingError):
         framer.feed(b"")
     for declared in (b"999999999999", b"1" * 5000):
@@ -714,7 +722,7 @@ def test_framer_bounds_the_declared_body(invite_raw):
     # Leading zeros do not count against the cap.
     for zeros in (40, 5000):
         padded = at_cap.replace(b"%d", b"0" * zeros + b"2") + b"hi"
-        assert MessageFramer().feed(padded) == [padded]
+        assert feed_raw(MessageFramer(), padded) == [padded]
         assert parse_message(padded).body == b"hi"
 
 
