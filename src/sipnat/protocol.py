@@ -25,7 +25,7 @@ from .connection_manager import ConnectionId
 from .media_controller import RelaySend
 from .net import TransportAddress
 from .proxy import Outbound, SipProxy
-from .sip_message import FramingError, MessageFramer
+from .sip_message import MessageFramer
 
 logger = logging.getLogger(__name__)
 
@@ -57,16 +57,14 @@ class ProxyProtocol:
         framer = self._framers.get(conn)
         if framer is None:
             return False
-        try:
-            messages = framer.feed(data)
-        except FramingError:
-            logger.warning("unframeable stream on connection %d, closing", conn)
-            return self._drop(conn, now)
-        for raw, head in messages:
+        for raw, head in framer.feed(data):
             outbound = self._input(self.proxy.handle_message, conn, raw, now, head)
             if outbound is None:
                 return self._drop(conn, now)
             self._queue(outbound)
+        if framer.fault is not None:
+            logger.warning("unframeable stream on connection %d, closing", conn)
+            return self._drop(conn, now)
         return True
 
     def sent(self, conn: ConnectionId, n: int, now: float) -> bool:

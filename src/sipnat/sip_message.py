@@ -13,9 +13,11 @@ the rule accepts.
 
 ``MessageFramer`` frames a TCP stream by the Content-Length that
 ``parse_message``'s own pass over each header section reads, once, and
-hands the pass on with its message.  Its cost is linear in the bytes
-received, however the stream is cut: a peer that sends one byte at a time
-costs no more per byte than one that sends whole messages.
+hands the pass on with its message.  A stream it cannot frame gets the
+framer's verdict, ``fault``, from the read that reaches the fault, with the
+messages framed ahead of it.  Its cost is linear in the bytes received,
+however the stream is cut: a peer that sends one byte at a time costs no
+more per byte than one that sends whole messages.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ class Method(str, Enum):
     BYE = "BYE"
 
 
-class SipError(Exception):
-    """Base class for SIP codec failures."""
-
-
-class SipParseError(SipError):
+class SipParseError(Exception):
     """Base class for errors raised while parsing wire text."""
 
 
@@ -65,10 +63,6 @@ class UnsupportedMethod(SipParseError):
 
 class MalformedHeader(SipParseError):
     pass
-
-
-class FramingError(SipError):
-    """The TCP stream cannot be split into messages."""
 
 
 @dataclass(slots=True)
@@ -233,11 +227,12 @@ class HeaderSection:
     """What one pass read of a message's header section (``_read_head``)."""
 
     body_start: int  # where the message's body starts
-    error: SipParseError | None  # parse_message's first, unless it is the body's or Contact's
+    error: tuple[type[SipParseError], str] | None  # parse_message's first, unless the body's or Contact's
     declared: int | None  # the body length Content-Length declares, None without one
-    length_error: MalformedHeader | None  # why that length cannot be read: the end is unknown
+    length_error: str | None  # why that length cannot be read: the end is unknown
     fields: tuple  # SipMessage's, from via to reason; read only without error
-    known: dict[str, str]  # the other headers of _HEADER_NAMES, by key
+    contact: str | None  # as written, not yet the URI
+    content_type: str | None
     extras: tuple[tuple[str, str], ...]
 
 
@@ -246,11 +241,11 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
     which goes on past any line ``parse_message`` refuses, so the framer gets
     Content-Length whatever else the section holds."""
     first, _, headers = text.replace("\r\n", "\n").partition("\n")
-    errors: list[SipParseError] = []  # in the order parse_message checks
+    error = None  # parse_message's first, as (class, argument): an instance's traceback holds this frame
     via: ViaHeader | None = None
-    known: dict[str, str] = {}
+    known: dict[str, str] = {}  # the other headers of _HEADER_NAMES, by key
     extras: list[tuple[str, str]] = []
-    length_error: MalformedHeader | None = None
+    length_error: str | None = None
     if "\n " in headers or "\n\t" in headers:
         headers = _FOLD_RE.sub(lambda m: " " + m[1].strip(), headers)
     # The line right after the start line stands alone, whatever it begins with.
@@ -259,7 +254,7 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
         name = name.strip()
         if not (sep and name):
             if sep or name:
-                errors.append(MalformedHeader(f"bad header line: {line!r}"))
+                error = error or (MalformedHeader, f"bad header line: {line!r}")
             continue  # whitespace only
         key = _HEADER_NAMES.get(name.lower())
         if key is None:
@@ -270,11 +265,12 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
                     raise MalformedHeader("multiple Via headers are not supported")
                 via = _parse_via(value.strip())
             except MalformedHeader as exc:
-                errors.append(exc)
+                error = error or (MalformedHeader, str(exc))
         elif key in known:
-            errors.append(MalformedHeader(f"duplicate {name} header"))
-            if key == "content-length" and length_error is None:
-                length_error = errors[-1]
+            duplicate = f"duplicate {name} header"
+            error = error or (MalformedHeader, duplicate)
+            if key == "content-length":
+                length_error = length_error or duplicate
         else:
             known[key] = value.strip()  # Content-Length too, so a second is refused in line order
 
@@ -283,11 +279,11 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
         try:
             declared = parse_digits(known["content-length"], MalformedHeader, "Content-Length")
         except MalformedHeader as exc:
-            length_error = exc
+            length_error = str(exc)
     method = request_uri = status_code = reason = None
     fields = ()
     start = first.strip()
-    try:  # the start line's errors come first, and those that need every header line last
+    try:  # the start line's errors come before the header lines', and those that need every line after
         if not start:
             raise MalformedStartLine("empty start line")
         if start.startswith("SIP/2.0"):
@@ -307,7 +303,7 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
                 raise UnsupportedMethod(f"unsupported method: {parts[0]!r}")
             request_uri = parts[1]
 
-        if not errors:
+        if error is None:
             if via is None:
                 raise MissingMandatoryHeader("Via")
             for header, key in _MANDATORY_KNOWN:
@@ -331,12 +327,14 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
                 via, known["from"], known["to"], known["call-id"], cseq_num, cseq_method,
                 method, request_uri, status_code, reason,
             )
+    except MissingMandatoryHeader as exc:
+        error = (MissingMandatoryHeader, exc.header)
     except SipParseError as exc:
-        errors.insert(0, exc)
-    if length_error is not None:
-        errors.append(length_error)  # checked last
-    error = errors[0] if errors else None
-    return HeaderSection(body_start, error, declared, length_error, fields, known, tuple(extras))
+        error = (type(exc), str(exc))
+    if error is None and length_error is not None:
+        error = (MalformedHeader, length_error)  # checked last
+    contact, content_type = known.get("contact"), known.get("content-type")
+    return HeaderSection(body_start, error, declared, length_error, fields, contact, content_type, tuple(extras))
 
 
 def parse_message(raw: bytes, head: HeaderSection | None = None) -> SipMessage:
@@ -355,21 +353,21 @@ def parse_message(raw: bytes, head: HeaderSection | None = None) -> SipMessage:
             raise MalformedStartLine("message has no blank line terminating the headers")
         head = _read_head(raw[: split[0]].decode("latin-1"), split[1])
     if head.error is not None:
-        raise head.error
+        error, argument = head.error
+        raise error(argument)  # a fresh one, whose traceback holds no pass
     body = raw[head.body_start :]
     if head.declared is not None and head.declared != len(body):
         raise BodyLengthMismatch(f"Content-Length {head.declared} but body has {len(body)} bytes")
 
-    known = head.known
-    contact = known.get("contact")
+    contact = head.contact
     if contact is not None:
         contact = uri_of(contact)
         # No URI holds '<' or '>' (RFC 3986 section 2); a stray one in a bare
         # URI would come back as a different Contact once serialised.
         if "<" in contact or ">" in contact:
-            raise MalformedHeader(f"bad Contact header: {known['contact']!r}")
+            raise MalformedHeader(f"bad Contact header: {head.contact!r}")
     # Positional, in field order: about half the cost of keywords.
-    return SipMessage(*head.fields, contact, known.get("content-type"), body, head.extras)
+    return SipMessage(*head.fields, contact, head.content_type, body, head.extras)
 
 
 def serialize_message(msg: SipMessage) -> bytes:
@@ -429,7 +427,8 @@ class MessageFramer:
     section read by ``parse_message``'s own pass and handed on with its
     message.  A Content-Length that is not digits, or a second one, leaves
     where the message ends unknown, and a stream cannot find its next
-    message after that (RFC 3261 section 18.3), so it cannot be framed.
+    message after that (RFC 3261 section 18.3), so it cannot be framed:
+    ``fault`` then says why, and the framer frames nothing more.
 
     The blank-line search resumes where the previous read's stopped, and
     each header section is read once, however the stream is cut, so framing
@@ -440,19 +439,20 @@ class MessageFramer:
         self._buffer = bytearray()
         self._scan = 0  # the blank-line search resumes here
         self._head: HeaderSection | None = None  # of the message whose body is arriving
+        self.fault: str | None = None  # why the stream cannot be framed, once it cannot
 
     def feed(self, data: bytes) -> list[tuple[bytes, HeaderSection]]:
         """Append stream bytes; return each complete raw message now available, with its head.
 
-        Raises ``FramingError`` when the unframed tail is a header section
-        longer than ``MAX_HEADER_BYTES``, declares a body longer than
-        ``MAX_BODY_BYTES`` or has a Content-Length that cannot be read, but
-        only from a call that framed no message, so messages that arrived
-        ahead of it are returned first.  A call that raises keeps none of
-        its bytes, and the framer keeps nothing of a message it returned.
+        When the unframed tail is a header section longer than
+        ``MAX_HEADER_BYTES``, declares a body longer than ``MAX_BODY_BYTES``
+        or has a Content-Length that cannot be read, the call that reaches
+        it sets ``fault`` and returns the messages framed ahead of it.  The
+        framer keeps nothing of a message it returned.
         """
+        if self.fault is not None:
+            return []
         buffer = self._buffer
-        kept = len(buffer)
         buffer += data
         messages: list[tuple[bytes, HeaderSection]] = []
         start = 0
@@ -464,17 +464,15 @@ class MessageFramer:
                     start += 1
                 split = _header_end(buffer, max(start, scan))
                 if split is None:
-                    if len(buffer) - start > MAX_HEADER_BYTES and not messages:
-                        self._fail(kept, "header section exceeds maximum size")
+                    if len(buffer) - start > MAX_HEADER_BYTES:
+                        self.fault = "header section exceeds maximum size"
                     # A blank line may begin in the last three bytes searched.
                     scan = max(start, len(buffer) - 3)
                     break
                 header_end, body_start = split
                 head = _read_head(buffer[start:header_end].decode("latin-1"), body_start - start)
                 if head.length_error is not None or (head.declared or 0) > MAX_BODY_BYTES:
-                    if not messages:  # where the message ends is unknown, or past the cap
-                        self._fail(kept, str(head.length_error or "declared body exceeds maximum size"))
-                    head = None  # read again by the next call, which raises
+                    self.fault = head.length_error or "declared body exceeds maximum size"
                     break
             total = start + head.body_start + (head.declared or 0)
             if len(buffer) < total:
@@ -486,7 +484,3 @@ class MessageFramer:
         self._scan = scan - start if scan > start else 0
         self._head = head
         return messages
-
-    def _fail(self, kept: int, reason: str) -> None:
-        del self._buffer[kept:]
-        raise FramingError(reason)

@@ -9,7 +9,9 @@ with an empty Request-URI is refused, as in the library; header names may
 take their RFC 3261 compact forms; and the framer reads Content-Length by
 the parser's own header-line rule, so a second Content-Length, or one that
 is not digits, cannot be framed (the old framer took the first line its
-own regex matched, and framed any other as a message with no body).  The
+own regex matched, and framed any other as a message with no body), and
+a stream that cannot be framed sets ``fault`` in the read that reaches
+it, after the messages ahead of it, in place of raising.  The
 properties in ``test_sip_message.py`` require the library's codec to return
 what this one returns, raise the same error (class and text) where it
 raises, and write the same bytes.
@@ -24,7 +26,6 @@ from sipnat.sip_message import (
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
     BodyLengthMismatch,
-    FramingError,
     MalformedHeader,
     MalformedStartLine,
     Method,
@@ -287,9 +288,9 @@ def _declared_length(head: bytes) -> int:
         lname = name.strip().lower()
         if sep and _COMPACT.get(lname, lname) == "content-length":
             if values:
-                raise FramingError(f"duplicate {name.strip()} header")
+                raise MalformedHeader(f"duplicate {name.strip()} header")
             values.append(value.strip())
-    return parse_digits(values[0], FramingError, "Content-Length") if values else 0
+    return parse_digits(values[0], MalformedHeader, "Content-Length") if values else 0
 
 
 class MessageFramer:
@@ -303,15 +304,18 @@ class MessageFramer:
 
     def __init__(self) -> None:
         self._buffer = b""
+        self.fault: str | None = None  # why the stream cannot be framed, once it cannot
 
     def feed(self, data: bytes) -> list[bytes]:
         """Append stream bytes; return every complete raw message now available.
 
-        Raises ``FramingError`` when the unframed tail is a header section
-        longer than ``MAX_HEADER_BYTES`` or declares a body longer than
-        ``MAX_BODY_BYTES``, but only from a call that framed no message, so
-        messages that arrived ahead of it are returned first.
+        When the unframed tail is a header section longer than
+        ``MAX_HEADER_BYTES``, declares a body longer than ``MAX_BODY_BYTES``
+        or has a Content-Length that cannot be read, sets ``fault`` and
+        returns the messages ahead of it; frames nothing once ``fault`` is set.
         """
+        if self.fault is not None:
+            return []
         buffer = self._buffer + data
         messages: list[bytes] = []
         start = 0
@@ -320,17 +324,17 @@ class MessageFramer:
                 start += 1
             split = _header_end(buffer, start)
             if split is None:
-                if len(buffer) - start > MAX_HEADER_BYTES and not messages:
-                    raise FramingError("header section exceeds maximum size")
+                if len(buffer) - start > MAX_HEADER_BYTES:
+                    self.fault = "header section exceeds maximum size"
                 break
             header_end, body_start = split
             try:
                 length = _declared_length(buffer[start:header_end])
-                if length > MAX_BODY_BYTES:
-                    raise FramingError("declared body exceeds maximum size")
-            except FramingError:
-                if not messages:
-                    raise
+            except MalformedHeader as exc:
+                self.fault = str(exc)
+                break
+            if length > MAX_BODY_BYTES:
+                self.fault = "declared body exceeds maximum size"
                 break
             total = body_start + length
             if len(buffer) < total:

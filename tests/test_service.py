@@ -188,10 +188,25 @@ def test_an_unframeable_stream_is_closed_and_the_service_keeps_serving(service, 
     second = TcpClient(service.sip_port)
     second.send(samples.make_register("ClientB", "local2.com", HOST))
     assert second.recv_message().status_code == 200
+    # A REGISTER, then one whose Content-Length cannot be read, in one send, and
+    # then only reads: the read that reaches the fault closes the stream.
+    third = TcpClient(service.sip_port)
+    register_c = samples.make_register("ClientC", "local3.com", HOST)
+    third.send(register_c + register_c.replace(b"Content-Length: 0", b"Content-Length: abc"))
+    deadline = time.monotonic() + 2.0
+    with pytest.raises(ConnectionError):  # EOF; a stream left open times out instead
+        while True:  # a 200 comes only if the service read the first REGISTER on its own
+            assert third.recv_message(timeout=deadline - time.monotonic()).status_code == 200
+    second.send(samples.make_register("ClientB", "local2.com", HOST))
+    assert second.recv_message().status_code == 200
     logged = [(r.levelno, r.getMessage()) for r in caplog.records if r.levelno >= logging.WARNING]
-    assert logged == [(logging.WARNING, "unframeable stream on connection 1, closing")]
+    assert logged == [
+        (logging.WARNING, "unframeable stream on connection 1, closing"),
+        (logging.WARNING, "unframeable stream on connection 3, closing"),
+    ]
     first.close()
     second.close()
+    third.close()
 
 
 def test_signaling_sockets_disable_nagle(service):

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import time
@@ -14,7 +15,6 @@ from sipnat.sip_message import (
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
     BodyLengthMismatch,
-    FramingError,
     InvariantViolation,
     MalformedHeader,
     MalformedStartLine,
@@ -479,6 +479,35 @@ def _assert_parses_like_the_reference(raw: bytes) -> None:
         )
 
 
+def _refuse(raw: bytes, head=None) -> None:
+    try:
+        parse_message(raw, head)
+    except SipParseError:
+        return
+    raise AssertionError(f"parsed {raw!r}")
+
+
+def test_refused_messages_leave_no_garbage(invite_raw):
+    """A refused message leaves no reference cycle, so no garbage collection,
+    whether it is parsed from its bytes or from the head the framer read."""
+    refused = [
+        invite_raw.replace(b" SIP/2.0\r\n", b" SIP/3.0\r\n", 1),  # a bad start line
+        invite_raw.replace(b"\r\nCSeq:", b"\r\nno colon\r\nCSeq:", 1),  # a bad header line
+        invite_raw.replace(b"CSeq: 1 INVITE", b"CSeq: one INVITE"),  # a bad CSeq
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(1000):
+            raw = refused[i % len(refused)]
+            _refuse(raw)
+            ((framed, head),) = MessageFramer().feed(raw)
+            _refuse(framed, head)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # -- TCP framing ---------------------------------------------------------------
 
 
@@ -532,15 +561,17 @@ def test_framer_lf_only_messages():
 def test_framer_header_overflow():
     framer = MessageFramer()
     assert feed_raw(framer, b"X" * MAX_HEADER_BYTES) == []
-    with pytest.raises(FramingError):
-        framer.feed(b"X")
+    assert framer.fault is None
+    assert feed_raw(framer, b"X") == []
+    assert framer.fault == "header section exceeds maximum size"
 
 
 def test_framer_returns_framed_messages_before_header_overflow(invite_raw):
     framer = MessageFramer()
+    # The messages ahead of the fault come first, from the feed that reaches it.
     assert feed_raw(framer, invite_raw + b"X" * 70000) == [invite_raw]
-    with pytest.raises(FramingError):
-        framer.feed(b"X")
+    assert framer.fault == "header section exceeds maximum size"
+    assert feed_raw(framer, invite_raw) == []  # nothing after a fault is framed
 
 
 def test_framer_ignores_crlf_where_a_message_would_start(invite_raw):
@@ -614,13 +645,13 @@ def cut_streams_of_any_bytes(draw) -> tuple[bytes, list[int]]:
 @settings(max_examples=300)
 @given(cut_streams_of_any_bytes())
 def test_framer_matches_the_reference_codec_however_the_stream_is_cut(case):
-    """Each feed frames the same messages as the reference framer, or raises
-    FramingError, and no other error, where it does."""
+    """Each feed frames the same messages as the reference framer, and sets
+    the same fault, with the same reason, in the same feed."""
     stream, cuts = case
     framer, reference_framer = MessageFramer(), reference.MessageFramer()
     for i, j in zip([0, *cuts], [*cuts, len(stream)]):
-        got = _outcome(lambda piece: feed_raw(framer, piece), stream[i:j], FramingError)
-        assert got == _outcome(reference_framer.feed, stream[i:j], FramingError)
+        got = feed_raw(framer, stream[i:j]), framer.fault
+        assert got == (reference_framer.feed(stream[i:j]), reference_framer.fault)
 
 
 def _is_a_content_length_error(error) -> bool:
@@ -663,8 +694,7 @@ def test_the_parser_never_refuses_the_content_length_the_framer_framed_by(stream
     its Content-Length declares, or the stream cannot be framed.  Parsed from
     the header section the framer read, each message is the one, or raises
     the error (class and text), that parsing its bytes alone gives."""
-    framed = _outcome(MessageFramer().feed, stream, FramingError)
-    for raw, head in framed if isinstance(framed, list) else ():
+    for raw, head in MessageFramer().feed(stream):
         outcome = _outcome(parse_message, raw, SipParseError)
         assert isinstance(outcome, SipMessage) or not _is_a_content_length_error(outcome), raw
         assert _outcome(lambda r: parse_message(r, head), raw, SipParseError) == outcome, raw
@@ -672,15 +702,20 @@ def test_the_parser_never_refuses_the_content_length_the_framer_framed_by(stream
 
 def test_framer_closes_a_stream_whose_content_length_it_cannot_read(invite_raw):
     reg = samples.make_register()
-    for head in (b"Content-Length: abc", b"Content-Length: +3", b"Content-Length: 3\r\nContent-Length: 3"):
+    for head, fault in (
+        (b"Content-Length: abc", "bad Content-Length: 'abc'"),
+        (b"Content-Length: +3", "bad Content-Length: '+3'"),
+        (b"Content-Length: 3\r\nContent-Length: 3", "duplicate Content-Length header"),
+    ):
         bad = reg.replace(b"Content-Length: 0", head).replace(b"\r\n\r\n", b"\r\n\r\nabc")
-        with pytest.raises(FramingError, match="Content-Length"):
-            MessageFramer().feed(bad + reg)
-        # Messages framed ahead of it come first; the next feed raises.
+        framer = MessageFramer()
+        assert feed_raw(framer, bad + reg) == []
+        assert framer.fault == fault
+        # Messages framed ahead of it come first, from the feed that reaches it.
         framer = MessageFramer()
         assert feed_raw(framer, invite_raw + bad + reg) == [invite_raw]
-        with pytest.raises(FramingError, match="Content-Length"):
-            framer.feed(b"")
+        assert framer.fault == fault
+        assert feed_raw(framer, reg) == []
     # Read by the parser's rule: the compact form, and a name it strips.
     for head in (b"l: 3", b"\xa0Content-Length: 3", b"Content-Length:\r\n 3"):
         read = reg.replace(b"Content-Length: 0", head) + b"abc"
@@ -712,13 +747,16 @@ def test_framer_bounds_the_declared_body(invite_raw):
     framer = MessageFramer()
     message = at_cap % MAX_BODY_BYTES + b"v" * MAX_BODY_BYTES
     assert feed_raw(framer, message) == [message]
-    # Messages framed ahead of an oversized declaration come first; the next feed raises.
+    # Messages framed ahead of an oversized declaration come first, from the feed that reaches it.
     assert feed_raw(framer, invite_raw + at_cap % (MAX_BODY_BYTES + 1)) == [invite_raw]
-    with pytest.raises(FramingError):
-        framer.feed(b"")
-    for declared in (b"999999999999", b"1" * 5000):
-        with pytest.raises(FramingError):
-            MessageFramer().feed(at_cap.replace(b"%d", declared))
+    assert framer.fault == "declared body exceeds maximum size"
+    for declared, fault in (
+        (b"999999999999", "declared body exceeds maximum size"),
+        (b"1" * 5000, "Content-Length too long: 5000 digits"),
+    ):
+        framer = MessageFramer()
+        assert feed_raw(framer, at_cap.replace(b"%d", declared)) == []
+        assert framer.fault == fault
     # Leading zeros do not count against the cap.
     for zeros in (40, 5000):
         padded = at_cap.replace(b"%d", b"0" * zeros + b"2") + b"hi"
