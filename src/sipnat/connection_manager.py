@@ -67,8 +67,12 @@ class ConnectionManager:
         """Create or replace the registration for the message's To URI."""
         if msg.method is not Method.REGISTER:
             raise MalformedRegister(f"expected REGISTER, got {msg.method}")
-        if not msg.contact:
+        contact = uri_of(msg.contact or "")
+        if not contact:
             raise MalformedRegister("REGISTER without Contact header")
+        # No URI holds '<' or '>' (RFC 3986 section 2): the 200 could not name it.
+        if "<" in contact or ">" in contact:
+            raise MalformedRegister(f"bad Contact header: {msg.contact!r}")
         aor = aor_of(msg.to_)
         registration = Registration(
             aor=aor,

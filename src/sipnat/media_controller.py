@@ -2,8 +2,12 @@
 
 Each call gets two even/odd port pairs on the relay's public address, one
 pair per leg.  A client sends all of its media to its own leg's relay
-ports; the first packet received there latches the client's public source
-address for good, and packets from any other source are dropped.
+ports; the first packet received there from the client's signalling IP
+latches its source address for good, and packets from any other source are
+dropped, so a stranger that sends first cannot take the port (RTP Bleed).
+A client whose media leaves from another public IP than its signalling
+never latches: its peer's packets wait in the peer port's buffer, and are
+dropped past ``BUFFER_CAP`` or when the call ends.
 Forwarded packets are always emitted from the destination leg's relay port,
 which is exactly the address that leg is already sending to, so restrictive
 NATs accept them.
@@ -97,11 +101,11 @@ class RelayPort:
     """
 
     port: int
+    party_ip: str  # the signalling IP of the leg's party: the only IP that latches
     peer: RelayPort | None = field(default=None, repr=False)  # same kind, other leg; None once released
     latched: tuple[str, int] | None = None  # the client's public source address
     buffer: tuple[bytes, ...] = ()  # waiting for the peer to latch, oldest first; empty: the shared ()
     received: int = 0
-    received_bytes: int = 0
     forwarded: int = 0
     flushed: int = 0
     dropped: int = 0
@@ -153,8 +157,9 @@ class MediaController:
         # Every allocated relay port, of every live session.
         self.ports: dict[int, RelayPort] = {}
 
-    def allocate_session(self, call_id: str) -> MediaSession:
-        """Reserve both legs' port pairs; nothing is signaled to any client."""
+    def allocate_session(self, call_id: str, a_ip: str, b_ip: str) -> MediaSession:
+        """Reserve both legs' port pairs, for the caller at signalling IP
+        ``a_ip`` and the callee at ``b_ip``; nothing is signaled to any client."""
         if call_id in self.sessions:
             raise DuplicateCall(call_id)
         a_ports = self.pool.allocate_pair()
@@ -163,8 +168,8 @@ class MediaController:
         except PoolExhausted:
             self.pool.release_pair(a_ports[0])
             raise
-        a = LegState(*map(RelayPort, a_ports))
-        b = LegState(*map(RelayPort, b_ports))
+        a = LegState(*(RelayPort(port, a_ip) for port in a_ports))
+        b = LegState(*(RelayPort(port, b_ip) for port in b_ports))
         for ours, theirs in ((a.rtp, b.rtp), (a.rtcp, b.rtcp)):
             ours.peer, theirs.peer = theirs, ours
             self.ports[ours.port] = ours
@@ -184,23 +189,22 @@ class MediaController:
     ) -> RelayDecision:
         """Latch, then forward, buffer or drop one packet on a relay port.
 
-        The first packet on a relay port latches ``src`` as that leg's
-        public address for that kind (RTP and RTCP latch independently), and
-        a packet from any other source is dropped.  A packet from the latched
-        source forwards once the peer port has latched too, and waits in the
-        port's buffer until then.  Forwarded packets are emitted from the
-        peer leg's relay port.
+        The first packet on a relay port from its party's signalling IP
+        latches ``src`` as that leg's public address for that kind (RTP and
+        RTCP latch independently), and a packet from any other source is
+        dropped.  A packet from the latched source forwards once the peer
+        port has latched too, and waits in the port's buffer until then.
+        Forwarded packets are emitted from the peer leg's relay port.
         """
         here = self.ports.get(relay_port)
         if here is None:
             return RelayDecision("drop", "unknown_port")
         here.received += 1
-        here.received_bytes += len(datagram)
         peer = here.peer
         latched = here.latched
         if latched == src:
             sends: list[RelaySend] = []
-        elif latched is None:
+        elif latched is None and src[0] == here.party_ip:
             here.latched = src
             # The peer's queued packets were waiting for this address.
             sends = [RelaySend(here.port, src, queued) for queued in peer.buffer]

@@ -69,13 +69,5 @@ class TransportAddress(NamedTuple("TransportAddress", [("ip", str), ("port", int
         if not 1 <= self.port <= 65535:
             raise ValueError(f"port out of range: {self.port}")
 
-    @classmethod
-    def parse(cls, text: str) -> "TransportAddress":
-        """Parse ``"ip:port"`` into an address, raising ValueError otherwise."""
-        host, sep, port_text = text.partition(":")
-        if not sep:
-            raise ValueError(f"expected ip:port, got {text!r}")
-        return cls(host, parse_digits(port_text, ValueError, "port"))
-
     def __str__(self) -> str:
         return f"{self.ip}:{self.port}"

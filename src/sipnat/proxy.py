@@ -2,7 +2,11 @@
 
 REGISTER binds the client to the TCP connection it arrived on; the media
 controller rewrites the session description of an INVITE and of its answer
-to relay ports before forwarding; BYE tears the relay session down.
+to relay ports before forwarding; BYE tears the relay session down.  Each
+request's Via is stamped with the address its connection comes from: any
+``received`` or ``rport`` parameter goes, and ``received=<ip>;rport=<port>``
+follows the rest (RFC 3261 §18.2.1, RFC 3581 §4).  Each leg of a call's
+relay latches only from its party's signalling IP.
 Request failures come back as SIP error responses, never silence.  Only
 the call's two connections act on it, and only its callee answers the
 INVITE: a BYE from any other connection gets 481, any other ACK or
@@ -56,6 +60,7 @@ from .sip_message import (
     build_response,
     parse_message,
     serialize_message,
+    uri_of,
 )
 
 Outbound = tuple[ConnectionId, bytes]
@@ -168,8 +173,11 @@ class SipProxy:
 
         if msg.is_request:
             source = self._conn_remote.get(conn)
-            if source is not None:
-                msg.via.received = source  # msg and its Via were parsed just above: ours to change
+            if source is not None:  # msg and its Via were parsed just above: ours to change
+                msg.via.params = (
+                    *[p for p in msg.via.params if p[0].lower() not in ("received", "rport")],
+                    ("received", source.ip), ("rport", str(source.port)),
+                )
             if msg.method is Method.REGISTER:
                 return self._on_register(conn, msg, now)
             if msg.method is Method.INVITE:
@@ -189,7 +197,7 @@ class SipProxy:
         except MalformedRegister as exc:
             return self._reply(conn, msg, 400, f"Bad Request ({exc})")
         self._on_event("registered", f"{registration.aor} on connection {conn}")
-        return self._forward(conn, build_response(msg, 200, "OK", contact=msg.contact))
+        return self._forward(conn, build_response(msg, 200, "OK", contact=f"<{uri_of(msg.contact)}>"))
 
     def _on_invite(self, conn: ConnectionId, msg: SipMessage, now: float) -> list[Outbound]:
         call_id = msg.call_id
@@ -204,7 +212,9 @@ class SipProxy:
         session: MediaSession | None = None
         if self.config.media_relay:
             try:
-                session = self.media.allocate_session(call_id)
+                session = self.media.allocate_session(
+                    call_id, self._conn_remote[conn].ip, self._conn_remote[callee_conn].ip
+                )
                 # msg was parsed in handle_message: ours to change
                 msg.body = self.media.relay_description(session.b, msg.body)
             except PoolExhausted:

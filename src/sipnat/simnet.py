@@ -314,7 +314,8 @@ class SimClient:
         if cseq_num is None:
             self._cseq += 1
             cseq_num = self._cseq
-        via = ViaHeader(transport=self.transport.upper(), sent_by=self.sip_addr.ip, branch=branch)
+        params = () if branch is None else (("branch", branch),)
+        via = ViaHeader(self.transport.upper(), self.sip_addr.ip, params)
         msg = SipMessage(
             via=via,
             from_=self.name_addr,
@@ -334,7 +335,7 @@ class SimClient:
             f"sip:{self.domain}",
             self.name_addr,
             f"reg-{self.user}@{self.domain}",
-            contact=f"sip:{self.user}@{self.sip_addr.ip}",
+            contact=f"<sip:{self.user}@{self.sip_addr.ip}>",
         )
 
     def invite(self, callee: "SimClient") -> str:
@@ -348,7 +349,7 @@ class SimClient:
             callee.name_addr,
             call_id,
             branch=f"z9hG4bK{self.user}{self._call_count}",
-            contact=f"sip:{self.user}@{self.sip_addr.ip}",
+            contact=f"<sip:{self.user}@{self.sip_addr.ip}>",
             content_type="application/sdp",
             body=serialize_sdp(self.build_sdp()),
         )
@@ -427,7 +428,7 @@ class SimClient:
                 "OK",
                 body=serialize_sdp(self.build_sdp()),
                 content_type="application/sdp",
-                contact=f"sip:{self.user}@{self.sip_addr.ip}",
+                contact=f"<sip:{self.user}@{self.sip_addr.ip}>",
             )
             self._send_sip(answer)
         elif msg.method is Method.ACK:

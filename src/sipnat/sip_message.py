@@ -2,8 +2,11 @@
 
 Parses and serializes textual SIP requests and responses with a single Via
 hop, the mandatory header set (Via, From, To, Call-ID, CSeq) and an opaque
-body framed by Content-Length.  Unknown headers are preserved verbatim so
-that ``parse_message(serialize_message(m))`` is field-identical to ``m``.
+body framed by Content-Length.  Header values are kept as written; only
+the Via's transport and sent-by and the CSeq are parsed out of theirs, as
+the proxy reads nothing else.  The Via's parameters stay one ordered list,
+the Contact one string, and unknown headers pass verbatim, so that
+``parse_message(serialize_message(m))`` is field-identical to ``m``.
 
 Input accepts CRLF or bare LF line endings, case-insensitive header names
 and their compact forms (RFC 3261 section 7.3.3); output is always CRLF with
@@ -26,7 +29,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .net import InvariantViolation, TransportAddress, parse_digits
+from .net import InvariantViolation, parse_digits
 
 MAX_HEADER_BYTES = 65536
 MAX_BODY_BYTES = 65536
@@ -67,25 +70,20 @@ class MalformedHeader(SipParseError):
 
 @dataclass(slots=True)
 class ViaHeader:
-    """Single Via hop: transport, sent-by host, and optional parameters.
+    """Single Via hop: transport, sent-by host, and its parameters as written.
 
-    ``received`` carries the source address observed by the server, which is
-    what response routing must use when the sent-by host is private.
+    ``params`` keeps each ``;name=value`` (value None for a bare ``;name``)
+    in wire order, names in their own case; the proxy stamps ``received``
+    and ``rport`` there (RFC 3261 section 18.2.1, RFC 3581 section 4).
     """
 
     transport: str  # "TCP" or "UDP"
     sent_by: str  # host or host:port, as written on the wire
-    branch: str | None = None
-    received: TransportAddress | None = None
-    extra_params: tuple[tuple[str, str | None], ...] = ()
+    params: tuple[tuple[str, str | None], ...] = ()
 
     def render(self) -> str:
         text = f"SIP/2.0/{self.transport} {self.sent_by}"
-        if self.branch is not None:
-            text += f";branch={self.branch}"
-        if self.received is not None:
-            text += f";received={self.received}"
-        for name, value in self.extra_params:
+        for name, value in self.params:
             text += f";{name}" if value is None else f";{name}={value}"
         return text
 
@@ -109,7 +107,7 @@ class SipMessage:
     request_uri: str | None = None
     status_code: int | None = None
     reason: str | None = None
-    contact: str | None = None
+    contact: str | None = None  # as written: a name-addr with its parameters, or a bare URI
     content_type: str | None = None
     body: bytes = b""
     extra_headers: tuple[tuple[str, str], ...] = ()
@@ -166,29 +164,15 @@ def _parse_via(value: str) -> ViaHeader:
     if not m:
         raise MalformedHeader(f"bad Via header: {value!r}")
     transport, sent_by, param_text = m.groups("")
-    branch: str | None = None
-    received: TransportAddress | None = None
-    extras: list[tuple[str, str | None]] = []
+    params: list[tuple[str, str | None]] = []
     for chunk in param_text.split(";"):
         name, eq, value_part = chunk.partition("=")
         name = name.strip()
         if eq:
-            value_part = value_part.strip()
-        elif name:
-            value_part = None
-        else:
-            continue  # a blank chunk
-        lname = name.lower()
-        if lname == "branch":
-            branch = value_part or ""
-        elif lname == "received":
-            try:
-                received = TransportAddress.parse(value_part or "")
-            except ValueError as exc:
-                raise MalformedHeader(f"bad received parameter: {value_part!r}") from exc
-        else:
-            extras.append((name, value_part))
-    return ViaHeader(transport, sent_by, branch, received, tuple(extras))
+            params.append((name, value_part.strip()))
+        elif name:  # else a blank chunk
+            params.append((name, None))
+    return ViaHeader(transport, sent_by, tuple(params))
 
 
 # RFC 3261 name-addr: a quoted-string or token display name, then '<uri>'.
@@ -227,12 +211,10 @@ class HeaderSection:
     """What one pass read of a message's header section (``_read_head``)."""
 
     body_start: int  # where the message's body starts
-    error: tuple[type[SipParseError], str] | None  # parse_message's first, unless the body's or Contact's
+    error: tuple[type[SipParseError], str] | None  # parse_message's first, unless the body's
     declared: int | None  # the body length Content-Length declares, None without one
     length_error: str | None  # why that length cannot be read: the end is unknown
-    fields: tuple  # SipMessage's, from via to reason; read only without error
-    contact: str | None  # as written, not yet the URI
-    content_type: str | None
+    fields: tuple  # SipMessage's, from via to content_type; read only without error
     extras: tuple[tuple[str, str], ...]
 
 
@@ -325,7 +307,7 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
                 )
             fields = (
                 via, known["from"], known["to"], known["call-id"], cseq_num, cseq_method,
-                method, request_uri, status_code, reason,
+                method, request_uri, status_code, reason, known.get("contact"), known.get("content-type"),
             )
     except MissingMandatoryHeader as exc:
         error = (MissingMandatoryHeader, exc.header)
@@ -333,8 +315,7 @@ def _read_head(text: str, body_start: int) -> HeaderSection:
         error = (type(exc), str(exc))
     if error is None and length_error is not None:
         error = (MalformedHeader, length_error)  # checked last
-    contact, content_type = known.get("contact"), known.get("content-type")
-    return HeaderSection(body_start, error, declared, length_error, fields, contact, content_type, tuple(extras))
+    return HeaderSection(body_start, error, declared, length_error, fields, tuple(extras))
 
 
 def parse_message(raw: bytes, head: HeaderSection | None = None) -> SipMessage:
@@ -358,16 +339,8 @@ def parse_message(raw: bytes, head: HeaderSection | None = None) -> SipMessage:
     body = raw[head.body_start :]
     if head.declared is not None and head.declared != len(body):
         raise BodyLengthMismatch(f"Content-Length {head.declared} but body has {len(body)} bytes")
-
-    contact = head.contact
-    if contact is not None:
-        contact = uri_of(contact)
-        # No URI holds '<' or '>' (RFC 3986 section 2); a stray one in a bare
-        # URI would come back as a different Contact once serialised.
-        if "<" in contact or ">" in contact:
-            raise MalformedHeader(f"bad Contact header: {head.contact!r}")
     # Positional, in field order: about half the cost of keywords.
-    return SipMessage(*head.fields, contact, head.content_type, body, head.extras)
+    return SipMessage(*head.fields, body, head.extras)
 
 
 def serialize_message(msg: SipMessage) -> bytes:
@@ -382,7 +355,7 @@ def serialize_message(msg: SipMessage) -> bytes:
         f"Call-ID: {msg.call_id}\r\nCSeq: {msg.cseq_num} {msg.cseq_method.value}\r\n"
     )
     if msg.contact is not None:
-        head += f"Contact: <{msg.contact}>\r\n"
+        head += f"Contact: {msg.contact}\r\n"
     for name, value in msg.extra_headers:
         head += f"{name}: {value}\r\n"
     if msg.content_type is not None:

@@ -4,9 +4,10 @@
 are copied unchanged from the version that re-scanned the framer's whole
 buffer on each read and joined the wire text from a list of lines; it reads
 each header by the one rule the library reads it by.  Four things differ:
-``ViaHeader.render`` became the function ``render_via``; a request line
-with an empty Request-URI is refused, as in the library; header names may
-take their RFC 3261 compact forms; and the framer reads Content-Length by
+``ViaHeader.render`` became the function ``render_via``; the Via's
+parameters and the Contact are kept as written, and a request line with an
+empty Request-URI is refused, as in the library; header names may take
+their RFC 3261 compact forms; and the framer reads Content-Length by
 the parser's own header-line rule, so a second Content-Length, or one that
 is not digits, cannot be framed (the old framer took the first line its
 own regex matched, and framed any other as a message with no body), and
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import re
 
-from sipnat.net import InvariantViolation, TransportAddress, parse_digits
+from sipnat.net import InvariantViolation, parse_digits
 from sipnat.sip_message import (
     MAX_BODY_BYTES,
     MAX_HEADER_BYTES,
@@ -56,44 +57,14 @@ def _parse_via(value: str) -> ViaHeader:
     if not m:
         raise MalformedHeader(f"bad Via header: {value!r}")
     transport, sent_by, param_text = m.groups("")
-    branch: str | None = None
-    received: TransportAddress | None = None
-    extras: list[tuple[str, str | None]] = []
+    params: list[tuple[str, str | None]] = []
     for chunk in param_text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         name, eq, value_part = chunk.partition("=")
-        name = name.strip()
-        value_part = value_part.strip() if eq else None
-        lname = name.lower()
-        if lname == "branch":
-            branch = value_part or ""
-        elif lname == "received":
-            try:
-                received = TransportAddress.parse(value_part or "")
-            except ValueError as exc:
-                raise MalformedHeader(f"bad received parameter: {value_part!r}") from exc
-        else:
-            extras.append((name, value_part))
-    return ViaHeader(transport, sent_by, branch, received, tuple(extras))
-
-
-# RFC 3261 name-addr: a quoted-string or token display name, then '<uri>'.
-# The quoted form may hold '<', '>' and ';'; parameters after '>' may hold a
-# quoted '<' (RFC 5626 +sip.instance), so only the first '<uri>' counts.
-_NAME_ADDR_RE = re.compile(r'\s*(?:"(?:[^"\\]|\\.)*"\s*|[^"<;]*)<([^>]*)>')
-
-
-def uri_of(value: str) -> str:
-    """The URI of a name-addr ('Name <uri>;params') or of a bare URI.
-
-    A bare URI loses its parameters.
-    """
-    m = _NAME_ADDR_RE.match(value)
-    if m:
-        return m.group(1).strip()
-    return value.split(";")[0].strip()
+        params.append((name.strip(), value_part.strip() if eq else None))
+    return ViaHeader(transport, sent_by, tuple(params))
 
 
 def _header_end(raw: bytes, start: int = 0) -> tuple[int, int] | None:
@@ -112,11 +83,7 @@ def _header_end(raw: bytes, start: int = 0) -> tuple[int, int] | None:
 
 def render_via(via: ViaHeader) -> str:
     parts = [f"SIP/2.0/{via.transport} {via.sent_by}"]
-    if via.branch is not None:
-        parts.append(f";branch={via.branch}")
-    if via.received is not None:
-        parts.append(f";received={via.received}")
-    for name, value in via.extra_params:
+    for name, value in via.params:
         parts.append(f";{name}" if value is None else f";{name}={value}")
     return "".join(parts)
 
@@ -228,17 +195,10 @@ def parse_message(raw: bytes) -> SipMessage:
                 f"Content-Length {declared} but body has {len(body)} bytes"
             )
 
-    contact = known.get("contact")
-    if contact is not None:
-        contact = uri_of(contact)
-        # No URI holds '<' or '>' (RFC 3986 section 2); a stray one in a bare
-        # URI would come back as a different Contact once serialised.
-        if "<" in contact or ">" in contact:
-            raise MalformedHeader(f"bad Contact header: {known['contact']!r}")
     # Positional, in field order: about half the cost of keywords.
     return SipMessage(
         via, known["from"], known["to"], call_id, cseq_num, cseq_method,
-        method, request_uri, status_code, reason, contact,
+        method, request_uri, status_code, reason, known.get("contact"),
         known.get("content-type"), body, tuple(extras),
     )
 
@@ -259,7 +219,7 @@ def serialize_message(msg: SipMessage) -> bytes:
         f"CSeq: {msg.cseq_num} {msg.cseq_method.value}",
     ]
     if msg.contact is not None:
-        lines.append(f"Contact: <{msg.contact}>")
+        lines.append(f"Contact: {msg.contact}")
     for name, value in msg.extra_headers:
         lines.append(f"{name}: {value}")
     if msg.content_type is not None:

@@ -60,12 +60,13 @@ def sample_invite() -> bytes:
 
 
 def sample_answer() -> bytes:
-    """Callee's 200 OK; the Via carries the source the server observed."""
+    """Callee's 200 OK; the Via carries the source the server observed
+    (RFC 3261 section 18.2.1, RFC 3581 section 4)."""
     body = sample_answer_body()
     head = [
         "SIP/2.0 200 OK",
         "Via: SIP/2.0/TCP 192.168.1.11;branch=z9hG4bK77ef4c2312983.1"
-        ";received=68.92.25.44:4325",
+        ";received=68.92.25.44;rport=4325",
         "From: ClientA <sip:ClientA@local1.com>",
         "To: ClientB <sip:ClientB@local2.com>",
         "Call-ID: 12345625400@local1.com",
@@ -174,6 +175,14 @@ def compact_invite() -> bytes:
     return "\r\n".join(head).encode() + b"\r\n" + body
 
 
+def stamped_source(via: ViaHeader) -> TransportAddress:
+    """The source a proxy stamped on ``via`` as ``received`` and ``rport``;
+    each must appear exactly once."""
+    (ip,) = [value for name, value in via.params if name.lower() == "received"]
+    (port,) = [value for name, value in via.params if name.lower() == "rport"]
+    return TransportAddress(ip, int(port))
+
+
 # -- random instance generators (seeded by the caller) ------------------------
 
 
@@ -189,14 +198,20 @@ def random_token(rng: random.Random, length: int = 8) -> str:
 
 def random_sip_message(rng: random.Random) -> SipMessage:
     """A valid message with randomized fields, for round-trip properties."""
+    params = [
+        ("branch", f"z9hG4bK{random_token(rng)}"),
+        ("received", random_address(rng).ip),
+        ("rport", str(rng.randint(1024, 60000))),
+        ("rport", None),
+        ("Lr", None),
+    ]
+    rng.shuffle(params)
     via = ViaHeader(
         transport=rng.choice(["TCP", "UDP"]),
         sent_by=(
             str(random_address(rng)) if rng.random() < 0.5 else f"host{rng.randint(0, 99)}.example"
         ),
-        branch=f"z9hG4bK{random_token(rng)}" if rng.random() < 0.7 else None,
-        received=random_address(rng) if rng.random() < 0.5 else None,
-        extra_params=(("rport", str(rng.randint(1024, 60000))),) if rng.random() < 0.3 else (),
+        params=tuple(params[: rng.randint(0, 3)]),
     )
     user = random_token(rng, 6)
     domain = f"{random_token(rng, 5)}.com"
@@ -209,7 +224,7 @@ def random_sip_message(rng: random.Random) -> SipMessage:
         from_=f"{user} <sip:{user}@{domain}>",
         to_=f"<sip:{random_token(rng, 6)}@{domain}>",
         call_id=f"{random_token(rng, 10)}@{domain}",
-        contact=f"sip:{user}@{domain}" if rng.random() < 0.6 else None,
+        contact=rng.choice([f"sip:{user}@{domain}", f'"{user}" <sip:{user}@{domain}>;expires=60', None]),
         content_type="application/sdp" if body and rng.random() < 0.7 else None,
         body=body,
         extra_headers=tuple(extra_headers),

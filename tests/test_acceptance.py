@@ -315,7 +315,7 @@ def test_criterion_8_resource_accounting():
     proxy.connection_opened(2, TransportAddress("77.224.10.9", 6001))
     proxy.handle_message(1, samples.make_register("ClientA", "local1.com", "192.168.1.11"), 0.0)
     proxy.handle_message(2, samples.make_register("ClientB", "local2.com", "10.0.0.4"), 0.0)
-    proxy.media.allocate_session("hog")
+    proxy.media.allocate_session("hog", "68.92.25.44", "77.224.10.9")
     before = proxy.media.pool.free_pairs()
     (conn, raw), = proxy.handle_message(2, samples.make_invite(), 1.0)
     response = parse_message(raw)

@@ -155,7 +155,10 @@ def test_instance_id_contact_keeps_its_sip_uri():
     raw = samples.make_register().replace(
         b"Contact: <sip:ClientA@192.168.1.11>", f"Contact: {RFC5626_CONTACT}".encode()
     )
-    assert parse_message(raw).contact == "sip:alice@192.0.2.1;transport=tcp"
+    msg = parse_message(raw)
+    assert msg.contact == RFC5626_CONTACT  # the instance id is kept, for a proxy that reads it
+    assert uri_of(msg.contact) == "sip:alice@192.0.2.1;transport=tcp"
+    assert ConnectionManager().register(C1, msg, 0.0).aor == "sip:ClientA@local1.com"
 
 
 def test_quoted_display_names_register_their_own_aors():

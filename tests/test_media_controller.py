@@ -19,6 +19,7 @@ from sipnat.sdp import MultipleMediaUnsupported, parse_sdp
 PROXY_IP = "200.1.1.1"
 A_PUB = ("68.92.25.44", 62001)
 B_PUB = ("77.224.10.9", 6100)
+PARTY_IPS = (A_PUB[0], B_PUB[0])  # the caller's and the callee's signalling IPs
 
 
 def controller(lo=40000, hi=40100):
@@ -79,7 +80,7 @@ def test_pool_odd_lower_bound_starts_on_even_port():
 
 def test_allocate_session_reserves_both_leg_pairs():
     ctl = controller()
-    session = ctl.allocate_session("call-1")
+    session = ctl.allocate_session("call-1", *PARTY_IPS)
     a, b = session.a, session.b
     assert (a.rtp.port, a.rtcp.port, b.rtp.port, b.rtcp.port) == (40000, 40001, 40002, 40003)
     assert ctl.sessions == {"call-1": session}
@@ -87,41 +88,42 @@ def test_allocate_session_reserves_both_leg_pairs():
     # Each port's peer is the same kind's port on the other leg.
     assert (a.rtp.peer, b.rtp.peer, a.rtcp.peer, b.rtcp.peer) == (b.rtp, a.rtp, b.rtcp, a.rtcp)
     assert [p.latched for p in ctl.ports.values()] == [None] * 4
+    assert [p.party_ip for p in (a.rtp, a.rtcp, b.rtp, b.rtcp)] == [A_PUB[0]] * 2 + [B_PUB[0]] * 2
 
 
 def test_duplicate_call_rejected():
     ctl = controller()
-    ctl.allocate_session("call-1")
+    ctl.allocate_session("call-1", *PARTY_IPS)
     with pytest.raises(DuplicateCall):
-        ctl.allocate_session("call-1")
+        ctl.allocate_session("call-1", *PARTY_IPS)
 
 
 def test_pool_exhaustion_and_rollback():
     # Room for exactly one call (two pairs).
     ctl = controller(40000, 40003)
-    ctl.allocate_session("call-1")
+    ctl.allocate_session("call-1", *PARTY_IPS)
     with pytest.raises(PoolExhausted):
-        ctl.allocate_session("call-2")
+        ctl.allocate_session("call-2", *PARTY_IPS)
     # Room for only one pair: allocation must fail AND leak nothing.
     half = controller(40000, 40001)
     before = half.pool.free_pairs()
     with pytest.raises(PoolExhausted):
-        half.allocate_session("call-1")
+        half.allocate_session("call-1", *PARTY_IPS)
     assert half.pool.free_pairs() == before
 
 
 def test_exhaustion_recovery_after_release():
     ctl = controller(40000, 40003)
-    ctl.allocate_session("call-1")
+    ctl.allocate_session("call-1", *PARTY_IPS)
     with pytest.raises(PoolExhausted):
-        ctl.allocate_session("call-2")
+        ctl.allocate_session("call-2", *PARTY_IPS)
     assert ctl.release_session("call-1") == 4
-    ctl.allocate_session("call-2")
+    ctl.allocate_session("call-2", *PARTY_IPS)
 
 
 def test_release_twice_is_unknown_call():
     ctl = controller()
-    ctl.allocate_session("call-1")
+    ctl.allocate_session("call-1", *PARTY_IPS)
     ctl.release_session("call-1")
     with pytest.raises(UnknownCall):
         ctl.release_session("call-1")
@@ -135,7 +137,7 @@ def test_released_sessions_are_freed_without_the_cycle_collector():
     gc.disable()
     try:
         for i in range(100):
-            leg_a = ctl.allocate_session(f"call-{i}").a
+            leg_a = ctl.allocate_session(f"call-{i}", *PARTY_IPS).a
             ctl.on_media_packet(leg_a.rtp.port, A_PUB, b"a0")
             ctl.release_session(f"call-{i}")
         alive = [o for o in gc.get_objects() if type(o) is RelayPort]
@@ -150,7 +152,7 @@ def test_released_sessions_are_freed_without_the_cycle_collector():
 
 def test_offer_rewritten_toward_answerer_leg():
     ctl = controller()
-    session = ctl.allocate_session("call-1")
+    session = ctl.allocate_session("call-1", *PARTY_IPS)
     rewritten = parse_sdp(ctl.relay_description(session.b, samples.sample_invite_body()))
     # The answerer must send its media to its own (leg B) relay port.
     assert rewritten.connection_ip == PROXY_IP
@@ -159,7 +161,7 @@ def test_offer_rewritten_toward_answerer_leg():
 
 def test_answer_rewritten_toward_offerer_leg():
     ctl = controller()
-    session = ctl.allocate_session("call-1")
+    session = ctl.allocate_session("call-1", *PARTY_IPS)
     rewritten = parse_sdp(ctl.relay_description(session.a, samples.sample_answer_body()))
     assert rewritten.connection_ip == PROXY_IP
     assert rewritten.media[0].port == session.a.rtp.port
@@ -167,7 +169,7 @@ def test_answer_rewritten_toward_offerer_leg():
 
 def test_multi_media_offer_rejected():
     ctl = controller()
-    session = ctl.allocate_session("call-1")
+    session = ctl.allocate_session("call-1", *PARTY_IPS)
     body = samples.crlf_body(samples.INVITE_BODY_LINES + ["m=video 50000 RTP/AVP 96"])
     with pytest.raises(MultipleMediaUnsupported):
         ctl.relay_description(session.b, body)
@@ -177,7 +179,7 @@ def test_multi_media_offer_rejected():
 
 
 def start_session(ctl):
-    session = ctl.allocate_session("call-1")
+    session = ctl.allocate_session("call-1", *PARTY_IPS)
     return session, session.a, session.b
 
 
@@ -196,6 +198,18 @@ def test_first_packet_latches_then_buffers():
     assert decision.sends == []
     assert leg_a.rtp.latched == A_PUB
     assert (leg_b.rtp.latched, leg_b.rtcp.latched) == (None, None)
+
+
+def test_a_first_packet_from_another_ip_than_the_partys_does_not_latch():
+    ctl = controller()
+    session, leg_a, leg_b = start_session(ctl)
+    stranger = ctl.on_media_packet(leg_a.rtp.port, ("6.6.6.6", 666), b"evil")
+    assert (stranger.action, stranger.reason, stranger.sends) == ("drop", "source_mismatch", [])
+    assert (leg_a.rtp.latched, leg_a.rtp.dropped) == (None, 1)
+    # Nor can the other party take it; the party's own IP latches from any port.
+    assert ctl.on_media_packet(leg_a.rtp.port, B_PUB, b"b0").reason == "source_mismatch"
+    assert ctl.on_media_packet(leg_a.rtp.port, (A_PUB[0], 9), b"a0").action == "buffer"
+    assert leg_a.rtp.latched == (A_PUB[0], 9)
 
 
 def test_peer_latch_flushes_buffer_in_order_then_relays():
@@ -310,23 +324,23 @@ def ports_from_sessions(ctl):
 def all_counters(ctl, released):
     """Counters of the released and then the live sessions, as plain tuples."""
     return [
-        (call_id, name, kind, p.received, p.received_bytes, p.forwarded, p.flushed, p.dropped)
+        (call_id, name, kind, p.received, p.forwarded, p.flushed, p.dropped)
         for call_id, session in [*released.items(), *ctl.sessions.items()]
         for name, leg in (("A", session.a), ("B", session.b))
         for kind, p in (("rtp", leg.rtp), ("rtcp", leg.rtcp))
     ]
 
 
-# sha256 of each seed's stream of decisions and counters in the test below,
-# recorded from the controller that kept its latches, buffers and counters per
-# leg and kind, and its established routes in a table of their own.
+# sha256 of each seed's stream of decisions and counters in the test below.
+# Each pin was reproduced by a separate oracle of plain per-port dicts that
+# latches a port only from its party's signalling IP and counts no bytes.
 DECISION_STREAM_SHA256 = {
-    0: "07d4af094255fd369796666d281a983c5b245c90ef6c58a5ffe5840788617857",
-    1: "355033fc0aa1494d20eb296d1428705b36a59c3e0604a91208ebbeb7e091111e",
-    2: "8748c56406af6c1395f29371eb476be43089a4d20461d4830996c2cdbec6fe05",
-    3: "fc290e403a769e9bb30eeb7dc301070fbf18c882dd1e5e86ebb5bdc8ffbde671",
-    4: "78abf69d7c16f1eeeb15123e1c7b917ca3cc3cb3393741b7a8322ad9ccdc88eb",
-    5: "94fa1fe3ea0c270aa501f67905feaa4628b8db3682941a625a5a758ddf9ffae2",
+    0: "da93e035053d29f8fe2e4f762c4f5c698395fdeecea5b6f3b3f4ca33f571e842",
+    1: "176ae2c559eab0e9a973873062f567b7afb603fc147af07fc5ec269e2bf4e3ad",
+    2: "3490e4a8cae5664c151230f2569385bacd80a500c30073eed17774af6b656297",
+    3: "ef0120235c98ed420ba6d51ccc2706c15211574f4c620215654ef2b8faff579a",
+    4: "5868d9bcc50b7c5d3c36c1d469323209ada5ad14aa50303964434e56892148e8",
+    5: "7ef1b75f05878ff97e05376aadb26add924522604d85f7e6bcae411eafeefeb2",
 }
 
 
@@ -345,12 +359,13 @@ def test_route_table_relays_exactly_like_the_relay_decision(seed, monkeypatch):
     # impostor and a moved client all send to reused ports.
     hosts = [(f"10.0.0.{i}", 5000 + 2 * j) for i in (1, 2) for j in range(3)]
     stream = hashlib.sha256()
-    calls = established = 0
+    calls = established = refused_first = 0
     for step in range(600):
         roll = rng.random()
         outcome = None
         if roll < 0.05 and len(ctl.sessions) < 3:
-            ctl.allocate_session(f"call-{calls}")
+            # The parties' signalling IPs, the same one at times (one NAT).
+            ctl.allocate_session(f"call-{calls}", rng.choice(hosts)[0], rng.choice(hosts)[0])
             calls += 1
         elif roll < 0.09 and ctl.sessions:
             call_id = rng.choice(sorted(ctl.sessions))
@@ -367,6 +382,7 @@ def test_route_table_relays_exactly_like_the_relay_decision(seed, monkeypatch):
                 # Mostly the port's own client, once it has latched.
                 src = here.latched or src
             established += here is not None and here.latched == src and here.peer.latched is not None
+            refused_first += here is not None and here.latched is None and src[0] != here.party_ip
             decision = ctl.on_media_packet(port, src, f"pkt-{step}".encode())
             sends = [(s.from_port, s.to, s.payload) for s in decision.sends]
             outcome = (decision.action, decision.reason, sends)
@@ -375,7 +391,8 @@ def test_route_table_relays_exactly_like_the_relay_decision(seed, monkeypatch):
         assert len(ctl.pool.free_pairs()) + 2 * len(ctl.sessions) == ctl.pool.pairs
         for p in ctl.ports.values():
             assert p.received == p.forwarded + p.flushed + p.dropped + len(p.buffer)
-    assert calls > 3 and established > 50  # ports were reused, and many packets were established
+    # Ports were reused, many packets were established, and some first packets refused.
+    assert calls > 3 and established > 50 and refused_first > 0
     assert stream.hexdigest() == DECISION_STREAM_SHA256[seed]
 
 
@@ -397,7 +414,6 @@ def test_forward_established_needs_both_latches_and_the_latched_source():
     assert (decision.action, decision.reason) == ("forward", None)
     assert [(s.from_port, s.to, s.payload) for s in decision.sends] == [(leg_b.rtp.port, B_PUB, b"a1-pkt")]
     assert (port.received, port.forwarded, port.dropped) == (before[0] + 2, before[1] + 1, before[2] + 1)
-    assert port.received_bytes == 2 + 4 + 6
 
 
 def test_released_call_routes_nothing_on_its_reused_ports():
@@ -408,7 +424,7 @@ def test_released_call_routes_nothing_on_its_reused_ports():
     ctl.release_session("call-1")
     assert ctl.ports == {}
 
-    reused = ctl.allocate_session("call-2").a
+    reused = ctl.allocate_session("call-2", *PARTY_IPS).a
     assert reused.rtp.port == leg_a.rtp.port and reused.rtp is not leg_a.rtp
     # The old caller's late packet must not reach the old callee: it latches
     # the new call's leg and waits for that call's peer.

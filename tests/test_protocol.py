@@ -291,7 +291,7 @@ def test_a_register_in_compact_forms_is_registered():
     driver = Driver()
     driver.received(A, samples.compact_register())
     (ok,) = driver.messages(A)
-    assert (ok.status_code, ok.call_id, ok.contact) == (200, "reg-ClientA@local1.com", "sip:ClientA@192.168.1.11")
+    assert (ok.status_code, ok.call_id, ok.contact) == (200, "reg-ClientA@local1.com", "<sip:ClientA@192.168.1.11>")
     assert driver.layer.proxy.registrar.live_aors() == ["sip:ClientA@local1.com"]
 
 

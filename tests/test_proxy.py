@@ -269,6 +269,7 @@ def test_late_answer_for_an_ended_call_is_relayed_unrewritten(ended_by):
         proxy.tick(1.0 + INVITE_GUARD)
     else:
         proxy.connection_closed(A_CONN, 1.1)
+        proxy.connection_opened(A_CONN, A_REMOTE)  # a transport opens before it reads
         register_both(proxy, 1.1)
     old = proxy.calls["old@x"]
     assert old.phase is Phase.TERMINATED
@@ -309,7 +310,42 @@ def test_invite_request_is_stamped_with_source():
     proxy = make_proxy()
     register_both(proxy)
     _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
-    assert fwd_invite.via.received == B_REMOTE
+    assert samples.stamped_source(fwd_invite.via) == B_REMOTE
+
+
+@pytest.mark.parametrize(
+    "written, kept",
+    [
+        # RFC 3261 section 25.1's form: an address only.
+        (";rport;branch=z9hG4bKx;received=10.0.0.4", ";branch=z9hG4bKx"),
+        (";RPORT=99;branch=z9hG4bKx;Received=1.1.1.1;lr;rport", ";branch=z9hG4bKx;lr"),
+    ],
+    ids=["rfc_form_received", "any_case_and_repeated"],
+)
+def test_a_stamped_request_keeps_its_own_parameters_and_carries_one_received_and_one_rport(written, kept):
+    proxy = make_proxy()
+    register_both(proxy)
+    sent_by = b"Via: SIP/2.0/TCP 10.0.0.4"
+    conn, raw = proxy.handle_message(B_CONN, invite_from_b().replace(sent_by, sent_by + written.encode()), 1.0)[0]
+    assert conn == A_CONN  # forwarded, not refused
+    assert b"\r\n" + sent_by + kept.encode() + b";received=77.224.10.9;rport=6001\r\n" in raw
+
+
+def test_a_forwarded_invite_and_its_200_keep_their_contacts_as_written():
+    proxy = make_proxy()
+    register_both(proxy)
+    b_contact = b'Contact: "Bob" <sip:ClientB@10.0.0.4;transport=tcp>;+sip.instance="<urn:uuid:b>";expires=600'
+    a_contact = b"Contact: Alice <sip:ClientA@192.168.1.11>;q=0.5"
+    invite = invite_from_b().replace(b"Contact: <sip:ClientB@10.0.0.4>", b_contact)
+    _, fwd_raw = proxy.handle_message(B_CONN, invite, 1.0)[0]
+    assert b"\r\n" + b_contact + b"\r\n" in fwd_raw
+    answer = serialize_message(build_response(
+        parse_message(fwd_raw), 200, "OK",
+        body=samples.sample_invite_body(), content_type="application/sdp",
+        contact=a_contact.decode().removeprefix("Contact: "),
+    ))
+    conn, answer_raw = proxy.handle_message(A_CONN, answer, 1.1)[0]
+    assert conn == B_CONN and b"\r\n" + a_contact + b"\r\n" in answer_raw
 
 
 def test_invite_for_unregistered_callee_404():
@@ -322,7 +358,7 @@ def test_invite_for_unregistered_callee_404():
 def test_invite_with_pool_exhausted_503_no_leak():
     proxy = make_proxy(media_port_range=(40000, 40003))
     register_both(proxy)
-    proxy.media.allocate_session("hog")  # consume the only two pairs
+    proxy.media.allocate_session("hog", "68.92.25.44", "77.224.10.9")  # consume the only two pairs
     before = proxy.media.pool.free_pairs()
     conn, msg = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
     assert (conn, msg.status_code) == (B_CONN, 503)
@@ -372,6 +408,27 @@ def test_register_without_contact_400():
         proxy.handle_message(A_CONN, samples.make_register(contact=False), 0.0)
     )
     assert (conn, msg.status_code) == (A_CONN, 400)
+
+
+def test_contact_with_a_stray_angle_bracket_is_rejected():
+    # No URI holds '<' or '>', so the 200 could not name this one.
+    proxy = make_proxy()
+    register = samples.make_register().replace(
+        b"Contact: <sip:ClientA@192.168.1.11>", b"Contact: sip:ClientA@192.168.1.11>"
+    )
+    conn, msg = only_message(proxy.handle_message(A_CONN, register, 0.0))
+    assert (conn, msg.status_code) == (A_CONN, 400)
+    assert msg.reason == "Bad Request (bad Contact header: 'sip:ClientA@192.168.1.11>')"
+    assert proxy.registrar.live_aors() == []
+
+
+def test_the_register_200_names_only_the_contact_uri():
+    proxy = make_proxy()
+    register = samples.make_register().replace(
+        b"Contact: <sip:ClientA@192.168.1.11>", b'Contact: "A" <sip:ClientA@192.168.1.11>;expires=600'
+    )
+    _, raw = proxy.handle_message(A_CONN, register, 0.0)[0]
+    assert b"\r\nContact: <sip:ClientA@192.168.1.11>\r\n" in raw
 
 
 def test_garbage_bytes_get_400_never_silence():
@@ -969,8 +1026,9 @@ def test_media_datagram_path_through_proxy():
     )
     proxy.handle_message(A_CONN, serialize_message(answer), 1.1)
     session = proxy.calls["call-1@local2.com"].media
-    b_port = session.b.rtp.port
-    a_port = session.a.rtp.port
+    # B placed the call, so its leg is A's: each sends from its signalling IP.
+    b_port = session.a.rtp.port
+    a_port = session.b.rtp.port
     b_media = ("77.224.10.9", 6200)
     a_media = ("68.92.25.44", 62001)
 
@@ -1026,7 +1084,7 @@ def test_call_exchange_wire_output_is_pinned():
     from_b = 'From: "Client B" <sip:ClientB@local2.com>;tag=b1'
     to_a = "To: <sip:ClientA@local1.com>;tag=a1"
     call_id = "Call-ID: call-1@local2.com"
-    received = ";received=77.224.10.9:6001"
+    stamp = ";received=77.224.10.9;rport=6001"
     exchange = [
         (B_CONN, wire(
             "INVITE sip:ClientA@local1.com SIP/2.0",
@@ -1037,7 +1095,7 @@ def test_call_exchange_wire_output_is_pinned():
         )),
         (A_CONN, wire(
             "SIP/2.0 200 OK",
-            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;rport" + received,
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1" + stamp,
             from_b, to_a, call_id, "CSeq: 1 INVITE", "Contact: <sip:ClientA@192.168.1.11:49570>",
             "Content-Type: application/sdp", f"Content-Length: {len(a_sdp)}", body=a_sdp,
         )),
@@ -1053,7 +1111,7 @@ def test_call_exchange_wire_output_is_pinned():
         )),
         (A_CONN, wire(
             "SIP/2.0 200 OK",
-            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;rport" + received,
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1" + stamp,
             from_b, to_a, call_id, "CSeq: 2 BYE", "Content-Length: 0",
         )),
     ]
@@ -1064,7 +1122,7 @@ def test_call_exchange_wire_output_is_pinned():
     assert sent == [
         (A_CONN, wire(
             "INVITE sip:ClientA@local1.com SIP/2.0",
-            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;received=77.224.10.9:6001;rport",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;received=77.224.10.9;rport=6001",
             'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
             "To: <sip:ClientA@local1.com>",
             "Call-ID: call-1@local2.com",
@@ -1078,7 +1136,7 @@ def test_call_exchange_wire_output_is_pinned():
         )),
         (B_CONN, wire(
             "SIP/2.0 200 OK",
-            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;received=77.224.10.9:6001;rport",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKinv1;received=77.224.10.9;rport=6001",
             'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
             "To: <sip:ClientA@local1.com>;tag=a1",
             "Call-ID: call-1@local2.com",
@@ -1092,7 +1150,7 @@ def test_call_exchange_wire_output_is_pinned():
         )),
         (A_CONN, wire(
             "ACK sip:ClientA@192.168.1.11:49570 SIP/2.0",
-            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKack1;received=77.224.10.9:6001;rport",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKack1;received=77.224.10.9;rport=6001",
             'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
             "To: <sip:ClientA@local1.com>;tag=a1",
             "Call-ID: call-1@local2.com",
@@ -1102,7 +1160,7 @@ def test_call_exchange_wire_output_is_pinned():
         )),
         (A_CONN, wire(
             "BYE sip:ClientA@192.168.1.11:49570 SIP/2.0",
-            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;received=77.224.10.9:6001;rport",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;received=77.224.10.9;rport=6001",
             'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
             "To: <sip:ClientA@local1.com>;tag=a1",
             "Call-ID: call-1@local2.com",
@@ -1112,7 +1170,7 @@ def test_call_exchange_wire_output_is_pinned():
         )),
         (B_CONN, wire(
             "SIP/2.0 200 OK",
-            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;received=77.224.10.9:6001;rport",
+            "Via: SIP/2.0/TCP 10.0.0.4:6580;branch=z9hG4bKbye1;received=77.224.10.9;rport=6001",
             'From: "Client B" <sip:ClientB@local2.com>;tag=b1',
             "To: <sip:ClientA@local1.com>;tag=a1",
             "Call-ID: call-1@local2.com",
@@ -1377,6 +1435,14 @@ class LeakFreeLifecycle(RuleBasedStateMachine):
             assert (call.invite is not None) == (call.phase is Phase.INVITING)
             if call.phase is Phase.ESTABLISHED:
                 assert (call.caller_conn, call.call_id) in self.answered
+
+    @invariant()
+    def a_latched_address_has_its_partys_signalling_ip(self):
+        for call_id, session in self.proxy.media.sessions.items():
+            call = self.proxy.calls[call_id]
+            for leg, party in ((session.a, call.caller_conn), (session.b, call.callee_conn)):
+                for relay_port in (leg.rtp, leg.rtcp):
+                    assert relay_port.latched in (None, (f"10.9.0.{party}", 7000))
 
     @invariant()
     def every_pair_is_free_or_held_by_a_live_call(self):
