@@ -44,7 +44,6 @@ _EXPORTS = {
     "RtpPacket": "rtp",
     "build_rtp": "rtp",
     "parse_rtp": "rtp",
-    "MediaDesc": "sdp",
     "SdpSession": "sdp",
     "parse_sdp": "sdp",
     "rewrite_media": "sdp",

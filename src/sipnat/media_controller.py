@@ -24,6 +24,8 @@ so a latch compares with ``==`` and a relayed packet builds no address.
 ``relay_description`` aims each offer and answer the proxy forwards at
 the receiving party's relay port, so relay addresses are handed out inside
 the signaling exchange and no client-visible allocation transaction exists.
+It rewrites only the description's ``c=`` addresses and ``m=`` port; every
+other byte passes as the party wrote it.
 """
 
 from __future__ import annotations
@@ -180,7 +182,9 @@ class MediaController:
 
     def relay_description(self, leg: LegState, body: bytes) -> bytes:
         """``body`` aimed at the relay RTP port of ``leg``, the receiving party's
-        (``MediaSession.b`` for an offer, ``.a`` for its answer); raises ``SdpError``."""
+        (``MediaSession.b`` for an offer, ``.a`` for its answer): its every ``c=``
+        address and its ``m=`` port become the relay's, and every other byte stays
+        as written.  Raises ``SdpError``."""
         relay = TransportAddress(self.public_ip, leg.rtp.port)
         return serialize_sdp(rewrite_media(parse_sdp(body), relay))
 

@@ -17,7 +17,9 @@ the NAT blocks closes the connection, and the clock ticks the layer.  TCP
 signaling is an ordered reliable stream whose NAT binding lasts while the
 connection does; UDP signaling (one whole message per datagram) and all
 media are per-datagram, so every hop consults the NAT filter and can be
-silently dropped.  No real time or real sockets are involved.
+silently dropped.  No real time or real sockets are involved.  A client
+writes its offer or answer as bytes and reads only the connection address
+and media port of the description it receives.
 
 The per-packet path builds no address.  An address is an ``(ip, port)``
 tuple, which a ``TransportAddress`` is too: the NAT's mapped source goes to
@@ -45,7 +47,7 @@ from .net import TransportAddress
 from .protocol import ProxyProtocol
 from .proxy import SipProxy
 from .rtp import RtpParseError, build_rtp, parse_rtp
-from .sdp import MediaDesc, SdpSession, parse_sdp, serialize_sdp
+from .sdp import parse_sdp
 from .sip_message import (
     MessageFramer,
     Method,
@@ -287,18 +289,14 @@ class SimClient:
 
     # -- SIP building -------------------------------------------------------
 
-    def build_sdp(self) -> SdpSession:
-        """Offer/answer naming this client's private media address."""
-        return SdpSession(
-            version=0,
-            origin=f"{self.user} 2890844526 2890844527 IN IP4 {self.domain}",
-            session_name="Session SDP",
-            connection_ip=self.rtp_addr.ip,
-            timing="0 0",
-            media=[MediaDesc("audio", self.rtp_addr.port, "RTP/AVP", [0])],
-            attributes=["rtpmap:0 PCMU/8000"],
-            extra_lines=[],
-        )
+    def build_sdp(self) -> bytes:
+        """Offer/answer naming this client's private media address, as the
+        client writes it on the wire."""
+        return (
+            f"v=0\r\no={self.user} 2890844526 2890844527 IN IP4 {self.domain}\r\ns=Session SDP\r\n"
+            f"c=IN IP4 {self.rtp_addr.ip}\r\nt=0 0\r\nm=audio {self.rtp_addr.port} RTP/AVP 0\r\n"
+            "a=rtpmap:0 PCMU/8000\r\n"
+        ).encode("latin-1")
 
     def _request(
         self,
@@ -351,7 +349,7 @@ class SimClient:
             branch=f"z9hG4bK{self.user}{self._call_count}",
             contact=f"<sip:{self.user}@{self.sip_addr.ip}>",
             content_type="application/sdp",
-            body=serialize_sdp(self.build_sdp()),
+            body=self.build_sdp(),
         )
         return call_id
 
@@ -426,7 +424,7 @@ class SimClient:
                 msg,
                 200,
                 "OK",
-                body=serialize_sdp(self.build_sdp()),
+                body=self.build_sdp(),
                 content_type="application/sdp",
                 contact=f"<sip:{self.user}@{self.sip_addr.ip}>",
             )
@@ -447,7 +445,7 @@ class SimClient:
 
     def _learn_media(self, body: bytes) -> None:
         session = parse_sdp(body)
-        self.remote_media = TransportAddress(session.connection_ip, session.media[0].port)
+        self.remote_media = TransportAddress(session.connection_ip, session.media_port)
 
     # -- media ----------------------------------------------------------------
 

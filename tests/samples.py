@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from sipnat.net import TransportAddress
-from sipnat.sdp import MediaDesc, SdpSession
 from sipnat.sip_message import Method, SipMessage, ViaHeader
 
 INVITE_BODY_LINES = [
@@ -247,25 +246,38 @@ def random_sip_message(rng: random.Random) -> SipMessage:
     )
 
 
-def random_sdp_session(rng: random.Random) -> SdpSession:
-    return SdpSession(
-        version=0,
-        origin=f"{random_token(rng, 6)} {rng.randint(0, 10**9)} {rng.randint(0, 10**9)}"
+def random_sdp_body(rng: random.Random) -> bytes:
+    """A one-media session description with optional lines at both levels in
+    RFC 8866 order, its one connection address at session level, media level
+    or both, and CRLF or bare-LF line ends."""
+    ip = random_address(rng).ip
+    level = rng.choice(["session", "media", "both"])
+
+    def optional(line: str, p: float = 0.3) -> list[str]:
+        return [line] if rng.random() < p else []
+
+    def attributes() -> list[str]:
+        return [f"a={random_token(rng, 6)}:{random_token(rng, 8)}" for _ in range(rng.randint(0, 3))]
+
+    formats = " ".join(str(rng.randint(0, 127)) for _ in range(rng.randint(1, 4)))
+    lines = [
+        "v=0",
+        f"o={random_token(rng, 6)} {rng.randint(0, 10**9)} {rng.randint(0, 10**9)}"
         f" IN IP4 {random_token(rng, 5)}.com",
-        session_name=random_token(rng, 10),
-        connection_ip=random_address(rng).ip,
-        timing="0 0" if rng.random() < 0.8 else None,
-        media=[
-            MediaDesc(
-                rng.choice(["audio", "video"]),
-                rng.randint(1, 65535),
-                "RTP/AVP",
-                [rng.randint(0, 127) for _ in range(rng.randint(1, 4))],
-            )
-        ],
-        attributes=[f"{random_token(rng, 6)}:{random_token(rng, 8)}" for _ in range(rng.randint(0, 5))],
-        extra_lines=[f"b=AS:{rng.randint(8, 256)}"] if rng.random() < 0.3 else [],
-    )
+        f"s={random_token(rng, 10)}",
+        *optional(f"i={random_token(rng, 12)}"),
+        *([f"c=IN IP4 {ip}"] if level != "media" else []),
+        *optional(f"b=AS:{rng.randint(8, 256)}"),
+        *optional("t=0 0", 0.8),
+        *attributes(),
+        f"m={rng.choice(['audio', 'video'])} {rng.randint(1, 65535)} RTP/AVP {formats}",
+        *optional(f"i={random_token(rng, 12)}"),
+        *([f"c=IN IP4 {ip}"] if level != "session" else []),
+        *optional(f"b=AS:{rng.randint(8, 256)}"),
+        *attributes(),
+    ]
+    ending = rng.choice(["\r\n", "\n"])
+    return (ending.join(lines) + ending).encode()
 
 
 def random_rtp_fields(rng: random.Random) -> dict:

@@ -172,7 +172,7 @@ def test_relayed_descriptions_only_name_proxy_ports():
     for body in bodies:
         session = parse_sdp(body)
         assert session.connection_ip == ctx.proxy.config.public_ip
-        assert lo <= session.media[0].port <= hi
+        assert lo <= session.media_port <= hi
 
 
 def test_call_completes_after_120s_idle_on_tcp():

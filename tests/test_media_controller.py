@@ -156,7 +156,7 @@ def test_offer_rewritten_toward_answerer_leg():
     rewritten = parse_sdp(ctl.relay_description(session.b, samples.sample_invite_body()))
     # The answerer must send its media to its own (leg B) relay port.
     assert rewritten.connection_ip == PROXY_IP
-    assert rewritten.media[0].port == session.b.rtp.port
+    assert rewritten.media_port == session.b.rtp.port
 
 
 def test_answer_rewritten_toward_offerer_leg():
@@ -164,7 +164,7 @@ def test_answer_rewritten_toward_offerer_leg():
     session = ctl.allocate_session("call-1", *PARTY_IPS)
     rewritten = parse_sdp(ctl.relay_description(session.a, samples.sample_answer_body()))
     assert rewritten.connection_ip == PROXY_IP
-    assert rewritten.media[0].port == session.a.rtp.port
+    assert rewritten.media_port == session.a.rtp.port
 
 
 def test_multi_media_offer_rejected():

@@ -26,7 +26,7 @@ EXPORTS = {
     "net": ["TransportAddress"],
     "proxy": ["CallState", "Phase", "ProxyConfig", "SipProxy"],
     "rtp": ["RtpPacket", "build_rtp", "parse_rtp"],
-    "sdp": ["MediaDesc", "SdpSession", "parse_sdp", "rewrite_media", "serialize_sdp"],
+    "sdp": ["SdpSession", "parse_sdp", "rewrite_media", "serialize_sdp"],
     "sip_message": [
         "MessageFramer", "Method", "SipMessage", "ViaHeader", "build_response", "parse_message",
         "serialize_message",

@@ -292,9 +292,9 @@ def test_forwarded_descriptions_use_proxy_pool_ports():
     offer = parse_sdp(fwd_invite.body)
     assert offer.connection_ip == "200.1.1.1"
     lo, hi = proxy.config.media_port_range
-    assert lo <= offer.media[0].port <= hi
+    assert lo <= offer.media_port <= hi
     session = proxy.calls["call-1@local2.com"].media
-    assert offer.media[0].port == session.b.rtp.port
+    assert offer.media_port == session.b.rtp.port
 
     answer = build_response(
         fwd_invite, 200, "OK",
@@ -303,7 +303,53 @@ def test_forwarded_descriptions_use_proxy_pool_ports():
     _, fwd_answer = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 1.1))
     answered = parse_sdp(fwd_answer.body)
     assert answered.connection_ip == "200.1.1.1"
-    assert answered.media[0].port == session.a.rtp.port
+    assert answered.media_port == session.a.rtp.port
+
+
+def _relayed_pair(proxy, offer: bytes, answer: bytes) -> tuple[bytes, bytes]:
+    """The bodies of the INVITE carrying ``offer`` and of its 200 carrying
+    ``answer`` as the proxy forwards them."""
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, samples.make_invite(body=offer), 1.0))
+    reply = build_response(fwd_invite, 200, "OK", body=answer, content_type="application/sdp")
+    _, fwd_answer = only_message(proxy.handle_message(A_CONN, serialize_message(reply), 1.1))
+    return fwd_invite.body, fwd_answer.body
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\n"], ids=["crlf", "bare_lf"])
+def test_a_description_passes_as_written_but_its_connection_address_and_media_port(ending):
+    # RFC 8866 order: i= and b= before t=, a session-level a=, media-level b= and a=.
+    lines = [
+        "v=0", "o=ClientB 284586526 28922265 IN IP4 local2.com", "s=Session SDP",
+        "i=a phone call", "c=IN IP4 10.0.0.4", "b=AS:64", "t=0 0", "a=sendrecv",
+        "m=audio 6580 RTP/AVP 0 8", "b=AS:64", "a=ptime:20",
+    ]
+    offer = (ending.join(lines) + ending).encode()
+    answer = offer.replace(b"10.0.0.4", b"192.168.1.11").replace(b"6580", b"49570")
+    proxy = make_proxy()
+    register_both(proxy)
+    relayed_offer, relayed_answer = _relayed_pair(proxy, offer, answer)
+    media = proxy.calls["call-1@local2.com"].media
+    assert relayed_offer == offer.replace(b"10.0.0.4", b"200.1.1.1").replace(
+        b" 6580 ", b" %d " % media.b.rtp.port
+    )
+    assert relayed_answer == answer.replace(b"192.168.1.11", b"200.1.1.1").replace(
+        b" 49570 ", b" %d " % media.a.rtp.port
+    )
+
+
+@pytest.mark.parametrize("session_level", [False, True], ids=["media_level_only", "both_levels"])
+def test_a_media_level_connection_is_aimed_at_the_relay(session_level):
+    lines = [l for l in samples.ANSWER_BODY_LINES if session_level or not l.startswith("c=")]
+    offer = samples.crlf_body([*lines[:-1], "c=IN IP4 10.0.0.5", lines[-1]])
+    answer = offer.replace(b"10.0.0.", b"192.168.1.")
+    proxy = make_proxy()
+    register_both(proxy)
+    bodies = _relayed_pair(proxy, offer, answer)
+    media = proxy.calls["call-1@local2.com"].media
+    for body, leg in zip(bodies, (media.b, media.a)):
+        relayed = parse_sdp(body)
+        assert (relayed.connection_ip, relayed.media_port) == ("200.1.1.1", leg.rtp.port)
+        assert body.count(b"c=IN IP4 200.1.1.1\r\n") == 1 + session_level
 
 
 def test_invite_request_is_stamped_with_source():
@@ -646,7 +692,7 @@ def test_a_resent_answer_whose_description_will_not_parse_is_dropped_and_keeps_t
     answer = replace(answer, body=samples.sample_invite_body())
     conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 2.1))
     assert conn == B_CONN
-    assert parse_sdp(msg.body).media[0].port == call.media.a.rtp.port
+    assert parse_sdp(msg.body).media_port == call.media.a.rtp.port
 
 
 def test_an_ack_before_any_200_is_dropped_and_a_bad_answer_still_gets_the_500():
@@ -834,7 +880,7 @@ def test_a_ringing_callee_answers_past_the_invite_guard_and_the_answer_is_rewrit
     conn, msg = only_message(proxy.handle_message(A_CONN, serialize_message(answer), 40.0))
     description = parse_sdp(msg.body)
     assert conn == B_CONN
-    assert (description.connection_ip, description.media[0].port) == (
+    assert (description.connection_ip, description.media_port) == (
         "200.1.1.1", call.media.a.rtp.port,
     )
 

@@ -279,8 +279,8 @@ def establish_call(service) -> MediaCall:
     assert invite.method is Method.INVITE
     offer = parse_sdp(invite.body)
     assert offer.connection_ip == HOST
-    assert lo <= offer.media[0].port <= hi
-    a_target = (offer.connection_ip, offer.media[0].port)
+    assert lo <= offer.media_port <= hi
+    a_target = (offer.connection_ip, offer.media_port)
 
     answer_body = samples.crlf_body(
         [
@@ -301,8 +301,8 @@ def establish_call(service) -> MediaCall:
     answer = client_b.recv_message()
     assert answer.status_code == 200
     rewritten = parse_sdp(answer.body)
-    assert lo <= rewritten.media[0].port <= hi
-    b_target = (rewritten.connection_ip, rewritten.media[0].port)
+    assert lo <= rewritten.media_port <= hi
+    b_target = (rewritten.connection_ip, rewritten.media_port)
     assert a_target != b_target
 
     ack = replace(
