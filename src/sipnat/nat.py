@@ -1,16 +1,18 @@
 """Deterministic state machines for the four classic NAT behaviors.
 
-Mapping rule: full cone, restricted cone and port restricted cone reuse one
-external port per internal source; a symmetric NAT allocates a fresh
-external port per (internal source, destination) pair.
+Each type is one row of RFC 4787's two behaviours, both read from the
+destination address a binding's internal source sends to:
 
-Filtering rule, applied to inbound packets addressed to a live binding:
+                         mapping (§4.1)              filtering (§5)
+    full cone            endpoint-independent        endpoint-independent
+    restricted cone      endpoint-independent        address-dependent
+    port restricted cone endpoint-independent        address-and-port-dependent
+    symmetric            address-and-port-dependent  address-and-port-dependent
 
-    full cone            deliver from anyone
-    restricted cone      deliver iff the source IP was previously contacted
-    port restricted cone deliver iff the source (IP, port) was contacted
-    symmetric            deliver iff the source is the binding's single
-                         destination (the one peer it has contacted)
+An endpoint-independent mapping reuses one external port per internal
+source; an address-and-port-dependent one takes a fresh port per destination.
+A live binding's filter delivers from anyone, or only from an IP or an
+(IP, port) that the binding has sent to.
 
 UDP bindings expire after ``udp_binding_ttl`` idle seconds (any delivered
 or sent packet refreshes the window); TCP bindings persist for the life of
@@ -36,6 +38,20 @@ class NatType(Enum):
     RESTRICTED_CONE = "restricted_cone"
     PORT_RESTRICTED_CONE = "port_restricted_cone"
     SYMMETRIC = "symmetric"
+
+
+# What a behaviour reads of an (ip, port) destination: a slice of its fields.
+_ENDPOINT_INDEPENDENT = slice(0)
+_ADDRESS_DEPENDENT = slice(1)
+_ADDRESS_AND_PORT_DEPENDENT = slice(2)
+
+# Per type: (mapping, filtering).
+_RFC4787_RULES = {
+    NatType.FULL_CONE: (_ENDPOINT_INDEPENDENT, _ENDPOINT_INDEPENDENT),
+    NatType.RESTRICTED_CONE: (_ENDPOINT_INDEPENDENT, _ADDRESS_DEPENDENT),
+    NatType.PORT_RESTRICTED_CONE: (_ENDPOINT_INDEPENDENT, _ADDRESS_AND_PORT_DEPENDENT),
+    NatType.SYMMETRIC: (_ADDRESS_AND_PORT_DEPENDENT, _ADDRESS_AND_PORT_DEPENDENT),
+}
 
 
 class PortPoolExhausted(Exception):
@@ -71,22 +87,22 @@ class NatBinding:
     last_activity: float
     ttl: float  # idle seconds before expiry; inf: never
     key: tuple  # this binding's key in NatBox._bindings
-    # A symmetric binding's key holds its destination, the only peer.
-    peers_contacted: set[TransportAddress] = field(default_factory=set)
+    # What the filter keeps of each destination contacted.
+    contacted: set[tuple] = field(default_factory=set)
 
 
 class NatBox:
     """One NAT instance: binding table plus the type's mapping/filtering rules.
 
-    Bindings are keyed by ``(internal, [destination,] transport)`` tuples of
-    addresses, which are tuples too and hash in C.
+    Bindings are keyed by ``(internal, what the mapping reads of the
+    destination, transport)`` tuples, which hash in C.
     """
 
     def __init__(self, config: NatConfig, seed: int = 0):
         self.config = config
         self._bindings: dict[tuple, NatBinding] = {}
         self._by_port: dict[int, NatBinding] = {}
-        self._symmetric = config.nat_type is NatType.SYMMETRIC
+        self._mapping, self._filtering = _RFC4787_RULES[config.nat_type]
         lo, hi = config.port_range
         self._span = hi - lo + 1
         self._next = lo + seed % self._span
@@ -94,11 +110,6 @@ class NatBox:
     @property
     def bindings(self) -> list[NatBinding]:
         return list(self._bindings.values())
-
-    def _key(self, internal: TransportAddress, dst: TransportAddress | None, transport: str) -> tuple:
-        if self._symmetric:
-            return (internal, dst, transport)
-        return (internal, transport)
 
     def _ttl(self, transport: str) -> float:
         if transport == UDP:
@@ -130,7 +141,7 @@ class NatBox:
 
         Returns the external (mapped) source address.
         """
-        key = self._key(internal_src, external_dst, transport)
+        key = (internal_src, external_dst[self._mapping], transport)
         binding = self._bindings.get(key)
         if binding is not None and now - binding.last_activity >= binding.ttl:
             self._drop(binding)
@@ -147,7 +158,7 @@ class NatBox:
             )
             self._bindings[key] = binding
             self._by_port[external.port] = binding
-        binding.peers_contacted.add(external_dst)
+        binding.contacted.add(external_dst[self._filtering])
         binding.last_activity = now
         return binding.external
 
@@ -172,18 +183,10 @@ class NatBox:
         if now - binding.last_activity >= binding.ttl:
             self._drop(binding)
             return None
-        if not self._accepts(binding, external_src):
+        if external_src[self._filtering] not in binding.contacted:
             return None
         binding.last_activity = now
         return binding.internal
-
-    def _accepts(self, binding: NatBinding, source: tuple[str, int]) -> bool:
-        nat_type = self.config.nat_type
-        if nat_type is NatType.FULL_CONE:
-            return True
-        if nat_type is NatType.RESTRICTED_CONE:
-            return any(ip == source[0] for ip, _ in binding.peers_contacted)
-        return source in binding.peers_contacted  # port restricted, or symmetric
 
     def expire(self, now: float) -> int:
         """Remove every stale binding; return how many were dropped."""
@@ -191,19 +194,3 @@ class NatBox:
         for binding in stale:
             self._drop(binding)
         return len(stale)
-
-    def external_for(
-        self,
-        internal_src: TransportAddress,
-        external_dst: TransportAddress | None = None,
-        transport: str = UDP,
-    ) -> TransportAddress | None:
-        """Read-only lookup of the current mapping (no refresh); None if absent.
-
-        For a symmetric NAT the destination must be given, since mappings
-        are per destination.
-        """
-        if external_dst is None and self._symmetric:
-            raise ValueError("symmetric lookup requires the destination")
-        binding = self._bindings.get(self._key(internal_src, external_dst, transport))
-        return binding.external if binding else None

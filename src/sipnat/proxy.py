@@ -169,6 +169,8 @@ class SipProxy:
             msg = parse_message(raw, head)
         except SipParseError as exc:
             self._on_event("malformed_message", str(exc))
+            if raw.partition(b"\n")[0].strip().startswith(b"SIP/2.0"):
+                return []  # a response: RFC 3261 answers only requests (§8.2.6, §16.7)
             return self._forward(conn, _bad_request_for_garbage(str(exc)))
 
         if msg.is_request:

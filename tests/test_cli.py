@@ -115,18 +115,19 @@ def test_matrix_report_and_exit_code(tmp_path, capsys):
 
 
 def test_matrix_with_a_failed_assertion_exits_1_and_names_it(capsys, monkeypatch):
-    expected = harness.matrix_expected_outcome
+    run = harness.run_scenario
 
-    def blocked_symmetric_pair(nat_a, nat_b, mode):
-        if nat_a is nat_b is NatType.SYMMETRIC:
-            return harness.Outcome.MEDIA_BLOCKED
-        return expected(nat_a, nat_b, mode)
+    def blocked_symmetric_pair(scenario):
+        report = run(scenario)
+        if scenario.nat_a is scenario.nat_b is NatType.SYMMETRIC:
+            report.outcome = harness.Outcome.MEDIA_BLOCKED
+        return report
 
-    monkeypatch.setattr(harness, "matrix_expected_outcome", blocked_symmetric_pair)
+    monkeypatch.setattr(harness, "run_scenario", blocked_symmetric_pair)
     assert main(["matrix", "--modes", "adapted", "--packets", "1"]) == 1
     out, err = capsys.readouterr()
     assert "symmetric+symmetric" in out
-    assert err == "ASSERTION FAILED: adapted symmetric+symmetric: expected media_blocked, got media_ok\n"
+    assert err == "ASSERTION FAILED: adapted symmetric+symmetric: expected media_ok, got media_blocked\n"
 
 
 def test_run_report_that_cannot_be_written_exit_2(tmp_path, capsys):

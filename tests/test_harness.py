@@ -67,18 +67,16 @@ def run_keeping_session(s):
     return ctx, session
 
 
+def nat_mapping(nat, internal, transport=UDP):
+    """The one external address ``nat``'s bindings map ``internal`` to."""
+    (external,) = {b.external for b in nat.bindings if (b.internal, b.transport) == (internal, transport)}
+    return external
+
+
 def test_latched_addresses_equal_nat_mappings():
     ctx, session = run_keeping_session(scenario(seed=3))
-    leg_a, leg_b = session.a, session.b
-    proxy_ip = ctx.proxy.config.public_ip
-    a_expected = ctx.client_a.nat.external_for(
-        ctx.client_a.rtp_addr, TransportAddress(proxy_ip, leg_a.rtp.port)
-    )
-    b_expected = ctx.client_b.nat.external_for(
-        ctx.client_b.rtp_addr, TransportAddress(proxy_ip, leg_b.rtp.port)
-    )
-    assert leg_a.rtp.latched == a_expected
-    assert leg_b.rtp.latched == b_expected
+    assert session.a.rtp.latched == nat_mapping(ctx.client_a.nat, ctx.client_a.rtp_addr)
+    assert session.b.rtp.latched == nat_mapping(ctx.client_b.nat, ctx.client_b.rtp_addr)
 
 
 def test_forwarding_from_wrong_proxy_port_is_blocked():
@@ -107,7 +105,7 @@ def test_received_stamp_matches_nat_oracle():
         if raw.startswith(b"INVITE")
     ]
     assert invites
-    expected = ctx.client_a.nat.external_for(ctx.client_a.sip_addr, ctx.net.sip_addr, transport=TCP)
+    expected = nat_mapping(ctx.client_a.nat, ctx.client_a.sip_addr, transport=TCP)
     assert samples.stamped_source(invites[0].via) == expected
 
 
@@ -839,17 +837,26 @@ def test_count_savings_scales_with_client_count():
 # -- matrix ----------------------------------------------------------------------
 
 
-def test_matrix_adapted_all_ok_naive_restrictive_blocked():
+def test_matrix_adapted_all_ok_naive_all_blocked():
     summary, failures = run_matrix(["adapted", "naive"], seed=0, packets=4)
     assert failures == []
-    assert len(summary["adapted"]) == 16
-    for result in summary["adapted"].values():
-        assert result["outcome"] == "media_ok"
-    restrictive = {"symmetric", "port_restricted_cone"}
-    for key, result in summary["naive"].items():
-        a, b = key.split("+")
-        if a in restrictive and b in restrictive:
-            assert result["outcome"] == "media_blocked"
+    for mode, outcome in (("adapted", "media_ok"), ("naive", "media_blocked")):
+        assert len(summary[mode]) == 16
+        for result in summary[mode].values():
+            assert result["outcome"] == outcome
+
+
+def test_matrix_lists_a_naive_pairing_that_reports_media_ok_as_a_failure(monkeypatch):
+    def full_cones_get_media_through(s):
+        report = run_scenario(s)
+        if s.nat_a is s.nat_b is NatType.FULL_CONE:
+            report.outcome = Outcome.MEDIA_OK
+        return report
+
+    monkeypatch.setattr("sipnat.harness.run_scenario", full_cones_get_media_through)
+    summary, failures = run_matrix(["naive"], seed=0, packets=1)
+    assert summary["naive"]["full_cone+full_cone"]["outcome"] == "media_ok"
+    assert failures == ["naive full_cone+full_cone: expected media_blocked, got media_ok"]
 
 
 # -- scenario validation -----------------------------------------------------------

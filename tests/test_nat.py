@@ -281,16 +281,3 @@ def test_determinism_identical_event_sequences():
         return events, sorted(b.external.port for b in nat.bindings)
 
     assert run() == run()
-
-
-def test_external_for_lookup():
-    nat = make_nat(NatType.SYMMETRIC)
-    mapped = nat.outbound(LOCAL, DEST, now=0.0)
-    assert nat.external_for(LOCAL, DEST) == mapped
-    assert nat.external_for(LOCAL, STRANGER) is None
-    cone = make_nat(NatType.FULL_CONE)
-    mapped = cone.outbound(LOCAL, DEST, now=0.0)
-    assert cone.external_for(LOCAL) == mapped
-    # A symmetric NAT maps per destination, so no mapping stands for the source alone.
-    with pytest.raises(ValueError, match="requires the destination"):
-        nat.external_for(LOCAL)

@@ -483,6 +483,19 @@ def test_garbage_bytes_get_400_never_silence():
     assert (conn, msg.status_code) == (A_CONN, 400)
 
 
+def test_a_malformed_response_is_dropped_not_answered():
+    proxy = make_proxy()
+    register_both(proxy)
+    _, fwd_invite = only_message(proxy.handle_message(B_CONN, invite_from_b(), 1.0))
+    answer = serialize_message(build_response(fwd_invite, 200, "OK"))
+    assert answer.startswith(b"SIP/2.0 200 OK\r\n")
+    answer = answer.replace(b"\r\nCSeq: ", b"\r\nCSeq: 1 INVITE\r\nCSeq: ", 1)
+    events = record_events(proxy)
+    assert proxy.handle_message(A_CONN, answer, 1.1) == []
+    assert events == [("malformed_message", "duplicate CSeq header")]
+    assert proxy.calls["call-1@local2.com"].phase is Phase.INVITING
+
+
 def test_bye_for_unknown_call_481():
     proxy = make_proxy()
     register_both(proxy)
